@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::sync::Arc;
-use tsmo_core::{AsyncTsmo, ParallelVariant, TsmoConfig};
+use tsmo_core::{ParallelVariant, TsmoConfig};
 use vrptw::generator::GeneratorConfig;
 
 fn mini_cfg() -> TsmoConfig {
@@ -60,7 +60,7 @@ fn bench_fig1(c: &mut Criterion) {
                 seed,
                 ..mini_cfg()
             };
-            AsyncTsmo::new(cfg, 4).run(&inst)
+            ParallelVariant::Asynchronous(4).run(&inst, &cfg)
         })
     });
     g.finish();

@@ -29,8 +29,8 @@ use pareto::coverage;
 use runstats::Summary;
 use std::sync::Arc;
 use tsmo_core::{
-    weighted_front, AdaptiveMemoryTs, AsyncTsmo, CollaborativeTsmo, HybridTsmo, SequentialTsmo,
-    SimAsyncTsmo, SimSyncTsmo, TsmoConfig,
+    weighted_front, AdaptiveMemoryTs, Clock, HybridTsmo, ParallelVariant, RunOptions,
+    SequentialTsmo, TsmoConfig,
 };
 use tsmo_faults::{FaultConfig, FaultPlan};
 use tsmo_obs::{metrics::names, MemoryRecorder};
@@ -206,7 +206,8 @@ fn decision(opts: &Opts) {
         let mut dists = Vec::new();
         let mut times = Vec::new();
         for r in 0..opts.runs {
-            let out = AsyncTsmo::new(cfg.clone().with_seed(opts.seed + r as u64), 4).run(&inst);
+            let out = ParallelVariant::Asynchronous(4)
+                .run(&inst, &cfg.clone().with_seed(opts.seed + r as u64));
             if let Some(d) = out.best_distance() {
                 dists.push(d);
             }
@@ -239,9 +240,8 @@ fn comm(opts: &Opts) {
         let mut covs = Vec::new();
         let mut times = Vec::new();
         for r in 0..opts.runs {
-            let out =
-                CollaborativeTsmo::new(base_cfg(opts).with_seed(opts.seed + r as u64), searchers)
-                    .run(&inst);
+            let cfg = base_cfg(opts).with_seed(opts.seed + r as u64);
+            let out = ParallelVariant::Collaborative(searchers).run(&inst, &cfg);
             covs.push(coverage(&out.feasible_vectors(), &reference) * 100.0);
             times.push(out.runtime_seconds);
         }
@@ -263,13 +263,14 @@ fn hybrid(opts: &Opts) {
     for (label, runner) in [
         (
             "async (4 procs)",
-            Box::new(|seed: u64| AsyncTsmo::new(base_cfg(opts).with_seed(seed), 4).run(&inst))
-                as Box<dyn Fn(u64) -> tsmo_core::TsmoOutcome>,
+            Box::new(|seed: u64| {
+                ParallelVariant::Asynchronous(4).run(&inst, &base_cfg(opts).with_seed(seed))
+            }) as Box<dyn Fn(u64) -> tsmo_core::TsmoOutcome>,
         ),
         (
             "collaborative (4)",
             Box::new(|seed: u64| {
-                CollaborativeTsmo::new(base_cfg(opts).with_seed(seed), 4).run(&inst)
+                ParallelVariant::Collaborative(4).run(&inst, &base_cfg(opts).with_seed(seed))
             }),
         ),
         (
@@ -383,12 +384,21 @@ fn hetero(opts: &Opts) {
         let mut async_t = Vec::new();
         for r in 0..opts.runs {
             let cfg = base_cfg(opts).with_seed(opts.seed + r as u64);
-            let s = SimSyncTsmo::new(cfg.clone(), p)
-                .with_speeds(speeds.clone())
-                .run(&inst);
-            let a = SimAsyncTsmo::new(cfg, p)
-                .with_speeds(speeds.clone())
-                .run(&inst);
+            let on = |variant: ParallelVariant| {
+                let clock = Clock::Virtual {
+                    speeds: Some(speeds.clone()),
+                };
+                variant.run_opts(
+                    &inst,
+                    &cfg,
+                    RunOptions {
+                        clock,
+                        ..RunOptions::default()
+                    },
+                )
+            };
+            let s = on(ParallelVariant::Synchronous(p));
+            let a = on(ParallelVariant::Asynchronous(p));
             sync_t.push(s.runtime_seconds);
             async_t.push(a.runtime_seconds);
         }
@@ -413,8 +423,9 @@ fn levels(opts: &Opts) {
     for (label, runner) in [
         (
             "functional (async)",
-            Box::new(|seed: u64| AsyncTsmo::new(base_cfg(opts).with_seed(seed), p).run(&inst))
-                as Box<dyn Fn(u64) -> tsmo_core::TsmoOutcome>,
+            Box::new(|seed: u64| {
+                ParallelVariant::Asynchronous(p).run(&inst, &base_cfg(opts).with_seed(seed))
+            }) as Box<dyn Fn(u64) -> tsmo_core::TsmoOutcome>,
         ),
         (
             "domain (adaptive)",
@@ -431,7 +442,7 @@ fn levels(opts: &Opts) {
                 // collaborative variant budgets per searcher.
                 let mut cfg = base_cfg(opts).with_seed(seed);
                 cfg.max_evaluations = (opts.evals / p as u64).max(1);
-                CollaborativeTsmo::new(cfg, p).run(&inst)
+                ParallelVariant::Collaborative(p).run(&inst, &cfg)
             }),
         ),
     ] {
@@ -503,9 +514,16 @@ fn faults(opts: &Opts) {
             cfg.sim_eval_cost = Some(1e-4);
             let rec = MemoryRecorder::shared();
             let plan = FaultPlan::shared(FaultConfig::uniform(opts.fault_seed + r as u64, rate));
-            let out = SimAsyncTsmo::new(cfg, 4)
-                .with_fault_hook(plan.clone())
-                .run_with(&inst, rec.clone());
+            let out = ParallelVariant::Asynchronous(4).run_opts(
+                &inst,
+                &cfg,
+                RunOptions {
+                    recorder: rec.clone(),
+                    faults: plan.clone(),
+                    clock: Clock::Virtual { speeds: None },
+                    ..RunOptions::default()
+                },
+            );
             if let Some(d) = out.best_distance() {
                 dists.push(d);
             }

@@ -15,7 +15,7 @@
 //! for relating the trajectory to staleness and worker utilization.
 
 use std::sync::Arc;
-use tsmo_core::{AsyncTsmo, TsmoConfig};
+use tsmo_core::{ParallelVariant, TsmoConfig};
 use tsmo_obs::{MemoryRecorder, Recorder};
 use vrptw::generator::{GeneratorConfig, InstanceClass};
 
@@ -50,7 +50,7 @@ fn main() {
     let recorder: Arc<dyn Recorder> = memory
         .clone()
         .map_or_else(tsmo_obs::noop, |m| m as Arc<dyn Recorder>);
-    let out = AsyncTsmo::new(cfg, procs).run_with(&inst, recorder);
+    let out = ParallelVariant::Asynchronous(procs).run_with(&inst, &cfg, recorder);
     if let Some(memory) = &memory {
         if let Some(path) = &metrics_out {
             std::fs::write(path, memory.prometheus()).expect("failed to write metrics");

@@ -48,7 +48,7 @@
 
 use moea::{Nsga2, Nsga2Config};
 use std::sync::Arc;
-use tsmo_core::{CancelToken, HybridTsmo, ParallelVariant, TsmoConfig};
+use tsmo_core::{CancelToken, Clock, HybridTsmo, ParallelVariant, RunOptions, TsmoConfig};
 use tsmo_faults::{FaultConfig, FaultHook, FaultPlan};
 use tsmo_obs::{MemoryRecorder, Recorder};
 use vrptw::generator::{GeneratorConfig, InstanceClass};
@@ -162,35 +162,17 @@ fn main() {
         timeline_every,
         ..TsmoConfig::default()
     };
+    let opts = RunOptions {
+        recorder,
+        faults,
+        cancel: cancel.clone(),
+        clock: Clock::Wall,
+    };
     let front: Vec<(Solution, Objectives)> = match variant.as_str() {
-        "seq" => collect(ParallelVariant::Sequential.run_with_cancel(
-            &inst,
-            &cfg,
-            recorder,
-            faults,
-            cancel.clone(),
-        )),
-        "sync" => collect(ParallelVariant::Synchronous(procs).run_with_cancel(
-            &inst,
-            &cfg,
-            recorder,
-            faults,
-            cancel.clone(),
-        )),
-        "async" => collect(ParallelVariant::Asynchronous(procs).run_with_cancel(
-            &inst,
-            &cfg,
-            recorder,
-            faults,
-            cancel.clone(),
-        )),
-        "coll" => collect(ParallelVariant::Collaborative(searchers).run_with_cancel(
-            &inst,
-            &cfg,
-            recorder,
-            faults,
-            cancel.clone(),
-        )),
+        "seq" => collect(ParallelVariant::Sequential.run_opts(&inst, &cfg, opts)),
+        "sync" => collect(ParallelVariant::Synchronous(procs).run_opts(&inst, &cfg, opts)),
+        "async" => collect(ParallelVariant::Asynchronous(procs).run_opts(&inst, &cfg, opts)),
+        "coll" => collect(ParallelVariant::Collaborative(searchers).run_opts(&inst, &cfg, opts)),
         "hybrid" => collect(HybridTsmo::new(cfg, searchers, procs).run(&inst)),
         "nsga2" => {
             Nsga2::new(Nsga2Config {

@@ -16,9 +16,10 @@
 //! structured event stream as JSONL (large — prefer single-cell
 //! configurations when recording events).
 
-use bench::{render_table, run_table_with, ttest_report, TableOpts, TimingMode};
+use bench::{render_table, run_table_with, ttest_report, TableOpts};
 use std::io::Write;
 use std::sync::Arc;
+use tsmo_core::Clock;
 use tsmo_obs::{MemoryRecorder, Recorder};
 
 fn main() {
@@ -78,8 +79,8 @@ fn main() {
         }
         if let Some(t) = get("--timing") {
             opts.timing = match t.as_str() {
-                "real" => TimingMode::Real,
-                "virtual" => TimingMode::Virtual,
+                "real" => Clock::Wall,
+                "virtual" => Clock::Virtual { speeds: None },
                 other => panic!("--timing takes real|virtual, got {other:?}"),
             };
         }

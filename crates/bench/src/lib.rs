@@ -17,7 +17,7 @@
 use pareto::coverage;
 use runstats::{speedup_percent, welch_t_test, Summary};
 use std::sync::Arc;
-use tsmo_core::{ParallelVariant, TsmoConfig, TsmoOutcome};
+use tsmo_core::{Clock, ParallelVariant, RunOptions, TsmoConfig, TsmoOutcome};
 use vrptw::generator::{GeneratorConfig, InstanceClass};
 use vrptw::Instance;
 
@@ -42,20 +42,12 @@ pub struct TableOpts {
     pub neighborhood: usize,
     /// Base seed; instance generation and run seeds derive from it.
     pub seed: u64,
-    /// How parallel runtime is measured (see [`TimingMode`]).
-    pub timing: TimingMode,
-}
-
-/// How the parallel variants' runtimes are obtained.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TimingMode {
-    /// OS threads and wall clocks — only meaningful when the host has at
-    /// least as many cores as the largest processor count in the lineup.
-    Real,
-    /// Virtual-time simulation (`deme::virtual_time`): the same algorithms
-    /// scheduled on a modeled cluster; the default, and the only mode that
-    /// reproduces the paper's speedup columns on small hosts.
-    Virtual,
+    /// How the parallel variants' runtimes are measured. `Clock::Wall` is
+    /// only meaningful when the host has at least as many cores as the
+    /// largest processor count in the lineup; the virtual clock (the
+    /// default) is the only one that reproduces the paper's speedup
+    /// columns on small hosts.
+    pub timing: Clock,
 }
 
 impl TableOpts {
@@ -72,7 +64,7 @@ impl TableOpts {
             procs: vec![3, 6, 12],
             neighborhood: 200,
             seed: 0xBE11A,
-            timing: TimingMode::Virtual,
+            timing: Clock::Virtual { speeds: None },
         }
     }
 
@@ -88,7 +80,7 @@ impl TableOpts {
             procs: vec![3, 6, 12],
             neighborhood: 200,
             seed: 0xBE11A,
-            timing: TimingMode::Virtual,
+            timing: Clock::Virtual { speeds: None },
         }
     }
 }
@@ -220,12 +212,15 @@ pub fn run_table_with(
                         ^ (pi as u64) << 40,
                     ..TsmoConfig::default()
                 };
-                let out = match opts.timing {
-                    TimingMode::Real => variant.run_with(inst, &cfg, Arc::clone(&recorder)),
-                    TimingMode::Virtual => {
-                        variant.run_simulated_with(inst, &cfg, Arc::clone(&recorder))
-                    }
-                };
+                let out = variant.run_opts(
+                    inst,
+                    &cfg,
+                    RunOptions {
+                        recorder: Arc::clone(&recorder),
+                        clock: opts.timing.clone(),
+                        ..RunOptions::default()
+                    },
+                );
                 let (d, v, t) = measure(&out);
                 per_run[run].distance += d;
                 per_run[run].vehicles += v;
@@ -350,7 +345,7 @@ mod tests {
             procs: vec![2],
             neighborhood: 40,
             seed: 3,
-            timing: TimingMode::Virtual,
+            timing: Clock::Virtual { speeds: None },
         }
     }
 

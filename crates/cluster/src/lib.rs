@@ -3,7 +3,7 @@
 //! The paper's collaborative variant (§III.E) runs `P` searchers that
 //! exchange archive-improving solutions over rotating communication lists.
 //! In-process, those searchers are threads and the links are channels
-//! (`CollaborativeTsmo`). This crate stretches the same search across
+//! (`ParallelVariant::Collaborative`). This crate stretches the same search across
 //! machines: a [`Noded`] daemon hosts one node's share of the
 //! searchers, exchanges travel as length-prefixed JSON frames over TCP
 //! ([`proto`]), and [`mesh::run_mesh`] bootstraps the mesh, dispatches the

@@ -14,8 +14,9 @@
 //! global searcher ids `k*s .. (k+1)*s`. It derives the *full* stream set
 //! `streams(seed, n*s)` and, for each local id, draws the communication
 //! list first and the parameter perturbation second from that id's own
-//! stream — the same order `CollaborativeTsmo` and the virtual mesh use,
-//! so all three builds agree on every list and every parameter.
+//! stream — the same order `ParallelVariant::Collaborative` (on either
+//! clock) and the virtual mesh use, so all builds agree on every list and
+//! every parameter.
 
 use crate::membership::{Member, Membership};
 use crate::proto::{ExchangeEntry, MeshJob, NodeMsg};
@@ -812,26 +813,45 @@ fn run_node_job(
             merged.insert(entry);
         }
     }
-    // Warm-start entries survive the handover even when every searcher
-    // replaced them: the node front a joiner reports must never lose
-    // elites the mesh had already found.
-    merged.absorb(job.warm.iter().map(ExchangeEntry::to_front));
+    let front = merge_warm(
+        merged,
+        job.warm.iter().map(ExchangeEntry::to_front).collect(),
+    );
     // Publish the merged front too (it may contain warm entries no single
     // searcher holds) before the runner flips the phase; the replicator
     // has already cut its final checkpoint from the per-searcher final
     // snapshots, which carry the same elites.
-    shared.publish_live(merged.items().to_vec(), 0);
+    shared.publish_live(front.clone(), 0);
     shared.recorder.merge_metrics_from(&events);
     let report = NodeReport {
-        front: merged
-            .into_items()
-            .iter()
-            .map(ExchangeEntry::from_front)
-            .collect(),
+        front: front.iter().map(ExchangeEntry::from_front).collect(),
         evaluations,
         iterations,
     };
     (report, events.events_jsonl())
+}
+
+/// Folds warm-start entries into a node's merged front. Warm entries
+/// survive the handover even when every searcher replaced them: the node
+/// front a joiner reports must never lose elites the mesh had already
+/// found. So crowding may drop a warm entry only when a front member
+/// dominates (or equals) it; one that merely lost the crowding comparison
+/// on a full archive is put back, past the capacity if need be.
+fn merge_warm(mut front: Archive<FrontEntry>, warm: Vec<FrontEntry>) -> Vec<FrontEntry> {
+    front.absorb(warm.iter().cloned());
+    let mut items = front.into_items();
+    for entry in warm {
+        let w = entry.objectives.to_vector();
+        let held = items.iter().any(|f| {
+            let v = f.objectives.to_vector();
+            v == w || pareto::dominates(&v, &w)
+        });
+        if !held {
+            items.retain(|f| !pareto::dominates(&w, &f.objectives.to_vector()));
+            items.push(entry);
+        }
+    }
+    items
 }
 
 /// Ships the live front to the ring successor every `every`, plus one
@@ -884,4 +904,55 @@ fn ship_checkpoint(shared: &NodeShared, node_index: usize) {
         entries,
     };
     let _ = conn.call(&msg);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vrptw::{Objectives, Solution};
+
+    fn entry(distance: f64, vehicles: usize) -> FrontEntry {
+        FrontEntry::new(
+            Solution::from_routes(vec![vec![1]]),
+            Objectives {
+                distance,
+                vehicles,
+                tardiness: 0.0,
+            },
+        )
+    }
+
+    #[test]
+    fn crowding_never_evicts_an_undominated_warm_entry() {
+        // A full archive of three spread points, and a warm entry squeezed
+        // next to the middle one: the most crowded point, so the capped
+        // archive alone would drop it.
+        let mut front = Archive::new(3);
+        for (d, v) in [(0.0, 10), (5.0, 5), (10.0, 0)] {
+            front.insert(entry(d, v));
+        }
+        let crowded = entry(5.1, 4);
+        let mut capped = front.clone();
+        capped.insert(crowded.clone());
+        assert!(
+            !capped
+                .items()
+                .iter()
+                .any(|f| f.objectives == crowded.objectives),
+            "the capped archive alone drops the crowded entry"
+        );
+        let dominated = entry(11.0, 11);
+        let merged = merge_warm(front, vec![crowded.clone(), dominated.clone()]);
+        assert!(merged.iter().any(|f| f.objectives == crowded.objectives));
+        assert!(
+            !merged.iter().any(|f| f.objectives == dominated.objectives),
+            "a dominated warm entry may still go"
+        );
+        for a in &merged {
+            for b in &merged {
+                let (va, vb) = (a.objectives.to_vector(), b.objectives.to_vector());
+                assert!(!pareto::dominates(&va, &vb), "front stays non-dominated");
+            }
+        }
+    }
 }

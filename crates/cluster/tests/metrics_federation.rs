@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use tsmo_cluster::mesh::{self, MeshClient};
 use tsmo_cluster::{MeshJob, NodeConfig, Noded};
-use tsmo_core::{CollaborativeTsmo, TsmoConfig};
+use tsmo_core::{ParallelVariant, TsmoConfig};
 use tsmo_obs::metrics::names;
 use tsmo_obs::{MemoryRecorder, MetricsRegistry, Recorder};
 use vrptw::generator::{GeneratorConfig, InstanceClass};
@@ -72,8 +72,11 @@ fn federated_mesh_metrics_match_single_process_totals() {
         ..TsmoConfig::default()
     }
     .with_seed(job.seed);
-    CollaborativeTsmo::new(cfg, job.total_searchers())
-        .run_with(&Arc::new(inst), Arc::clone(&single) as Arc<dyn Recorder>);
+    ParallelVariant::Collaborative(job.total_searchers()).run_with(
+        &Arc::new(inst),
+        &cfg,
+        Arc::clone(&single) as Arc<dyn Recorder>,
+    );
     assert_eq!(
         node_evaluations,
         single.metrics().counter(names::EVALUATIONS),

@@ -1,361 +1,221 @@
 //! The asynchronous master–worker variant (§III.D).
+//!
+//! Like the synchronous variant the master distributes neighborhood chunks
+//! "among himself and the workers, but when it is finished with its part,
+//! the master will use a decision function to decide if workers should be
+//! given more time or if it should continue by selecting the next current
+//! individual from the N that has been collected so far" (Algorithm 2).
+//! Results that arrive after the master moved on are *folded into the next
+//! iteration's pool* — the search "can select solutions that were neighbors
+//! of a previous solution", which is why [`Neighbor`] is self-contained.
+//!
+//! The decision function's four conditions:
+//! * `c1` — some worker is idle (has delivered and waits for work);
+//! * `c2` — a collected neighbor dominates the current solution;
+//! * `c3` — the master has waited longer than `cfg.async_max_wait_ms`;
+//! * `c4` — the evaluation budget is exhausted.
+//!
+//! On the wall clock the workers run under a `deme::Supervisor`: a
+//! panicked chunk task is resent to the next live worker, repeatedly
+//! failing workers are quarantined and respawned once, and if no worker
+//! is left the master evaluates alone (degraded mode). A resent task keeps
+//! its original `iteration`, so its neighbors count as *stale* in the
+//! sense of Algorithm 2 — the recovery path needs no special treatment in
+//! the search itself. On the virtual clock the same policy is mirrored in
+//! virtual time (see [`exec`](crate::exec)).
 
 use crate::cancel::CancelToken;
 use crate::config::TsmoConfig;
-use crate::core_search::SearchCore;
-use crate::fault_obs::{publish_recovery, record_fault};
+use crate::core_search::{SearchCore, StepReport};
+use crate::exec::{Executor, Wait};
 use crate::neighborhood::{generate_chunk_tallied, Chunk, Neighbor};
 use crate::outcome::TsmoOutcome;
-use deme::{EvaluationBudget, MasterWorker, RunClock, Supervisor, SupervisorConfig};
+use deme::EvaluationBudget;
 use detrand::Xoshiro256StarStar;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-use tsmo_faults::{FaultHook, TaskFault};
-use tsmo_obs::{metrics::names, FaultKind, Recorder, SearchEvent, Span};
-use vrptw::solution::EvaluatedSolution;
+use tsmo_obs::{metrics::names, Recorder, SearchEvent, Span};
 use vrptw::Instance;
-use vrptw_operators::SampleParams;
+use vrptw_operators::SampleTally;
 
-#[derive(Clone)]
-struct Task {
-    snapshot: EvaluatedSolution,
-    seed: u64,
-    count: usize,
-    iteration: usize,
+/// What a searcher does around each asynchronous round besides searching.
+/// A lone master does nothing; a hybrid searcher drains its inbox into
+/// `M_nondom` and migrates archive improvements to its peers.
+pub(crate) trait Collaboration {
+    /// Called at the top of every round, before results are folded.
+    fn receive(&mut self, _core: &mut SearchCore) {}
+    /// Called with the report of every selection step of the main loop.
+    fn after_step(&mut self, _report: StepReport) {}
 }
 
-type Pool = Supervisor<Task, Chunk>;
+impl Collaboration for () {}
 
-/// Asynchronous master–worker TSMO.
-///
-/// Like the synchronous variant the master distributes neighborhood chunks
-/// "among himself and the workers, but when it is finished with its part,
-/// the master will use a decision function to decide if workers should be
-/// given more time or if it should continue by selecting the next current
-/// individual from the N that has been collected so far" (Algorithm 2).
-/// Results that arrive after the master moved on are *folded into the next
-/// iteration's pool* — the search "can select solutions that were neighbors
-/// of a previous solution", which is why [`Neighbor`] is self-contained.
-///
-/// The decision function's four conditions:
-/// * `c1` — some worker is idle (has delivered and waits for work);
-/// * `c2` — a collected neighbor dominates the current solution;
-/// * `c3` — the master has waited longer than `cfg.async_max_wait_ms`;
-/// * `c4` — the evaluation budget is exhausted.
-///
-/// # Robustness
-///
-/// The worker pool runs under a [`Supervisor`]: a panicked chunk task is
-/// resent (bounded retries with backoff) to the next live worker,
-/// repeatedly failing workers are quarantined and respawned once, and if
-/// the live pool falls below quorum the master degrades to evaluating
-/// chunks alone instead of aborting. A resent task keeps its original
-/// `iteration`, so its neighbors count as *stale* in the sense of
-/// Algorithm 2 — the recovery path needs no special treatment in the
-/// search itself. Injected faults (see [`AsyncTsmo::with_fault_hook`])
-/// exercise exactly these paths.
-pub struct AsyncTsmo {
-    cfg: TsmoConfig,
-    processors: usize,
-    faults: Arc<dyn FaultHook>,
-    cancel: CancelToken,
+/// The search state one asynchronous searcher starts from.
+pub(crate) struct AsyncSearcher<'a> {
+    pub(crate) inst: &'a Arc<Instance>,
+    /// Its configuration; `chunks` is set to the processor count.
+    pub(crate) cfg: TsmoConfig,
+    pub(crate) rng: Xoshiro256StarStar,
+    pub(crate) recorder: &'a Arc<dyn Recorder>,
+    pub(crate) id: u32,
 }
 
-impl AsyncTsmo {
-    /// Creates the runner with `processors` total CPUs (master included).
-    ///
-    /// # Panics
-    /// Panics if `processors == 0`.
-    pub fn new(cfg: TsmoConfig, processors: usize) -> Self {
-        assert!(processors > 0, "need at least the master processor");
-        Self {
-            cfg,
-            processors,
-            faults: tsmo_faults::none(),
-            cancel: CancelToken::never(),
+/// Runs Algorithm 2 over `exec` until the budget is spent or `cancel`
+/// stops it. A stopped run skips the final leftover-pool step, so its
+/// iteration count is an exact prefix of the unstopped run.
+pub(crate) fn run_async(
+    mut exec: impl Executor,
+    searcher: AsyncSearcher<'_>,
+    cancel: &CancelToken,
+    collab: &mut impl Collaboration,
+) -> TsmoOutcome {
+    let AsyncSearcher {
+        inst,
+        mut cfg,
+        rng,
+        recorder,
+        id,
+    } = searcher;
+    let processors = exec.n_workers() + 1;
+    cfg.chunks = processors;
+    let budget = EvaluationBudget::new(cfg.max_evaluations);
+    let chunk = (cfg.neighborhood_size / processors).max(1);
+    let max_wait = cfg.async_max_wait_ms as f64 / 1_000.0;
+    let mut core = SearchCore::with_recorder(Arc::clone(inst), cfg, rng, Arc::clone(recorder), id);
+    let mut pool: Vec<Neighbor> = Vec::new();
+    let mut tally = SampleTally::default();
+
+    // Folds collected worker results into the pool; `iter` is the master's
+    // iteration at collection time (for events).
+    let fold = |arrived: Vec<(usize, Chunk)>,
+                pool: &mut Vec<Neighbor>,
+                tally: &mut SampleTally,
+                iter: usize| {
+        for (w, chunk) in arrived {
+            if recorder.enabled() {
+                recorder.event(SearchEvent::WorkerResult {
+                    worker: (w + 1) as u32,
+                    iteration: iter as u64,
+                    neighbors: chunk.neighbors.len() as u32,
+                });
+            }
+            tally.merge(&chunk.tally);
+            pool.extend(chunk.neighbors);
         }
-    }
+    };
 
-    /// Attaches a cooperative stop signal, checked by the master at the
-    /// top of each dispatch round. A stopped run skips the final
-    /// leftover-pool step so its iteration count is an exact prefix.
-    pub fn with_cancel_token(mut self, token: CancelToken) -> Self {
-        self.cancel = token;
-        self
-    }
-
-    /// Attaches a fault-injection hook (see the `tsmo-faults` crate).
-    /// Worker tasks consult the hook before computing: they may be made to
-    /// panic (exercising the supervisor's resend/quarantine machinery
-    /// through the pool's real `catch_unwind` path), stall, or return
-    /// late. An inactive hook ([`FaultHook::active`] `== false`) leaves
-    /// the run byte-identical to one without a hook.
-    pub fn with_fault_hook(mut self, hook: Arc<dyn FaultHook>) -> Self {
-        self.faults = hook;
-        self
-    }
-
-    /// Runs the search to budget exhaustion.
-    pub fn run(&self, inst: &Arc<Instance>) -> TsmoOutcome {
-        self.run_with(inst, tsmo_obs::noop())
-    }
-
-    /// Runs the search with a telemetry sink attached. Queue depths, worker
-    /// busy fractions, and staleness aggregates land in the metrics
-    /// registry; the event stream's interleaving follows real thread timing
-    /// — use [`SimAsyncTsmo`](crate::SimAsyncTsmo) for byte-reproducible
-    /// event streams.
-    pub fn run_with(&self, inst: &Arc<Instance>, recorder: Arc<dyn Recorder>) -> TsmoOutcome {
-        let clock = RunClock::start();
-        let mut cfg = self.cfg.clone();
-        cfg.chunks = self.processors;
-        let budget = EvaluationBudget::new(cfg.max_evaluations);
-        let params = SampleParams {
-            feasibility: cfg.feasibility_criterion,
-        };
-        let chunk = (cfg.neighborhood_size / self.processors).max(1);
-        let max_wait = Duration::from_millis(cfg.async_max_wait_ms);
-
-        let mut supervisor = (self.processors > 1).then(|| {
-            let inst = Arc::clone(inst);
-            let hook = Arc::clone(&self.faults);
-            let rec = Arc::clone(&recorder);
-            let n_workers = self.processors - 1;
-            // Per-worker execution counters drive the fault decisions:
-            // deterministic in (worker, execution index), independent of
-            // cross-thread interleaving.
-            let fault_seqs: Arc<Vec<AtomicU64>> =
-                Arc::new((0..n_workers).map(|_| AtomicU64::new(0)).collect());
-            let pool = MasterWorker::<Task, Chunk>::spawn(n_workers, move |w, t| {
-                let mut late_millis = None;
-                if hook.active() {
-                    let seq = fault_seqs[w].fetch_add(1, Ordering::Relaxed);
-                    match hook.on_task(w + 1, seq) {
-                        TaskFault::None => {}
-                        TaskFault::Panic => {
-                            record_fault(&*rec, (w + 1) as u32, seq, FaultKind::TaskPanic);
-                            panic!("injected fault: task panic (worker {w}, seq {seq})");
-                        }
-                        TaskFault::Stall { millis } => {
-                            record_fault(&*rec, (w + 1) as u32, seq, FaultKind::TaskStall);
-                            std::thread::sleep(Duration::from_millis(millis));
-                        }
-                        TaskFault::Late { millis } => {
-                            record_fault(&*rec, (w + 1) as u32, seq, FaultKind::TaskLate);
-                            late_millis = Some(millis);
-                        }
-                    }
-                }
-                let out = generate_chunk_tallied(
-                    &inst,
-                    &t.snapshot,
-                    t.seed,
-                    t.count,
-                    params,
-                    t.iteration,
-                );
-                if let Some(millis) = late_millis {
-                    std::thread::sleep(Duration::from_millis(millis));
-                }
-                out
-            });
-            Supervisor::new(pool, SupervisorConfig::default())
-        });
-        let n_workers = supervisor.as_ref().map_or(0, |s| s.n_workers());
-        if supervisor.is_some() {
-            recorder.gauge_set(names::DEGRADED_MODE, 0.0);
-        }
-
-        let mut core = SearchCore::with_recorder(
-            Arc::clone(inst),
-            cfg.clone(),
-            Xoshiro256StarStar::seed_from_u64(cfg.seed),
-            Arc::clone(&recorder),
-            0,
+    loop {
+        collab.receive(&mut core);
+        let iter = core.iteration();
+        fold(
+            exec.collect(Wait::Now, iter as u64),
+            &mut pool,
+            &mut tally,
+            iter,
         );
-        let mut pool: Vec<Neighbor> = Vec::new();
-        let mut tally = vrptw_operators::SampleTally::default();
-
-        // Drains every already-delivered worker result into the pool and
-        // publishes any recovery actions the supervisor took; `iter` is
-        // the master's iteration at drain time (for events).
-        fn fold_arrived(
-            sup: &mut Pool,
-            recorder: &Arc<dyn Recorder>,
-            pool: &mut Vec<Neighbor>,
-            tally: &mut vrptw_operators::SampleTally,
-            iter: u64,
-        ) {
-            while let Some((w, chunk_result)) = sup.try_recv() {
+        if budget.exhausted() || cancel.should_stop(iter) {
+            break;
+        }
+        // Give every idle live worker a chunk of the *current*
+        // neighborhood. A degraded executor has no idle worker, so the
+        // master continues alone (master-local evaluation).
+        if exec.n_workers() > 0 {
+            let _span = Span::enter(recorder, "dispatch", core.trace_id(), core.span_parent());
+            for w in exec.idle_workers() {
+                let granted = budget.try_consume(chunk as u64) as usize;
+                if granted == 0 {
+                    break;
+                }
+                recorder.counter_add(names::EVALUATIONS, granted as u64);
                 if recorder.enabled() {
-                    recorder.event(SearchEvent::WorkerResult {
+                    recorder.event(SearchEvent::WorkerTask {
                         worker: (w + 1) as u32,
-                        iteration: iter,
-                        neighbors: chunk_result.neighbors.len() as u32,
+                        iteration: iter as u64,
+                        count: granted as u32,
                     });
                 }
-                tally.merge(&chunk_result.tally);
-                pool.extend(chunk_result.neighbors);
-            }
-            publish_recovery(&**recorder, sup.take_events(), iter);
-        }
-
-        'search: loop {
-            // Fold everything that arrived since the last selection.
-            if let Some(sup) = supervisor.as_mut() {
-                recorder.observe(
-                    names::RESULT_QUEUE_DEPTH,
-                    sup.pool().result_queue_len() as f64,
-                );
-                fold_arrived(
-                    sup,
-                    &recorder,
-                    &mut pool,
-                    &mut tally,
-                    core.iteration() as u64,
-                );
-            }
-            if budget.exhausted() || self.cancel.should_stop(core.iteration()) {
-                break 'search;
-            }
-            // Give every idle live worker a chunk of the *current*
-            // neighborhood. A degraded supervisor has no live workers, so
-            // the master continues alone (master-local evaluation).
-            if let Some(sup) = supervisor.as_mut() {
-                let _span = Span::enter(&recorder, "dispatch", core.trace_id(), core.span_parent());
-                for w in sup.idle_live_workers() {
-                    let granted = budget.try_consume(chunk as u64) as usize;
-                    if granted == 0 {
-                        break;
-                    }
-                    recorder.counter_add(names::EVALUATIONS, granted as u64);
-                    if recorder.enabled() {
-                        recorder.event(SearchEvent::WorkerTask {
-                            worker: (w + 1) as u32,
-                            iteration: core.iteration() as u64,
-                            count: granted as u32,
-                        });
-                    }
-                    sup.send(
-                        w,
-                        Task {
-                            snapshot: core.current().clone(),
-                            seed: core.next_seed(),
-                            count: granted,
-                            iteration: core.iteration(),
-                        },
-                    );
-                }
-            }
-            // The master computes its own part. The "evaluate" span also
-            // covers the decision-function wait: from the master's
-            // perspective that time is spent collecting evaluations.
-            let eval_span = Span::enter(&recorder, "evaluate", core.trace_id(), core.span_parent());
-            let granted = budget.try_consume(chunk as u64) as usize;
-            if granted > 0 {
-                recorder.counter_add(names::EVALUATIONS, granted as u64);
                 let seed = core.next_seed();
-                let master_chunk = generate_chunk_tallied(
+                exec.dispatch(w, core.current(), seed, granted, iter);
+            }
+        }
+        // The master computes its own part. The "evaluate" span also
+        // covers the decision-function wait: from the master's
+        // perspective that time is spent collecting evaluations.
+        let eval_span = Span::enter(recorder, "evaluate", core.trace_id(), core.span_parent());
+        let granted = budget.try_consume(chunk as u64) as usize;
+        if granted > 0 {
+            recorder.counter_add(names::EVALUATIONS, granted as u64);
+            let seed = core.next_seed();
+            let own = exec.on_master(granted, || {
+                generate_chunk_tallied(
                     inst,
                     core.current(),
                     seed,
                     granted,
-                    params,
-                    core.iteration(),
-                );
-                tally.merge(&master_chunk.tally);
-                pool.extend(master_chunk.neighbors);
+                    core.sample_params(),
+                    iter,
+                )
+            });
+            tally.merge(&own.tally);
+            pool.extend(own.neighbors);
+        }
+        // Decision function (Algorithm 2).
+        let wait_start = exec.now();
+        loop {
+            fold(
+                exec.collect(Wait::Now, iter as u64),
+                &mut pool,
+                &mut tally,
+                iter,
+            );
+            let current = core.current().objectives().to_vector();
+            let c1 = !exec.idle_workers().is_empty();
+            let c2 = pool
+                .iter()
+                .any(|nb| pareto::dominates(&nb.objectives.to_vector(), &current));
+            let c3 = exec.now() - wait_start >= max_wait;
+            let c4 = budget.exhausted();
+            // With no worker at all there is nothing to wait for.
+            if c1 || c2 || c3 || c4 || exec.degraded() || exec.n_workers() == 0 {
+                break;
             }
-            // Decision function (Algorithm 2).
-            let wait_start = Instant::now();
-            loop {
-                if let Some(sup) = supervisor.as_mut() {
-                    fold_arrived(
-                        sup,
-                        &recorder,
-                        &mut pool,
-                        &mut tally,
-                        core.iteration() as u64,
-                    );
-                }
-                let current_vec = core.current().objectives().to_vector();
-                let degraded = supervisor.as_ref().is_some_and(|s| s.degraded());
-                let c1 = supervisor
-                    .as_ref()
-                    .is_some_and(|s| !s.idle_live_workers().is_empty());
-                let c2 = pool
-                    .iter()
-                    .any(|nb| pareto::dominates(&nb.objectives.to_vector(), &current_vec));
-                let c3 = wait_start.elapsed() >= max_wait;
-                let c4 = budget.exhausted();
-                if c1 || c2 || c3 || c4 || degraded {
-                    break;
-                }
-                match supervisor.as_mut() {
-                    Some(sup) => {
-                        if let Some((w, chunk_result)) =
-                            sup.recv_timeout(Duration::from_micros(500))
-                        {
-                            if recorder.enabled() {
-                                recorder.event(SearchEvent::WorkerResult {
-                                    worker: (w + 1) as u32,
-                                    iteration: core.iteration() as u64,
-                                    neighbors: chunk_result.neighbors.len() as u32,
-                                });
-                            }
-                            tally.merge(&chunk_result.tally);
-                            pool.extend(chunk_result.neighbors);
-                        }
-                        publish_recovery(&*recorder, sup.take_events(), core.iteration() as u64);
-                    }
-                    None => break, // no workers: nothing to wait for
-                }
-            }
-            drop(eval_span);
-            if pool.is_empty() {
-                let all_idle = supervisor
-                    .as_ref()
-                    .is_none_or(|s| (0..n_workers).all(|w| s.in_flight(w) == 0));
-                if budget.exhausted() && all_idle {
-                    break 'search;
-                }
-                // Nothing collected yet (slow workers): wait another round
-                // rather than burning a restart on timing noise.
-                continue 'search;
-            }
-            core.step(std::mem::take(&mut pool));
+            let arrived = exec.collect(Wait::Until(wait_start + max_wait), iter as u64);
+            fold(arrived, &mut pool, &mut tally, iter);
         }
-        // Final partial pool: give the leftovers one last consideration —
-        // unless the run was stopped early, where an extra step would break
-        // the prefix property.
-        if !pool.is_empty() && !self.cancel.is_stopped() {
-            core.step(std::mem::take(&mut pool));
+        drop(eval_span);
+        // Nothing collected yet (slow workers): wait another round rather
+        // than burning a restart on timing noise. The top of the loop ends
+        // the search once the budget is spent.
+        if pool.is_empty() {
+            continue;
         }
-        let runtime_seconds = clock.seconds();
-        if let Some(mut sup) = supervisor {
-            publish_recovery(&*recorder, sup.take_events(), core.iteration() as u64);
-            crate::sync::record_pool_stats(&*recorder, sup.pool(), runtime_seconds);
-            drop(sup); // workers see disconnect and exit; no join needed
-        }
-        recorder.gauge_set(names::RUNTIME_SECONDS, runtime_seconds);
-        recorder.gauge_set(&names::worker_busy_fraction(0), 1.0);
-        core.note_tally(&tally);
-        let (archive, trace, iterations) = core.finish();
-        TsmoOutcome {
-            archive,
-            evaluations: budget.consumed(),
-            iterations,
-            runtime_seconds,
-            trace,
-        }
+        let taken = std::mem::take(&mut pool);
+        let report = exec.on_master(taken.len(), || core.step(taken));
+        collab.after_step(report);
+    }
+    // Final partial pool: give the leftovers one last consideration —
+    // unless the run was stopped early, where an extra step would break
+    // the prefix property.
+    if !pool.is_empty() && !cancel.is_stopped() {
+        let taken = std::mem::take(&mut pool);
+        exec.on_master(taken.len(), || core.step(taken));
+    }
+    let runtime_seconds = exec.finish(core.iteration() as u64);
+    core.note_tally(&tally);
+    let (archive, trace, iterations) = core.finish();
+    TsmoOutcome {
+        archive,
+        evaluations: budget.consumed(),
+        iterations,
+        runtime_seconds,
+        trace,
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{on_virtual_clock, ParallelVariant, SequentialTsmo, TsmoConfig};
     use pareto::non_dominated_indices;
+    use std::sync::Arc;
     use vrptw::generator::{GeneratorConfig, InstanceClass};
 
     fn cfg() -> TsmoConfig {
@@ -369,7 +229,7 @@ mod tests {
     #[test]
     fn consumes_exact_budget() {
         let inst = Arc::new(GeneratorConfig::new(InstanceClass::R2, 40, 4).build());
-        let out = AsyncTsmo::new(cfg(), 3).run(&inst);
+        let out = ParallelVariant::Asynchronous(3).run(&inst, &cfg());
         assert_eq!(out.evaluations, 2_400);
         assert!(!out.archive.is_empty());
         assert!(out.iterations > 0);
@@ -378,7 +238,7 @@ mod tests {
     #[test]
     fn archive_valid_and_non_dominated() {
         let inst = Arc::new(GeneratorConfig::new(InstanceClass::C1, 40, 9).build());
-        let out = AsyncTsmo::new(cfg(), 4).run(&inst);
+        let out = ParallelVariant::Asynchronous(4).run(&inst, &cfg());
         assert_eq!(non_dominated_indices(&out.archive).len(), out.archive.len());
         for e in &out.archive {
             assert!(e.solution.check(&inst).is_empty());
@@ -393,7 +253,7 @@ mod tests {
         let mut c = cfg();
         c.trace = true;
         c.max_evaluations = 6_000;
-        let out = AsyncTsmo::new(c, 4).run(&inst);
+        let out = ParallelVariant::Asynchronous(4).run(&inst, &c);
         let trace = out.trace.expect("tracing enabled");
         assert!(!trace.is_empty());
         // Staleness is timing-dependent; assert the mechanism rather than a
@@ -406,7 +266,7 @@ mod tests {
     #[test]
     fn single_processor_still_works() {
         let inst = Arc::new(GeneratorConfig::new(InstanceClass::C2, 25, 2).build());
-        let out = AsyncTsmo::new(cfg(), 1).run(&inst);
+        let out = ParallelVariant::Asynchronous(1).run(&inst, &cfg());
         assert_eq!(out.evaluations, 2_400);
         assert!(!out.archive.is_empty());
     }
@@ -423,8 +283,8 @@ mod tests {
             neighborhood_size: 60,
             ..TsmoConfig::default()
         };
-        let seq = crate::SequentialTsmo::new(c.clone().with_seed(3)).run(&inst);
-        let asy = AsyncTsmo::new(c.with_seed(3), 3).run(&inst);
+        let seq = SequentialTsmo::new(c.clone().with_seed(3)).run(&inst);
+        let asy = ParallelVariant::Asynchronous(3).run(&inst, &c.with_seed(3));
         let (s, a) = (
             seq.best_distance().expect("seq feasible"),
             asy.best_distance().expect("async feasible"),
@@ -432,6 +292,41 @@ mod tests {
         assert!(
             a < s * 1.35,
             "async best {a} too far above sequential best {s}"
+        );
+    }
+
+    #[test]
+    fn virtual_clock_consumes_budget_and_produces_front() {
+        let inst = Arc::new(GeneratorConfig::new(InstanceClass::C2, 40, 4).build());
+        let out = on_virtual_clock(ParallelVariant::Asynchronous(3), &inst, &cfg());
+        assert_eq!(out.evaluations, 2_400);
+        assert!(!out.archive.is_empty());
+        assert!(out.runtime_seconds > 0.0);
+        for e in &out.archive {
+            assert!(e.solution.check(&inst).is_empty());
+        }
+    }
+
+    #[test]
+    fn virtual_async_is_faster_than_virtual_sync_with_heterogeneous_latency() {
+        // The async variant's reason to exist: it avoids barrier waiting.
+        // Under the same latency its virtual makespan should not exceed the
+        // synchronous one by much; typically it is smaller.
+        let inst = Arc::new(GeneratorConfig::new(InstanceClass::R1, 80, 8).build());
+        let c = TsmoConfig {
+            max_evaluations: 6_000,
+            neighborhood_size: 120,
+            sim_comm_latency: 0.002,
+            ..TsmoConfig::default()
+        }
+        .with_seed(5);
+        let sync = on_virtual_clock(ParallelVariant::Synchronous(6), &inst, &c);
+        let asy = on_virtual_clock(ParallelVariant::Asynchronous(6), &inst, &c);
+        assert!(
+            asy.runtime_seconds <= sync.runtime_seconds * 1.15,
+            "async virtual {:.3}s should be at most ~sync virtual {:.3}s",
+            asy.runtime_seconds,
+            sync.runtime_seconds
         );
     }
 }

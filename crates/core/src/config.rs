@@ -83,15 +83,17 @@ pub struct TsmoConfig {
     /// master waits for workers after finishing its own chunk — condition
     /// `c3` ("AreWeWaitingTooLong") of Algorithm 2.
     pub async_max_wait_ms: u64,
-    /// Per-message latency, in seconds, of the *simulated* cluster used by
-    /// the `Sim*` variants (see `deme::virtual_time`): the cost of one
-    /// master–worker or searcher–searcher message on the modeled machine.
+    /// Per-message latency, in seconds, of the *simulated* cluster behind
+    /// [`Clock::Virtual`](crate::Clock) (see `deme::virtual_time`): the
+    /// cost of one master–worker or searcher–searcher message on the
+    /// modeled machine.
     pub sim_comm_latency: f64,
-    /// Virtual cost per evaluation, in seconds, for the `Sim*` variants.
-    /// `None` (the default) measures each work item's real serial cost, so
-    /// virtual makespans track the host; fixing a cost makes the simulated
-    /// schedule — and therefore the `SimAsyncTsmo`/`SimCollaborativeTsmo`
-    /// trajectories and telemetry event streams — fully deterministic.
+    /// Virtual cost per evaluation, in seconds, on
+    /// [`Clock::Virtual`](crate::Clock). `None` (the default) measures each
+    /// work item's real serial cost, so virtual makespans track the host;
+    /// fixing a cost makes the simulated schedule — and therefore the
+    /// asynchronous/collaborative trajectories and telemetry event streams
+    /// — fully deterministic.
     pub sim_eval_cost: Option<f64>,
     /// Warm-start pool: solutions a run starts from instead of a fresh I1
     /// construction. Every entry must be a *complete, valid* solution of

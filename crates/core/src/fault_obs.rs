@@ -1,9 +1,10 @@
 //! Bridges between the fault/recovery layers and the telemetry layer:
 //! injected faults and supervisor recovery actions become `tsmo-obs`
-//! counters and structured events. Kept in one place so the thread-based
-//! and simulated variants publish identical shapes.
+//! counters and structured events. Kept in one place so both executors
+//! (wall and virtual clock) publish identical shapes.
 
 use deme::RecoveryEvent;
+use tsmo_faults::{FaultHook, TaskFault};
 use tsmo_obs::{metrics::names, FaultKind, Recorder, SearchEvent};
 
 /// Publishes one injected fault: bumps `tsmo_faults_injected_total` and
@@ -13,6 +14,25 @@ pub(crate) fn record_fault(recorder: &dyn Recorder, site: u32, seq: u64, kind: F
     if recorder.enabled() {
         recorder.event(SearchEvent::FaultInjected { site, seq, kind });
     }
+}
+
+/// Draws the hook's decision for execution `seq` of a chunk task on
+/// processor `site` and publishes it if a fault was injected.
+pub(crate) fn draw_task_fault(
+    hook: &dyn FaultHook,
+    recorder: &dyn Recorder,
+    site: usize,
+    seq: u64,
+) -> TaskFault {
+    let fault = hook.on_task(site, seq);
+    let kind = match fault {
+        TaskFault::None => return fault,
+        TaskFault::Panic => FaultKind::TaskPanic,
+        TaskFault::Stall { .. } => FaultKind::TaskStall,
+        TaskFault::Late { .. } => FaultKind::TaskLate,
+    };
+    record_fault(recorder, site as u32, seq, kind);
+    fault
 }
 
 /// Publishes a batch of supervisor recovery actions. `iteration` is the

@@ -3,39 +3,52 @@
 //! worlds and probably an algorithm that delivers both good solutions and
 //! runtime performance".
 //!
-//! `P` collaborative searchers run concurrently, each of them an
-//! *asynchronous master–worker* search with its own small worker pool.
-//! Searchers exchange archive-improving solutions over the rotating
-//! communication list exactly like [`CollaborativeTsmo`](crate::CollaborativeTsmo);
-//! within a searcher, neighborhoods are produced by workers and folded in
-//! partially according to the Algorithm-2 decision function exactly like
-//! [`AsyncTsmo`](crate::AsyncTsmo).
+//! `P` collaborative searchers run concurrently, each of them the
+//! asynchronous master–worker loop of
+//! [`ParallelVariant::Asynchronous`](crate::ParallelVariant) with its own
+//! small worker pool. Searchers exchange archive-improving solutions over
+//! the rotating communication list with the same [`Migration`] policy as
+//! the collaborative variant.
 
+use crate::asynchronous::{run_async, AsyncSearcher, Collaboration};
+use crate::cancel::CancelToken;
+use crate::collaborative::{merge_searchers, on_threads};
 use crate::config::TsmoConfig;
-use crate::core_search::SearchCore;
-use crate::neighborhood::{generate_chunk, Neighbor};
+use crate::core_search::{SearchCore, StepReport};
+use crate::exec::Threads;
 use crate::outcome::{FrontEntry, TsmoOutcome};
-use deme::{multisearch, EvaluationBudget, MasterWorker, RunClock};
-use detrand::{streams, Xoshiro256StarStar};
-use pareto::Archive;
+use crate::searcher::Migration;
+use deme::multisearch::Endpoint;
+use deme::RunClock;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-use vrptw::solution::EvaluatedSolution;
 use vrptw::Instance;
 use vrptw_operators::SampleParams;
-
-struct Task {
-    snapshot: EvaluatedSolution,
-    seed: u64,
-    count: usize,
-    iteration: usize,
-}
 
 /// Collaborative multisearch of asynchronous master–worker searchers.
 pub struct HybridTsmo {
     cfg: TsmoConfig,
     searchers: usize,
     procs_per_searcher: usize,
+}
+
+/// A hybrid searcher's side of the exchange protocol.
+struct Peer {
+    endpoint: Endpoint<FrontEntry>,
+    migration: Migration,
+}
+
+impl Collaboration for Peer {
+    fn receive(&mut self, core: &mut SearchCore) {
+        for entry in self.endpoint.drain() {
+            core.offer_to_nondom(entry);
+        }
+    }
+
+    fn after_step(&mut self, report: StepReport) {
+        if let Some(entry) = self.migration.offer(report.improved_archive) {
+            self.endpoint.send_next(entry);
+        }
+    }
 }
 
 impl HybridTsmo {
@@ -60,210 +73,40 @@ impl HybridTsmo {
     /// Runs all searchers to their budgets and merges the fronts.
     pub fn run(&self, inst: &Arc<Instance>) -> TsmoOutcome {
         let clock = RunClock::start();
-        let n = self.searchers;
-        let procs = self.procs_per_searcher;
-        let mut rngs: Vec<Xoshiro256StarStar> = streams(self.cfg.seed, n);
-        let endpoints = multisearch::network::<FrontEntry, _>(n, &mut rngs);
-
-        let results: Vec<(Vec<FrontEntry>, u64, usize)> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(n);
-            for (id, (endpoint, mut rng)) in endpoints.into_iter().zip(rngs).enumerate() {
-                let inst = Arc::clone(inst);
-                let base_cfg = self.cfg.clone();
-                handles.push(scope.spawn(move || {
-                    let cfg = if id == 0 {
-                        base_cfg
-                    } else {
-                        base_cfg.perturbed(&mut rng)
-                    };
-                    run_async_searcher(&inst, cfg, rng, procs, endpoint)
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("searcher panicked"))
-                .collect()
-        });
-
-        let mut merged = Archive::new(self.cfg.archive_capacity);
-        let mut evaluations = 0;
-        let mut iterations = 0;
-        for (archive, evals, iters) in results {
-            evaluations += evals;
-            iterations += iters;
-            for entry in archive {
-                merged.insert(entry);
-            }
-        }
-        TsmoOutcome {
-            archive: merged.into_items(),
-            evaluations,
-            iterations,
-            runtime_seconds: clock.seconds(),
-            trace: None,
-        }
-    }
-}
-
-/// One searcher: the asynchronous master–worker loop of
-/// [`AsyncTsmo`](crate::AsyncTsmo), extended with the collaborative
-/// exchange protocol (drain inbox into `M_nondom`; after the initial
-/// phase, send archive improvements to the next peer).
-fn run_async_searcher(
-    inst: &Arc<Instance>,
-    mut cfg: TsmoConfig,
-    rng: Xoshiro256StarStar,
-    procs: usize,
-    mut endpoint: multisearch::Endpoint<FrontEntry>,
-) -> (Vec<FrontEntry>, u64, usize) {
-    cfg.chunks = procs;
-    let budget = EvaluationBudget::new(cfg.max_evaluations);
-    let params = SampleParams {
-        feasibility: cfg.feasibility_criterion,
-    };
-    let chunk = (cfg.neighborhood_size / procs).max(1);
-    let max_wait = Duration::from_millis(cfg.async_max_wait_ms);
-
-    let worker_pool = (procs > 1).then(|| {
-        let inst = Arc::clone(inst);
-        MasterWorker::<Task, Vec<Neighbor>>::spawn(procs - 1, move |_, t| {
-            generate_chunk(&inst, &t.snapshot, t.seed, t.count, params, t.iteration)
-        })
-    });
-    let n_workers = worker_pool.as_ref().map_or(0, |p| p.n_workers());
-
-    let mut core = SearchCore::new(Arc::clone(inst), cfg.clone(), rng);
-    let mut busy = vec![false; n_workers];
-    let mut pool: Vec<Neighbor> = Vec::new();
-    let mut initial_phase = true;
-    let mut initial_stagnation = 0usize;
-    let mut improvements = 0u64;
-
-    'search: loop {
-        for entry in endpoint.drain() {
-            core.offer_to_nondom(entry);
-        }
-        if let Some(wp) = &worker_pool {
-            loop {
-                match wp.try_recv() {
-                    Ok(Some((w, chunk_result))) => {
-                        busy[w] = false;
-                        pool.extend(chunk_result);
-                    }
-                    Ok(None) => break,
-                    Err(e) => panic!("hybrid worker pool failed: {e}"),
-                }
-            }
-        }
-        if budget.exhausted() {
-            break 'search;
-        }
-        if let Some(wp) = &worker_pool {
-            #[allow(clippy::needless_range_loop)] // w is also the worker id
-            for w in 0..n_workers {
-                if !busy[w] {
-                    let granted = budget.try_consume(chunk as u64) as usize;
-                    if granted == 0 {
-                        break;
-                    }
-                    wp.send(
-                        w,
-                        Task {
-                            snapshot: core.current().clone(),
-                            seed: core.next_seed(),
-                            count: granted,
-                            iteration: core.iteration(),
-                        },
-                    );
-                    busy[w] = true;
-                }
-            }
-        }
-        let granted = budget.try_consume(chunk as u64) as usize;
-        if granted > 0 {
-            let seed = core.next_seed();
-            pool.extend(generate_chunk(
+        let recorder = tsmo_obs::noop();
+        let params = SampleParams {
+            feasibility: self.cfg.feasibility_criterion,
+        };
+        let results = on_threads(&self.cfg, self.searchers, |id, endpoint, cfg, rng| {
+            let procs = self.procs_per_searcher;
+            let exec = Threads::new(inst, params, procs, &recorder, tsmo_faults::none());
+            let mut peer = Peer {
+                migration: Migration::new(&cfg),
+                endpoint,
+            };
+            let searcher = AsyncSearcher {
                 inst,
-                core.current(),
-                seed,
-                granted,
-                params,
-                core.iteration(),
-            ));
-        }
-        let wait_start = Instant::now();
-        loop {
-            if let Some(wp) = &worker_pool {
-                loop {
-                    match wp.try_recv() {
-                        Ok(Some((w, chunk_result))) => {
-                            busy[w] = false;
-                            pool.extend(chunk_result);
-                        }
-                        Ok(None) => break,
-                        Err(e) => panic!("hybrid worker pool failed: {e}"),
-                    }
-                }
-            }
-            let current_vec = core.current().objectives().to_vector();
-            let c1 = busy.iter().any(|b| !b);
-            let c2 = pool
-                .iter()
-                .any(|nb| pareto::dominates(&nb.objectives.to_vector(), &current_vec));
-            let c3 = wait_start.elapsed() >= max_wait;
-            let c4 = budget.exhausted();
-            if c1 || c2 || c3 || c4 {
-                break;
-            }
-            if let Some(wp) = &worker_pool {
-                match wp.recv_timeout(Duration::from_micros(500)) {
-                    Ok(Some((w, chunk_result))) => {
-                        busy[w] = false;
-                        pool.extend(chunk_result);
-                    }
-                    Ok(None) => {} // timeout: re-evaluate the conditions
-                    Err(e) => panic!("hybrid worker pool failed: {e}"),
-                }
-            } else {
-                break;
-            }
-        }
-        if pool.is_empty() {
-            if budget.exhausted() && busy.iter().all(|b| !b) {
-                break 'search;
-            }
-            continue 'search;
-        }
-        let report = core.step(std::mem::take(&mut pool));
-        // The collaborative protocol, grafted onto the async iteration.
-        if initial_phase {
-            if report.improved_archive.is_some() {
-                initial_stagnation = 0;
-            } else {
-                initial_stagnation += 1;
-                if initial_stagnation >= cfg.stagnation_limit {
-                    initial_phase = false;
-                }
-            }
-        } else if let Some(entry) = report.improved_archive {
-            improvements += 1;
-            // Same migration-interval gate as CollabSearcher::step_once.
-            if (improvements - 1).is_multiple_of(cfg.exchange_interval.max(1) as u64) {
-                endpoint.send_next(entry);
-            }
-        }
+                cfg,
+                rng,
+                recorder: &recorder,
+                id: id as u32,
+            };
+            run_async(exec, searcher, &CancelToken::never(), &mut peer)
+        });
+        merge_searchers(
+            self.cfg.archive_capacity,
+            results
+                .into_iter()
+                .map(|o| (o.archive, o.evaluations, o.iterations)),
+            clock.seconds(),
+        )
     }
-    if !pool.is_empty() {
-        core.step(std::mem::take(&mut pool));
-    }
-    drop(worker_pool);
-    let (archive, _, iterations) = core.finish();
-    (archive, budget.consumed(), iterations)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ParallelVariant;
     use pareto::non_dominated_indices;
     use vrptw::generator::{GeneratorConfig, InstanceClass};
 
@@ -308,7 +151,7 @@ mod tests {
     #[test]
     fn hybrid_front_quality_is_at_least_collaboratives_ballpark() {
         let inst = Arc::new(GeneratorConfig::new(InstanceClass::R2, 40, 21).build());
-        let coll = crate::CollaborativeTsmo::new(cfg().with_seed(4), 2).run(&inst);
+        let coll = ParallelVariant::Collaborative(2).run(&inst, &cfg().with_seed(4));
         let hybrid = HybridTsmo::new(cfg().with_seed(4), 2, 2).run(&inst);
         let (c, h) = (
             coll.best_distance().expect("feasible"),

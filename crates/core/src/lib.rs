@@ -16,19 +16,26 @@
 //!    improved for `stagnation_limit` iterations (or no neighbor was
 //!    selectable), the search restarts from a remembered solution.
 //!
-//! The parallel variants:
+//! The parallel variants ([`ParallelVariant`]):
 //!
-//! * [`SyncTsmo`] (§III.C) — master–worker functional decomposition of
+//! * **Synchronous** (§III.C) — master–worker functional decomposition of
 //!   steps 1–2 with a barrier; **bit-identical trajectories** to the
 //!   sequential algorithm for the same seed (tested), which is the paper's
 //!   "the behavior remains unchanged".
-//! * [`AsyncTsmo`] (§III.D) — same decomposition without the barrier; the
-//!   master continues with a partial neighborhood according to the decision
-//!   function of Algorithm 2 and folds late worker results into later
-//!   iterations.
-//! * [`CollaborativeTsmo`] (§III.E) — independent searchers with perturbed
+//! * **Asynchronous** (§III.D) — same decomposition without the barrier;
+//!   the master continues with a partial neighborhood according to the
+//!   decision function of Algorithm 2 and folds late worker results into
+//!   later iterations.
+//! * **Collaborative** (§III.E) — independent searchers with perturbed
 //!   parameters that exchange archive-improving solutions over a rotating
 //!   communication list after an initial stagnation phase.
+//!
+//! Each variant is written once and runs on either [`Clock`]: OS threads
+//! and the wall clock, or one thread scheduling the same work on a
+//! simulated cluster in virtual time (`deme::virtual_time`), which shows
+//! parallel runtimes on hosts with fewer cores than processors and, with
+//! a fixed [`TsmoConfig::sim_eval_cost`], makes whole event streams
+//! byte-reproducible.
 //!
 //! The parallel runtimes are self-healing: the asynchronous master runs
 //! its workers under a supervisor (`deme::Supervisor`) that resends
@@ -36,7 +43,7 @@
 //! to master-local evaluation when no worker is left; the collaborative
 //! searchers track peer liveness and route around dead peers. Both can be
 //! exercised under deterministic fault injection via
-//! [`ParallelVariant::run_with_faults`] and the `tsmo-faults` crate.
+//! [`RunOptions::faults`] and the `tsmo-faults` crate.
 
 //! # Example
 //!
@@ -59,6 +66,7 @@ mod cancel;
 mod collaborative;
 mod config;
 mod core_search;
+mod exec;
 mod fault_obs;
 mod hybrid;
 mod neighborhood;
@@ -66,15 +74,12 @@ mod outcome;
 mod scalarized;
 mod searcher;
 mod sequential;
-mod simulated;
 mod sync;
 mod tabu;
 mod trace;
 
 pub use adaptive::{insert_cheapest, scalarize, AdaptiveMemory, AdaptiveMemoryTs};
-pub use asynchronous::AsyncTsmo;
 pub use cancel::{CancelToken, StopCause};
-pub use collaborative::CollaborativeTsmo;
 pub use config::{SelectionRule, TsmoConfig};
 pub use core_search::SearchCore;
 pub use hybrid::HybridTsmo;
@@ -83,12 +88,12 @@ pub use outcome::{FrontEntry, TsmoOutcome};
 pub use scalarized::{weighted_front, WeightedOutcome, WeightedSumTs};
 pub use searcher::{searcher_cfg, CollabSearcher, SearcherResult};
 pub use sequential::SequentialTsmo;
-pub use simulated::{SimAsyncTsmo, SimCollaborativeTsmo, SimSyncTsmo};
-pub use sync::SyncTsmo;
 pub use tabu::TabuList;
 pub use trace::{Trace, TracePoint};
 
 use std::sync::Arc;
+use tsmo_faults::FaultHook;
+use tsmo_obs::Recorder;
 use vrptw::Instance;
 
 /// The algorithm variants compared in the paper's tables.
@@ -104,10 +109,63 @@ pub enum ParallelVariant {
     Collaborative(usize),
 }
 
+/// Which clock a parallel run executes against.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub enum Clock {
+    /// OS threads; `runtime_seconds` is wall time.
+    #[default]
+    Wall,
+    /// One thread scheduling every processor's work on a simulated cluster
+    /// (`deme::virtual_time`); `runtime_seconds` is the virtual makespan.
+    /// Each work item costs its measured wall time, or
+    /// [`TsmoConfig::sim_eval_cost`] per evaluation when that is set —
+    /// then the schedule, and with it the whole event stream, is
+    /// byte-reproducible for a fixed seed.
+    Virtual {
+        /// Relative speed of each processor (processor 0 is the master),
+        /// for heterogeneous machines; `None` means all run at 1.0. Slow
+        /// workers stretch the synchronous barrier, while the asynchronous
+        /// master moves on without them.
+        speeds: Option<Vec<f64>>,
+    },
+}
+
+/// Everything a run takes besides the instance and the configuration.
+pub struct RunOptions {
+    /// Telemetry sink (see `tsmo-obs`); the no-op recorder by default.
+    pub recorder: Arc<dyn Recorder>,
+    /// Fault injection (see `tsmo-faults`). The asynchronous variant
+    /// recovers under its supervisor (resend, quarantine, respawn,
+    /// degraded mode); the collaborative variant drops or delays exchange
+    /// messages and routes around dead peers. `Sequential` and
+    /// `Synchronous` have no recovery path and ignore the hook. An
+    /// inactive hook ([`FaultHook::active`] is `false`) takes exactly the
+    /// unfaulted code path.
+    pub faults: Arc<dyn FaultHook>,
+    /// Cooperative stop signal, checked at the top of each iteration (per
+    /// searcher for the collaborative variant), so a stopped run returns
+    /// its best-so-far front as a valid, truncated prefix of the unstopped
+    /// run; read [`CancelToken::cause`] to learn why it stopped.
+    pub cancel: CancelToken,
+    /// Wall or virtual time. `Sequential` always runs on the wall clock.
+    pub clock: Clock,
+}
+
+impl Default for RunOptions {
+    fn default() -> Self {
+        Self {
+            recorder: tsmo_obs::noop(),
+            faults: tsmo_faults::none(),
+            cancel: CancelToken::never(),
+            clock: Clock::Wall,
+        }
+    }
+}
+
 impl ParallelVariant {
     /// Runs the variant on `inst` with `cfg`.
     pub fn run(self, inst: &Arc<Instance>, cfg: &TsmoConfig) -> TsmoOutcome {
-        self.run_with(inst, cfg, tsmo_obs::noop())
+        self.run_opts(inst, cfg, RunOptions::default())
     }
 
     /// Runs the variant with a telemetry sink attached (see `tsmo-obs`).
@@ -116,115 +174,89 @@ impl ParallelVariant {
         self,
         inst: &Arc<Instance>,
         cfg: &TsmoConfig,
-        recorder: Arc<dyn tsmo_obs::Recorder>,
+        recorder: Arc<dyn Recorder>,
     ) -> TsmoOutcome {
-        self.run_with_faults(inst, cfg, recorder, tsmo_faults::none())
+        self.run_opts(
+            inst,
+            cfg,
+            RunOptions {
+                recorder,
+                ..RunOptions::default()
+            },
+        )
     }
 
-    /// [`run_with`](Self::run_with) plus a fault-injection hook (see the
-    /// `tsmo-faults` crate). The asynchronous variant runs its workers
-    /// under the self-healing `deme::Supervisor` (resend, quarantine,
-    /// respawn, degraded mode); the collaborative variant drops or delays
-    /// exchange messages and routes around dead peers. `Sequential` and
-    /// `Synchronous` have no recovery path and ignore the hook. An
-    /// inactive hook ([`tsmo_faults::FaultHook::active`] is `false`) takes
-    /// exactly the unfaulted code path.
-    pub fn run_with_faults(
-        self,
-        inst: &Arc<Instance>,
-        cfg: &TsmoConfig,
-        recorder: Arc<dyn tsmo_obs::Recorder>,
-        faults: Arc<dyn tsmo_faults::FaultHook>,
-    ) -> TsmoOutcome {
-        self.run_with_cancel(inst, cfg, recorder, faults, CancelToken::never())
-    }
-
-    /// The full-featured entry point: [`run_with_faults`] plus a
-    /// cooperative stop signal. The token is checked at the top of each
-    /// iteration (per searcher for the collaborative variant), so a
-    /// stopped run returns its best-so-far front as a valid, truncated
-    /// prefix of the unstopped run — the caller reads
-    /// [`CancelToken::cause`] to learn why it stopped. This is what the
-    /// solver service (`tsmo-serve`) and the `solve --deadline-ms` /
-    /// `--cancel-after-iters` flags use.
+    /// Runs the variant with every option (see [`RunOptions`]).
     ///
-    /// [`run_with_faults`]: Self::run_with_faults
-    pub fn run_with_cancel(
-        self,
-        inst: &Arc<Instance>,
-        cfg: &TsmoConfig,
-        recorder: Arc<dyn tsmo_obs::Recorder>,
-        faults: Arc<dyn tsmo_faults::FaultHook>,
-        cancel: CancelToken,
-    ) -> TsmoOutcome {
-        match self {
-            ParallelVariant::Sequential => SequentialTsmo::new(cfg.clone())
-                .with_cancel_token(cancel)
-                .run_with(inst, recorder),
-            ParallelVariant::Synchronous(p) => SyncTsmo::new(cfg.clone(), p)
-                .with_cancel_token(cancel)
-                .run_with(inst, recorder),
-            ParallelVariant::Asynchronous(p) => AsyncTsmo::new(cfg.clone(), p)
-                .with_fault_hook(faults)
-                .with_cancel_token(cancel)
-                .run_with(inst, recorder),
-            ParallelVariant::Collaborative(p) => CollaborativeTsmo::new(cfg.clone(), p)
-                .with_fault_hook(faults)
-                .with_cancel_token(cancel)
-                .run_with(inst, recorder),
-        }
-    }
-
-    /// Runs the variant with **virtual-time** parallelism: the same
-    /// algorithm, executed single-threaded with each work item's cost
-    /// measured and scheduled on a simulated cluster
-    /// (see [`deme::virtual_time`]). `runtime_seconds` in the outcome is
-    /// the virtual makespan — use this on hosts with fewer cores than the
-    /// experiment's processor count. `Sequential` runs normally (its wall
-    /// time is already a faithful serial measurement).
-    pub fn run_simulated(self, inst: &Arc<Instance>, cfg: &TsmoConfig) -> TsmoOutcome {
-        self.run_simulated_with(inst, cfg, tsmo_obs::noop())
-    }
-
-    /// [`run_simulated`](Self::run_simulated) with a telemetry sink. The
-    /// single-threaded simulations emit byte-reproducible event streams for
-    /// a fixed seed (fix [`TsmoConfig::sim_eval_cost`] to also pin the
-    /// simulated schedule of the asynchronous/collaborative variants).
-    pub fn run_simulated_with(
-        self,
-        inst: &Arc<Instance>,
-        cfg: &TsmoConfig,
-        recorder: Arc<dyn tsmo_obs::Recorder>,
-    ) -> TsmoOutcome {
-        self.run_simulated_with_faults(inst, cfg, recorder, tsmo_faults::none())
-    }
-
-    /// [`run_simulated_with`](Self::run_simulated_with) plus a
-    /// fault-injection hook. The simulated asynchronous and collaborative
-    /// variants mirror the thread-based recovery policy deterministically
-    /// in virtual time, so with a fixed [`TsmoConfig::sim_eval_cost`] the
-    /// *faulted* event stream is byte-reproducible too — and an inactive
-    /// hook leaves the stream byte-identical to a run without a hook.
-    pub fn run_simulated_with_faults(
-        self,
-        inst: &Arc<Instance>,
-        cfg: &TsmoConfig,
-        recorder: Arc<dyn tsmo_obs::Recorder>,
-        faults: Arc<dyn tsmo_faults::FaultHook>,
-    ) -> TsmoOutcome {
+    /// # Panics
+    /// Panics on zero processors, or on a speed vector whose length is not
+    /// the processor count.
+    pub fn run_opts(self, inst: &Arc<Instance>, cfg: &TsmoConfig, opts: RunOptions) -> TsmoOutcome {
+        let RunOptions {
+            recorder,
+            faults,
+            cancel,
+            clock,
+        } = opts;
+        let speeds = match &clock {
+            Clock::Wall => None,
+            Clock::Virtual { speeds } => Some(speeds.as_deref()),
+        };
+        let params = vrptw_operators::SampleParams {
+            feasibility: cfg.feasibility_criterion,
+        };
         match self {
             ParallelVariant::Sequential => {
-                SequentialTsmo::new(cfg.clone()).run_with(inst, recorder)
+                let exec = exec::Threads::new(inst, params, 1, &recorder, faults);
+                sync::run_sync(exec, inst, cfg, &recorder, &cancel)
             }
             ParallelVariant::Synchronous(p) => {
-                SimSyncTsmo::new(cfg.clone(), p).run_with(inst, recorder)
+                assert!(p > 0, "need at least the master processor");
+                let cfg = TsmoConfig {
+                    chunks: p,
+                    ..cfg.clone()
+                };
+                let none = tsmo_faults::none();
+                match speeds {
+                    None => {
+                        let exec = exec::Threads::new(inst, params, p, &recorder, none);
+                        sync::run_sync(exec, inst, &cfg, &recorder, &cancel)
+                    }
+                    Some(speeds) => {
+                        let exec = exec::Virtual::new(inst, &cfg, p, speeds, &recorder, none);
+                        sync::run_sync(exec, inst, &cfg, &recorder, &cancel)
+                    }
+                }
             }
-            ParallelVariant::Asynchronous(p) => SimAsyncTsmo::new(cfg.clone(), p)
-                .with_fault_hook(faults)
-                .run_with(inst, recorder),
-            ParallelVariant::Collaborative(p) => SimCollaborativeTsmo::new(cfg.clone(), p)
-                .with_fault_hook(faults)
-                .run_with(inst, recorder),
+            ParallelVariant::Asynchronous(p) => {
+                assert!(p > 0, "need at least the master processor");
+                let searcher = asynchronous::AsyncSearcher {
+                    inst,
+                    cfg: cfg.clone(),
+                    rng: detrand::Xoshiro256StarStar::seed_from_u64(cfg.seed),
+                    recorder: &recorder,
+                    id: 0,
+                };
+                match speeds {
+                    None => {
+                        let exec = exec::Threads::new(inst, params, p, &recorder, faults);
+                        asynchronous::run_async(exec, searcher, &cancel, &mut ())
+                    }
+                    Some(speeds) => {
+                        let exec = exec::Virtual::new(inst, cfg, p, speeds, &recorder, faults);
+                        asynchronous::run_async(exec, searcher, &cancel, &mut ())
+                    }
+                }
+            }
+            ParallelVariant::Collaborative(p) => {
+                assert!(p > 0, "need at least one searcher");
+                match speeds {
+                    None => collaborative::run_threads(inst, cfg, p, &recorder, &faults, &cancel),
+                    Some(speeds) => collaborative::run_virtual(
+                        inst, cfg, p, speeds, &recorder, &faults, &cancel,
+                    ),
+                }
+            }
         }
     }
 
@@ -237,6 +269,24 @@ impl ParallelVariant {
             ParallelVariant::Collaborative(p) => format!("TSMO coll. ({p})"),
         }
     }
+}
+
+/// Runs `variant` on the virtual clock with default options.
+#[cfg(test)]
+pub(crate) fn on_virtual_clock(
+    variant: ParallelVariant,
+    inst: &Arc<Instance>,
+    cfg: &TsmoConfig,
+) -> TsmoOutcome {
+    let clock = Clock::Virtual { speeds: None };
+    variant.run_opts(
+        inst,
+        cfg,
+        RunOptions {
+            clock,
+            ..RunOptions::default()
+        },
+    )
 }
 
 #[cfg(test)]
@@ -271,6 +321,50 @@ mod variant_tests {
                 );
             }
         }
+    }
+
+    /// With a stagnation limit above the iteration count the initial phase
+    /// never ends, so nothing is exchanged and the searchers are
+    /// independent: the two clocks must then produce the same front, which
+    /// pins the per-searcher RNG draw order (communication list first,
+    /// then the parameter perturbation) on both.
+    #[test]
+    fn collaborative_fronts_agree_across_clocks_without_exchanges() {
+        let inst = Arc::new(GeneratorConfig::new(InstanceClass::R2, 30, 5).build());
+        let cfg = TsmoConfig {
+            max_evaluations: 2_000,
+            neighborhood_size: 50,
+            stagnation_limit: 10_000,
+            ..TsmoConfig::default()
+        }
+        .with_seed(4);
+        let run = |clock: Clock| {
+            let recorder = tsmo_obs::MemoryRecorder::shared();
+            let out = ParallelVariant::Collaborative(3).run_opts(
+                &inst,
+                &cfg,
+                RunOptions {
+                    recorder: Arc::clone(&recorder) as Arc<dyn Recorder>,
+                    clock,
+                    ..RunOptions::default()
+                },
+            );
+            let sent = recorder
+                .metrics()
+                .counter(tsmo_obs::metrics::names::EXCHANGE_SENT);
+            assert_eq!(sent, 0, "the setting must exchange nothing");
+            out
+        };
+        let wall = run(Clock::Wall);
+        let virt = run(Clock::Virtual { speeds: None });
+        assert_eq!(wall.iterations, virt.iterations);
+        let vectors = |out: &TsmoOutcome| -> Vec<[f64; 3]> {
+            out.archive
+                .iter()
+                .map(|e| e.objectives.to_vector())
+                .collect()
+        };
+        assert_eq!(vectors(&wall), vectors(&virt));
     }
 
     #[test]

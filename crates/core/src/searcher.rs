@@ -1,11 +1,13 @@
 //! One collaborative searcher, step-wise.
 //!
-//! [`CollaborativeTsmo`](crate::CollaborativeTsmo) runs this loop on a
-//! thread per searcher; a cluster node (`tsmo-cluster`) runs it against
-//! TCP-backed endpoints; a virtual mesh steps many of them round-robin on
-//! one thread for byte-reproducible distributed runs. All three drive the
-//! identical state machine — the only degree of freedom is the endpoint's
-//! transport and who calls [`CollabSearcher::step_once`] when.
+//! [`ParallelVariant::Collaborative`](crate::ParallelVariant) runs this
+//! loop on a thread per searcher on the wall clock, and steps the
+//! searchers earliest-virtual-clock-first on the virtual clock; a cluster
+//! node (`tsmo-cluster`) runs it against TCP-backed endpoints; a virtual
+//! mesh steps many of them round-robin on one thread for byte-reproducible
+//! distributed runs. All of them drive the identical state machine — the
+//! only degree of freedom is the endpoint's transport and who calls
+//! [`CollabSearcher::step_once`] when.
 
 use crate::cancel::CancelToken;
 use crate::config::TsmoConfig;
@@ -97,6 +99,54 @@ pub fn searcher_cfg(base: &TsmoConfig, id: usize, rng: &mut Xoshiro256StarStar) 
     }
 }
 
+/// The collaborative migration policy (§III.E), fed one step at a time.
+///
+/// During the *initial phase* nothing migrates; the phase ends when the
+/// searcher "could not add any new solutions to the set of pareto optimal
+/// solutions found for a number of iterations" (its stagnation limit).
+/// Afterwards every `exchange_interval`-th archive improvement is offered
+/// to the rotation (interval 1 sends all, the paper's policy).
+#[derive(Debug, Clone)]
+pub(crate) struct Migration {
+    stagnation_limit: usize,
+    interval: u64,
+    initial_phase: bool,
+    stagnation: usize,
+    /// Post-initial-phase archive improvements seen.
+    improvements: u64,
+}
+
+impl Migration {
+    pub(crate) fn new(cfg: &TsmoConfig) -> Self {
+        Self {
+            stagnation_limit: cfg.stagnation_limit,
+            interval: cfg.exchange_interval.max(1) as u64,
+            initial_phase: true,
+            stagnation: 0,
+            improvements: 0,
+        }
+    }
+
+    /// Feeds one step's archive improvement (if any); returns it when the
+    /// policy migrates it.
+    pub(crate) fn offer(&mut self, improved: Option<FrontEntry>) -> Option<FrontEntry> {
+        if self.initial_phase {
+            if improved.is_some() {
+                self.stagnation = 0;
+            } else {
+                self.stagnation += 1;
+                self.initial_phase = self.stagnation < self.stagnation_limit;
+            }
+            return None;
+        }
+        let entry = improved?;
+        self.improvements += 1;
+        (self.improvements - 1)
+            .is_multiple_of(self.interval)
+            .then_some(entry)
+    }
+}
+
 /// What a finished searcher hands back for merging.
 pub struct SearcherResult {
     /// The searcher's final `M_archive`.
@@ -123,11 +173,7 @@ pub struct CollabSearcher {
     hook: Arc<dyn FaultHook>,
     recorder: Arc<dyn Recorder>,
     id: usize,
-    initial_phase: bool,
-    initial_stagnation: usize,
-    /// Post-initial-phase archive improvements seen, driving the
-    /// `exchange_interval` migration policy.
-    improvements: u64,
+    migration: Migration,
     /// Fault bookkeeping: decision counter, local iteration ticks, and
     /// delayed messages waiting for their tick.
     exchange_seq: u64,
@@ -149,6 +195,7 @@ impl CollabSearcher {
         hook: Arc<dyn FaultHook>,
     ) -> Self {
         let budget = EvaluationBudget::new(cfg.max_evaluations);
+        let migration = Migration::new(&cfg);
         let core = SearchCore::with_recorder(
             Arc::clone(&inst),
             cfg.clone(),
@@ -165,9 +212,7 @@ impl CollabSearcher {
             hook,
             recorder,
             id,
-            initial_phase: true,
-            initial_stagnation: 0,
-            improvements: 0,
+            migration,
             exchange_seq: 0,
             tick: 0,
             delayed: Vec::new(),
@@ -266,28 +311,9 @@ impl CollabSearcher {
         drop(eval_span);
         self.core.note_tally(&chunk.tally);
         let report = self.core.step(chunk.neighbors);
-        if self.initial_phase {
-            // The initial phase ends when the searcher "could not add any
-            // new solutions to the set of pareto optimal solutions found
-            // for a number of iterations".
-            if report.improved_archive.is_some() {
-                self.initial_stagnation = 0;
-            } else {
-                self.initial_stagnation += 1;
-                if self.initial_stagnation >= self.cfg.stagnation_limit {
-                    self.initial_phase = false;
-                }
-            }
-        } else if let Some(entry) = report.improved_archive {
-            // Migration interval: only every k-th improvement is offered
-            // to the rotation (k = 1 sends all, the paper's policy). The
-            // decision precedes the fault draw so skipped improvements
-            // consume no fault sequence numbers.
-            self.improvements += 1;
-            if !(self.improvements - 1).is_multiple_of(self.cfg.exchange_interval.max(1) as u64) {
-                publish_peer_events(endpoint, &self.recorder, self.id);
-                return true;
-            }
+        // The migration decision precedes the fault draw, so skipped
+        // improvements consume no fault sequence numbers.
+        if let Some(entry) = self.migration.offer(report.improved_archive) {
             let _span = Span::enter(&self.recorder, "exchange", trace_id, span_parent);
             let fault = if self.hook.active() {
                 let seq = self.exchange_seq;
@@ -338,5 +364,43 @@ impl CollabSearcher {
             iterations,
             active_seconds: self.watch.seconds(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vrptw::{Objectives, Solution};
+
+    fn entry() -> FrontEntry {
+        FrontEntry::new(
+            Solution::from_routes(vec![vec![1]]),
+            Objectives {
+                distance: 1.0,
+                vehicles: 1,
+                tardiness: 0.0,
+            },
+        )
+    }
+
+    #[test]
+    fn migration_waits_out_the_initial_phase_then_gates_by_interval() {
+        let cfg = TsmoConfig {
+            stagnation_limit: 2,
+            exchange_interval: 2,
+            ..TsmoConfig::default()
+        };
+        let mut m = Migration::new(&cfg);
+        // Improvements reset the stagnation count and never migrate early.
+        assert!(m.offer(Some(entry())).is_none());
+        assert!(m.offer(None).is_none());
+        assert!(m.offer(Some(entry())).is_none());
+        assert!(m.offer(None).is_none());
+        assert!(m.offer(None).is_none(), "second idle step ends the phase");
+        // Every second improvement migrates; idle steps change nothing.
+        assert!(m.offer(Some(entry())).is_some());
+        assert!(m.offer(None).is_none());
+        assert!(m.offer(Some(entry())).is_none());
+        assert!(m.offer(Some(entry())).is_some());
     }
 }

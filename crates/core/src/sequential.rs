@@ -1,42 +1,26 @@
-//! The sequential TSMO algorithm (Algorithm 1).
+//! The sequential TSMO algorithm (Algorithm 1): the synchronous loop
+//! with no workers (see [`sync`](crate::sync)).
 
-use crate::cancel::CancelToken;
 use crate::config::TsmoConfig;
-use crate::core_search::SearchCore;
-use crate::neighborhood::generate_chunk_tallied;
 use crate::outcome::TsmoOutcome;
-use deme::{EvaluationBudget, RunClock};
-use detrand::Xoshiro256StarStar;
+use crate::ParallelVariant;
 use std::sync::Arc;
-use tsmo_obs::{metrics::names, Recorder, Span};
+use tsmo_obs::Recorder;
 use vrptw::Instance;
 
 /// Single-threaded TSMO.
 ///
 /// The neighborhood is generated in `cfg.chunks` seed-derived chunks so
-/// that [`SyncTsmo`](crate::SyncTsmo) with the same chunk count reproduces
-/// this algorithm exactly (see the crate docs).
+/// that [`ParallelVariant::Synchronous`] with the same chunk count
+/// reproduces this algorithm exactly (see the crate docs).
 pub struct SequentialTsmo {
     cfg: TsmoConfig,
-    cancel: CancelToken,
 }
 
 impl SequentialTsmo {
     /// Creates the runner.
     pub fn new(cfg: TsmoConfig) -> Self {
-        Self {
-            cfg,
-            cancel: CancelToken::never(),
-        }
-    }
-
-    /// Attaches a cooperative stop signal. The token is consulted at the
-    /// top of each iteration, before that iteration's randomness is drawn,
-    /// so a stopped run is a byte-identical prefix of the unstopped run
-    /// (see [`CancelToken`]).
-    pub fn with_cancel_token(mut self, token: CancelToken) -> Self {
-        self.cancel = token;
-        self
+        Self { cfg }
     }
 
     /// Runs the search to budget exhaustion.
@@ -46,57 +30,7 @@ impl SequentialTsmo {
 
     /// Runs the search with a telemetry sink attached (see `tsmo-obs`).
     pub fn run_with(&self, inst: &Arc<Instance>, recorder: Arc<dyn Recorder>) -> TsmoOutcome {
-        let clock = RunClock::start();
-        let budget = EvaluationBudget::new(self.cfg.max_evaluations);
-        let mut core = SearchCore::with_recorder(
-            Arc::clone(inst),
-            self.cfg.clone(),
-            Xoshiro256StarStar::seed_from_u64(self.cfg.seed),
-            Arc::clone(&recorder),
-            0,
-        );
-        let sizes = self.cfg.chunk_sizes();
-        let mut tally = vrptw_operators::SampleTally::default();
-        while !budget.exhausted() && !self.cancel.should_stop(core.iteration()) {
-            let seeds = core.chunk_seeds();
-            let mut pool = Vec::with_capacity(self.cfg.neighborhood_size);
-            let eval_span = Span::enter(&recorder, "evaluate", core.trace_id(), core.span_parent());
-            for (&seed, &size) in seeds.iter().zip(&sizes) {
-                let granted = budget.try_consume(size as u64) as usize;
-                if granted == 0 {
-                    break;
-                }
-                recorder.counter_add(names::EVALUATIONS, granted as u64);
-                let chunk = generate_chunk_tallied(
-                    inst,
-                    core.current(),
-                    seed,
-                    granted,
-                    core.sample_params(),
-                    core.iteration(),
-                );
-                tally.merge(&chunk.tally);
-                pool.extend(chunk.neighbors);
-            }
-            drop(eval_span);
-            if pool.is_empty() && budget.exhausted() {
-                break;
-            }
-            core.step(pool);
-        }
-        core.note_tally(&tally);
-        let (archive, trace, iterations) = core.finish();
-        let runtime_seconds = clock.seconds();
-        recorder.gauge_set(names::RUNTIME_SECONDS, runtime_seconds);
-        // The lone processor is the master and is always busy.
-        recorder.gauge_set(&names::worker_busy_fraction(0), 1.0);
-        TsmoOutcome {
-            archive,
-            evaluations: budget.consumed(),
-            iterations,
-            runtime_seconds,
-            trace,
-        }
+        ParallelVariant::Sequential.run_with(inst, &self.cfg, recorder)
     }
 }
 

@@ -2,14 +2,24 @@
 //! restarts, and tracing semantics across variants.
 
 use std::sync::Arc;
-use tsmo_core::{
-    AsyncTsmo, SequentialTsmo, SimAsyncTsmo, SimCollaborativeTsmo, SimSyncTsmo, TsmoConfig,
-};
+use tsmo_core::{Clock, ParallelVariant, RunOptions, SequentialTsmo, TsmoConfig, TsmoOutcome};
 use vrptw::generator::{GeneratorConfig, InstanceClass};
 use vrptw::Instance;
 
 fn inst(class: InstanceClass, n: usize, seed: u64) -> Arc<Instance> {
     Arc::new(GeneratorConfig::new(class, n, seed).build())
+}
+
+fn on_virtual_clock(
+    variant: ParallelVariant,
+    inst: &Arc<Instance>,
+    cfg: &TsmoConfig,
+) -> TsmoOutcome {
+    let opts = RunOptions {
+        clock: Clock::Virtual { speeds: None },
+        ..RunOptions::default()
+    };
+    variant.run_opts(inst, cfg, opts)
 }
 
 fn cfg(evals: u64) -> TsmoConfig {
@@ -120,8 +130,12 @@ fn sequential_trace_has_zero_staleness_and_full_coverage() {
 #[test]
 fn async_thread_and_sim_agree_on_quality_ballpark() {
     let inst = inst(InstanceClass::R2, 40, 8);
-    let threaded = AsyncTsmo::new(cfg(4_000).with_seed(3), 3).run(&inst);
-    let simulated = SimAsyncTsmo::new(cfg(4_000).with_seed(3), 3).run(&inst);
+    let threaded = ParallelVariant::Asynchronous(3).run(&inst, &cfg(4_000).with_seed(3));
+    let simulated = on_virtual_clock(
+        ParallelVariant::Asynchronous(3),
+        &inst,
+        &cfg(4_000).with_seed(3),
+    );
     let (t, s) = (
         threaded.best_distance().expect("feasible"),
         simulated.best_distance().expect("feasible"),
@@ -138,9 +152,17 @@ fn sim_collaborative_searchers_use_distinct_parameters() {
     // be identical to a single searcher's run (the perturbation and
     // exchange change the search).
     let inst = inst(InstanceClass::R2, 35, 9);
-    let one = SimCollaborativeTsmo::new(cfg(2_000).with_seed(4), 1).run(&inst);
-    let four = SimCollaborativeTsmo::new(cfg(2_000).with_seed(4), 4).run(&inst);
-    let vectors = |out: &tsmo_core::TsmoOutcome| -> Vec<[f64; 3]> {
+    let one = on_virtual_clock(
+        ParallelVariant::Collaborative(1),
+        &inst,
+        &cfg(2_000).with_seed(4),
+    );
+    let four = on_virtual_clock(
+        ParallelVariant::Collaborative(4),
+        &inst,
+        &cfg(2_000).with_seed(4),
+    );
+    let vectors = |out: &TsmoOutcome| -> Vec<[f64; 3]> {
         out.archive
             .iter()
             .map(|e| e.objectives.to_vector())
@@ -163,12 +185,9 @@ fn virtual_speedup_is_monotone_in_processors_for_sync() {
         sim_comm_latency: 0.0002,
         ..TsmoConfig::default()
     };
-    let t2 = SimSyncTsmo::new(c.clone().with_seed(1), 2)
-        .run(&inst)
-        .runtime_seconds;
-    let t6 = SimSyncTsmo::new(c.with_seed(1), 6)
-        .run(&inst)
-        .runtime_seconds;
+    let c = c.with_seed(1);
+    let t2 = on_virtual_clock(ParallelVariant::Synchronous(2), &inst, &c).runtime_seconds;
+    let t6 = on_virtual_clock(ParallelVariant::Synchronous(6), &inst, &c).runtime_seconds;
     assert!(
         t6 < t2 * 1.05,
         "with negligible latency, 6 virtual processors ({t6:.3}s) should not lose to 2 ({t2:.3}s)"

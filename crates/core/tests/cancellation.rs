@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 use tsmo_core::{
-    CancelToken, ParallelVariant, SequentialTsmo, StopCause, SyncTsmo, TsmoConfig, TsmoOutcome,
+    CancelToken, Clock, ParallelVariant, RunOptions, StopCause, TsmoConfig, TsmoOutcome,
 };
 use tsmo_obs::{MemoryRecorder, Recorder};
 use vrptw::generator::{GeneratorConfig, InstanceClass};
@@ -23,6 +23,24 @@ fn cfg() -> TsmoConfig {
     }
 }
 
+/// Runs `variant` under `cancel` on `clock` with `recorder` attached.
+fn run_cancelled(
+    variant: ParallelVariant,
+    inst: &Arc<Instance>,
+    cfg: &TsmoConfig,
+    recorder: Arc<dyn Recorder>,
+    cancel: CancelToken,
+    clock: Clock,
+) -> TsmoOutcome {
+    let opts = RunOptions {
+        recorder,
+        cancel,
+        clock,
+        ..RunOptions::default()
+    };
+    variant.run_opts(inst, cfg, opts)
+}
+
 fn fronts(out: &TsmoOutcome) -> Vec<[f64; 3]> {
     out.archive
         .iter()
@@ -33,36 +51,67 @@ fn fronts(out: &TsmoOutcome) -> Vec<[f64; 3]> {
 /// The headline determinism proof for the sequential variant: the token is
 /// checked at the top of each iteration, before any randomness is drawn,
 /// so an iteration-limited run emits a byte-identical prefix of the full
-/// run's JSONL event stream (which pins its archive trajectory too).
+/// run's JSONL event stream (which pins its archive trajectory too). The
+/// synchronous and asynchronous variants on the virtual clock, with a
+/// fixed evaluation cost, keep the same promise.
 #[test]
 fn sequential_iteration_limited_run_is_a_byte_identical_prefix() {
     let inst = inst();
-    let full_rec = MemoryRecorder::shared();
-    let full =
-        SequentialTsmo::new(cfg()).run_with(&inst, Arc::clone(&full_rec) as Arc<dyn Recorder>);
-    let k: usize = 10;
-    assert!(
-        full.iterations > k,
-        "full run too short ({} iterations) for a prefix at {k}",
-        full.iterations
-    );
+    let virtual_cfg = TsmoConfig {
+        sim_eval_cost: Some(0.01),
+        ..cfg()
+    };
+    for (variant, cfg, clock) in [
+        (ParallelVariant::Sequential, cfg(), Clock::Wall),
+        (
+            ParallelVariant::Synchronous(3),
+            virtual_cfg.clone(),
+            Clock::Virtual { speeds: None },
+        ),
+        (
+            ParallelVariant::Asynchronous(3),
+            virtual_cfg,
+            Clock::Virtual { speeds: None },
+        ),
+    ] {
+        let full_rec = MemoryRecorder::shared();
+        let full = run_cancelled(
+            variant,
+            &inst,
+            &cfg,
+            Arc::clone(&full_rec) as Arc<dyn Recorder>,
+            CancelToken::never(),
+            clock.clone(),
+        );
+        let k: usize = 10;
+        assert!(
+            full.iterations > k,
+            "full run too short ({} iterations) for a prefix at {k}",
+            full.iterations
+        );
 
-    let token = CancelToken::with_iteration_limit(k as u64);
-    let lim_rec = MemoryRecorder::shared();
-    let limited = SequentialTsmo::new(cfg())
-        .with_cancel_token(token.clone())
-        .run_with(&inst, Arc::clone(&lim_rec) as Arc<dyn Recorder>);
+        let token = CancelToken::with_iteration_limit(k as u64);
+        let lim_rec = MemoryRecorder::shared();
+        let limited = run_cancelled(
+            variant,
+            &inst,
+            &cfg,
+            Arc::clone(&lim_rec) as Arc<dyn Recorder>,
+            token.clone(),
+            clock,
+        );
 
-    assert_eq!(limited.iterations, k, "stopped exactly at the limit");
-    assert_eq!(token.cause(), Some(StopCause::IterationLimit));
-    assert!(limited.evaluations < full.evaluations);
+        assert_eq!(limited.iterations, k, "stopped exactly at the limit");
+        assert_eq!(token.cause(), Some(StopCause::IterationLimit));
+        assert!(limited.evaluations < full.evaluations);
 
-    let (full_jsonl, lim_jsonl) = (full_rec.events_jsonl(), lim_rec.events_jsonl());
-    assert!(!lim_jsonl.is_empty(), "the truncated run emitted no events");
-    assert!(
-        full_jsonl.starts_with(&lim_jsonl),
-        "truncated event stream is not a byte prefix of the full stream"
-    );
+        let (full_jsonl, lim_jsonl) = (full_rec.events_jsonl(), lim_rec.events_jsonl());
+        assert!(!lim_jsonl.is_empty(), "the truncated run emitted no events");
+        assert!(
+            full_jsonl.starts_with(&lim_jsonl),
+            "{variant:?}: truncated event stream is not a byte prefix of the full stream"
+        );
+    }
 }
 
 /// The archive a cancelled run returns depends only on the iterations it
@@ -72,15 +121,21 @@ fn sequential_iteration_limited_run_is_a_byte_identical_prefix() {
 fn truncated_front_is_independent_of_the_remaining_budget() {
     let inst = inst();
     let k: usize = 12;
-    let small = SequentialTsmo::new(cfg())
-        .with_cancel_token(CancelToken::with_iteration_limit(k as u64))
-        .run(&inst);
-    let big = SequentialTsmo::new(TsmoConfig {
+    let limited = |cfg: TsmoConfig| {
+        run_cancelled(
+            ParallelVariant::Sequential,
+            &inst,
+            &cfg,
+            tsmo_obs::noop(),
+            CancelToken::with_iteration_limit(k as u64),
+            Clock::Wall,
+        )
+    };
+    let small = limited(cfg());
+    let big = limited(TsmoConfig {
         max_evaluations: 150_000,
         ..cfg()
-    })
-    .with_cancel_token(CancelToken::with_iteration_limit(k as u64))
-    .run(&inst);
+    });
     assert_eq!(small.iterations, k);
     assert_eq!(big.iterations, k);
     assert_eq!(small.evaluations, big.evaluations);
@@ -97,12 +152,21 @@ fn sync_cancelled_at_k_equals_sequential_cancelled_at_k() {
     let inst = inst();
     let k: usize = 8;
     let p = 3;
-    let seq = SequentialTsmo::new(TsmoConfig { chunks: p, ..cfg() })
-        .with_cancel_token(CancelToken::with_iteration_limit(k as u64))
-        .run(&inst);
-    let sync = SyncTsmo::new(cfg(), p)
-        .with_cancel_token(CancelToken::with_iteration_limit(k as u64))
-        .run(&inst);
+    let limited = |variant: ParallelVariant, cfg: TsmoConfig| {
+        run_cancelled(
+            variant,
+            &inst,
+            &cfg,
+            tsmo_obs::noop(),
+            CancelToken::with_iteration_limit(k as u64),
+            Clock::Wall,
+        )
+    };
+    let seq = limited(
+        ParallelVariant::Sequential,
+        TsmoConfig { chunks: p, ..cfg() },
+    );
+    let sync = limited(ParallelVariant::Synchronous(p), cfg());
     assert_eq!(seq.iterations, k);
     assert_eq!(sync.iterations, k);
     assert_eq!(seq.evaluations, sync.evaluations);
@@ -119,12 +183,13 @@ fn deadline_exceeded_truncates_to_a_valid_outcome() {
         ..cfg()
     };
     let token = CancelToken::with_deadline(std::time::Duration::from_millis(80));
-    let out = ParallelVariant::Sequential.run_with_cancel(
+    let out = run_cancelled(
+        ParallelVariant::Sequential,
         &inst,
         &cfg,
         tsmo_obs::noop(),
-        tsmo_faults::none(),
         token.clone(),
+        Clock::Wall,
     );
     assert_eq!(token.cause(), Some(StopCause::DeadlineExceeded));
     assert!(out.evaluations < cfg.max_evaluations);
@@ -153,20 +218,21 @@ fn explicit_cancel_stops_a_threaded_parallel_run() {
             token.cancel();
         })
     };
-    let out = ParallelVariant::Asynchronous(3).run_with_cancel(
+    let out = run_cancelled(
+        ParallelVariant::Asynchronous(3),
         &inst,
         &cfg,
         tsmo_obs::noop(),
-        tsmo_faults::none(),
         token.clone(),
+        Clock::Wall,
     );
     canceller.join().expect("canceller thread");
     assert_eq!(token.cause(), Some(StopCause::Cancelled));
     assert!(out.evaluations < cfg.max_evaluations);
 }
 
-/// `run_with_cancel` threads the token through every variant: each one
-/// stops on a small iteration limit long before the evaluation budget.
+/// `run_opts` threads the token through every variant on both clocks: each
+/// one stops on a small iteration limit long before the evaluation budget.
 #[test]
 fn every_variant_honors_the_iteration_limit() {
     let inst = inst();
@@ -174,28 +240,31 @@ fn every_variant_honors_the_iteration_limit() {
         max_evaluations: 10_000_000,
         ..cfg()
     };
-    for variant in [
-        ParallelVariant::Sequential,
-        ParallelVariant::Synchronous(3),
-        ParallelVariant::Asynchronous(3),
-        ParallelVariant::Collaborative(3),
-    ] {
-        let token = CancelToken::with_iteration_limit(5);
-        let out = variant.run_with_cancel(
-            &inst,
-            &cfg,
-            tsmo_obs::noop(),
-            tsmo_faults::none(),
-            token.clone(),
-        );
-        assert_eq!(
-            token.cause(),
-            Some(StopCause::IterationLimit),
-            "{variant:?} ignored the iteration limit"
-        );
-        assert!(
-            out.evaluations < cfg.max_evaluations,
-            "{variant:?} ran to budget exhaustion despite the limit"
-        );
+    for clock in [Clock::Wall, Clock::Virtual { speeds: None }] {
+        for variant in [
+            ParallelVariant::Sequential,
+            ParallelVariant::Synchronous(3),
+            ParallelVariant::Asynchronous(3),
+            ParallelVariant::Collaborative(3),
+        ] {
+            let token = CancelToken::with_iteration_limit(5);
+            let out = run_cancelled(
+                variant,
+                &inst,
+                &cfg,
+                tsmo_obs::noop(),
+                token.clone(),
+                clock.clone(),
+            );
+            assert_eq!(
+                token.cause(),
+                Some(StopCause::IterationLimit),
+                "{variant:?} on {clock:?} ignored the iteration limit"
+            );
+            assert!(
+                out.evaluations < cfg.max_evaluations,
+                "{variant:?} on {clock:?} ran to budget exhaustion despite the limit"
+            );
+        }
     }
 }

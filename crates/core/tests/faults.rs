@@ -5,20 +5,43 @@
 //! reproducible recovery trace.
 
 use std::sync::Arc;
-use tsmo_core::{AsyncTsmo, SimAsyncTsmo, SimCollaborativeTsmo, TsmoConfig};
-use tsmo_faults::{FaultConfig, FaultPlan};
-use tsmo_obs::{metrics::names, MemoryRecorder};
+use tsmo_core::{Clock, ParallelVariant, RunOptions, TsmoConfig, TsmoOutcome};
+use tsmo_faults::{FaultConfig, FaultHook, FaultPlan};
+use tsmo_obs::{metrics::names, MemoryRecorder, Recorder};
 use vrptw::generator::{GeneratorConfig, InstanceClass};
+use vrptw::Instance;
 
 fn cfg() -> TsmoConfig {
     TsmoConfig {
         max_evaluations: 2_400,
         neighborhood_size: 60,
-        // Pin the per-evaluation virtual cost so the simulated schedules
-        // (and hence the event streams) are byte-reproducible.
+        // Pin the per-evaluation virtual cost so the virtual-clock
+        // schedules (and hence the event streams) are byte-reproducible.
         sim_eval_cost: Some(1e-4),
         ..TsmoConfig::default()
     }
+}
+
+/// Runs `variant` with `recorder` and `faults` attached on `clock`.
+fn run_faulted(
+    variant: ParallelVariant,
+    inst: &Arc<Instance>,
+    cfg: &TsmoConfig,
+    recorder: Arc<dyn Recorder>,
+    faults: Arc<dyn FaultHook>,
+    clock: Clock,
+) -> TsmoOutcome {
+    let opts = RunOptions {
+        recorder,
+        faults,
+        clock,
+        ..RunOptions::default()
+    };
+    variant.run_opts(inst, cfg, opts)
+}
+
+fn virtual_clock() -> Clock {
+    Clock::Virtual { speeds: None }
 }
 
 fn norm(mut v: Vec<[f64; 3]>) -> Vec<[f64; 3]> {
@@ -36,12 +59,26 @@ fn zero_fault_plan_event_stream_is_byte_identical() {
     assert!(zero.config().is_zero(), "default rates must all be zero");
 
     let bare_rec = MemoryRecorder::shared();
-    let bare = SimAsyncTsmo::new(cfg().with_seed(11), 3).run_with(&inst, bare_rec.clone());
+    let async3 = ParallelVariant::Asynchronous(3);
+    let bare = async3.run_opts(
+        &inst,
+        &cfg().with_seed(11),
+        RunOptions {
+            recorder: bare_rec.clone(),
+            clock: virtual_clock(),
+            ..RunOptions::default()
+        },
+    );
 
     let planned_rec = MemoryRecorder::shared();
-    let planned = SimAsyncTsmo::new(cfg().with_seed(11), 3)
-        .with_fault_hook(zero.clone())
-        .run_with(&inst, planned_rec.clone());
+    let planned = run_faulted(
+        async3,
+        &inst,
+        &cfg().with_seed(11),
+        planned_rec.clone(),
+        zero.clone(),
+        virtual_clock(),
+    );
 
     assert_eq!(
         bare_rec.events_jsonl(),
@@ -62,9 +99,14 @@ fn sim_chaos_run_is_byte_reproducible_and_recovers() {
     let run = |_: usize| {
         let rec = MemoryRecorder::shared();
         let plan = FaultPlan::shared(FaultConfig::uniform(7, 0.25));
-        let out = SimAsyncTsmo::new(cfg().with_seed(3), 4)
-            .with_fault_hook(plan)
-            .run_with(&inst, rec.clone());
+        let out = run_faulted(
+            ParallelVariant::Asynchronous(4),
+            &inst,
+            &cfg().with_seed(3),
+            rec.clone(),
+            plan,
+            virtual_clock(),
+        );
         (rec, out)
     };
     let (rec_a, out_a) = run(0);
@@ -103,9 +145,14 @@ fn sim_collaborative_survives_exchange_faults_reproducibly() {
             exchange_delay_rate: 0.3,
             ..FaultConfig::default()
         });
-        let out = SimCollaborativeTsmo::new(c.clone(), 3)
-            .with_fault_hook(plan.clone())
-            .run_with(&inst, rec.clone());
+        let out = run_faulted(
+            ParallelVariant::Collaborative(3),
+            &inst,
+            &c,
+            rec.clone(),
+            plan.clone(),
+            virtual_clock(),
+        );
         (rec, plan, out)
     };
     let (rec_a, plan_a, out_a) = run(0);
@@ -132,9 +179,14 @@ fn threaded_async_chaos_run_completes_with_valid_front() {
     .with_seed(7);
     let rec = MemoryRecorder::shared();
     let plan = FaultPlan::shared(FaultConfig::uniform(7, 0.2));
-    let out = AsyncTsmo::new(c, 4)
-        .with_fault_hook(plan.clone())
-        .run_with(&inst, rec.clone());
+    let out = run_faulted(
+        ParallelVariant::Asynchronous(4),
+        &inst,
+        &c,
+        rec.clone(),
+        plan.clone(),
+        Clock::Wall,
+    );
 
     assert_eq!(out.evaluations, 4_000, "budget must be fully consumed");
     assert!(!out.archive.is_empty(), "chaos must not empty the front");

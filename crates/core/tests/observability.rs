@@ -3,9 +3,7 @@
 //! for a fixed seed.
 
 use std::sync::Arc;
-use tsmo_core::{
-    ParallelVariant, SequentialTsmo, SimAsyncTsmo, SimCollaborativeTsmo, TsmoConfig, TsmoOutcome,
-};
+use tsmo_core::{Clock, ParallelVariant, RunOptions, SequentialTsmo, TsmoConfig, TsmoOutcome};
 use tsmo_obs::metrics::names;
 use tsmo_obs::{parse_events_jsonl, MemoryRecorder, Recorder, SearchEvent};
 use vrptw::generator::{GeneratorConfig, InstanceClass};
@@ -21,10 +19,28 @@ fn cfg() -> TsmoConfig {
         neighborhood_size: 60,
         stagnation_limit: 20,
         // A fixed virtual evaluation cost makes the simulated schedules —
-        // and therefore the Sim* event streams — reproducible.
+        // and therefore the virtual-clock event streams — reproducible.
         sim_eval_cost: Some(0.01),
         ..TsmoConfig::default()
     }
+}
+
+/// Runs `variant` on the virtual clock with `recorder` attached.
+fn on_virtual_clock(
+    variant: ParallelVariant,
+    inst: &Arc<Instance>,
+    cfg: &TsmoConfig,
+    recorder: Arc<dyn Recorder>,
+) -> TsmoOutcome {
+    variant.run_opts(
+        inst,
+        cfg,
+        RunOptions {
+            recorder,
+            clock: Clock::Virtual { speeds: None },
+            ..RunOptions::default()
+        },
+    )
 }
 
 fn fronts(out: &TsmoOutcome) -> Vec<[f64; 3]> {
@@ -60,10 +76,14 @@ fn noop_and_recording_runs_are_identical_for_every_sim_variant() {
         ParallelVariant::Asynchronous(3),
         ParallelVariant::Collaborative(3),
     ] {
-        let plain = variant.run_simulated(&inst, &cfg());
+        let plain = on_virtual_clock(variant, &inst, &cfg(), tsmo_obs::noop());
         let recorder = MemoryRecorder::shared();
-        let recorded =
-            variant.run_simulated_with(&inst, &cfg(), Arc::clone(&recorder) as Arc<dyn Recorder>);
+        let recorded = on_virtual_clock(
+            variant,
+            &inst,
+            &cfg(),
+            Arc::clone(&recorder) as Arc<dyn Recorder>,
+        );
         assert_eq!(plain.evaluations, recorded.evaluations, "{variant:?}");
         assert_eq!(plain.iterations, recorded.iterations, "{variant:?}");
         assert_eq!(fronts(&plain), fronts(&recorded), "{variant:?}");
@@ -72,17 +92,19 @@ fn noop_and_recording_runs_are_identical_for_every_sim_variant() {
 }
 
 /// The determinism proof: with a fixed seed and a fixed virtual evaluation
-/// cost, two recorded `SimAsyncTsmo` runs produce byte-identical JSONL
-/// event streams, and the same front as an unrecorded run. (The threaded
+/// cost, two recorded asynchronous runs on the virtual clock produce
+/// byte-identical JSONL event streams, and the same front as an unrecorded
+/// run. (The threaded
 /// async variant interleaves events by wall-clock timing, so the proof
-/// uses the virtual-time simulation, which is the same algorithm.)
+/// uses the virtual clock, which runs the same algorithm.)
 #[test]
 fn sim_async_event_stream_is_byte_identical_across_runs() {
     let inst = inst();
-    let noop_run = SimAsyncTsmo::new(cfg(), 3).run(&inst);
+    let async3 = ParallelVariant::Asynchronous(3);
+    let noop_run = on_virtual_clock(async3, &inst, &cfg(), tsmo_obs::noop());
     let (r1, r2) = (MemoryRecorder::shared(), MemoryRecorder::shared());
-    let rec1 = SimAsyncTsmo::new(cfg(), 3).run_with(&inst, Arc::clone(&r1) as Arc<dyn Recorder>);
-    let rec2 = SimAsyncTsmo::new(cfg(), 3).run_with(&inst, Arc::clone(&r2) as Arc<dyn Recorder>);
+    let rec1 = on_virtual_clock(async3, &inst, &cfg(), Arc::clone(&r1) as Arc<dyn Recorder>);
+    let rec2 = on_virtual_clock(async3, &inst, &cfg(), Arc::clone(&r2) as Arc<dyn Recorder>);
 
     assert_eq!(
         fronts(&noop_run),
@@ -112,8 +134,15 @@ fn span_and_timeline_streams_are_byte_identical_across_runs() {
         Arc::new(MemoryRecorder::new().with_span_events()),
         Arc::new(MemoryRecorder::new().with_span_events()),
     );
-    SimAsyncTsmo::new(traced_cfg(), 3).run_with(&inst, Arc::clone(&r1) as Arc<dyn Recorder>);
-    SimAsyncTsmo::new(traced_cfg(), 3).run_with(&inst, Arc::clone(&r2) as Arc<dyn Recorder>);
+    for r in [&r1, &r2] {
+        let recorder = Arc::clone(r) as Arc<dyn Recorder>;
+        on_virtual_clock(
+            ParallelVariant::Asynchronous(3),
+            &inst,
+            &traced_cfg(),
+            recorder,
+        );
+    }
     let (jsonl1, jsonl2) = (r1.events_jsonl(), r2.events_jsonl());
     assert!(!jsonl1.is_empty());
     assert_eq!(
@@ -193,7 +222,13 @@ fn default_stream_has_no_span_events_but_the_profile_still_folds() {
 fn recorded_events_round_trip_through_jsonl() {
     let inst = inst();
     let recorder = MemoryRecorder::shared();
-    SimAsyncTsmo::new(cfg(), 3).run_with(&inst, Arc::clone(&recorder) as Arc<dyn Recorder>);
+    let recorder_dyn = Arc::clone(&recorder) as Arc<dyn Recorder>;
+    on_virtual_clock(
+        ParallelVariant::Asynchronous(3),
+        &inst,
+        &cfg(),
+        recorder_dyn,
+    );
     let parsed = parse_events_jsonl(&recorder.events_jsonl()).expect("stream parses back");
     assert_eq!(parsed, recorder.events());
     // The stream covers the event families the async runtime emits.
@@ -215,7 +250,8 @@ fn collaborative_sim_records_exchange_traffic() {
         sim_eval_cost: Some(0.01),
         ..TsmoConfig::default()
     };
-    SimCollaborativeTsmo::new(cfg, 3).run_with(&inst, Arc::clone(&recorder) as Arc<dyn Recorder>);
+    let recorder_dyn = Arc::clone(&recorder) as Arc<dyn Recorder>;
+    on_virtual_clock(ParallelVariant::Collaborative(3), &inst, &cfg, recorder_dyn);
     let metrics = recorder.metrics();
     let sent = metrics.counter(names::EXCHANGE_SENT);
     let received = metrics.counter(names::EXCHANGE_RECEIVED);

@@ -37,9 +37,9 @@ pub enum TaskFault {
     /// Panic inside the task function. The `deme` pool catches the panic
     /// and surfaces `PoolError::WorkerPanicked`; the supervisor resends.
     Panic,
-    /// Stall *before* computing for this many milliseconds (real time in
-    /// the thread-based variants, `millis / 1000` virtual seconds in the
-    /// `Sim*` variants).
+    /// Stall *before* computing for this many milliseconds (real time on
+    /// the wall clock, `millis / 1000` virtual seconds on the virtual
+    /// clock).
     Stall {
         /// Delay duration in milliseconds.
         millis: u64,

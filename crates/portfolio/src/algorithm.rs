@@ -11,7 +11,7 @@
 
 use pareto::Archive;
 use std::sync::Arc;
-use tsmo_core::{CancelToken, FrontEntry, ParallelVariant, TsmoConfig};
+use tsmo_core::{CancelToken, FrontEntry, ParallelVariant, RunOptions, TsmoConfig};
 use vrptw::{Instance, Solution};
 
 /// An algorithm the portfolio can race: seeded slice runs, cooperative
@@ -96,7 +96,7 @@ pub fn contender(name: &str, params: &RaceParams) -> Option<Box<dyn RacedAlgorit
     }
 }
 
-/// A TSMO variant raced through [`ParallelVariant::run_with_cancel`].
+/// A TSMO variant raced through [`ParallelVariant::run_opts`].
 pub struct TsmoContender {
     name: String,
     variant: ParallelVariant,
@@ -147,13 +147,11 @@ impl RacedAlgorithm for TsmoContender {
         };
         cfg.seed = seed;
         cfg.warm_start = self.pool.clone();
-        let out = self.variant.run_with_cancel(
-            inst,
-            &cfg,
-            tsmo_obs::noop(),
-            tsmo_faults::none(),
-            cancel.clone(),
-        );
+        let opts = RunOptions {
+            cancel: cancel.clone(),
+            ..RunOptions::default()
+        };
+        let out = self.variant.run_opts(inst, &cfg, opts);
         self.pool = out.archive.iter().map(|e| e.solution.clone()).collect();
         self.archive.absorb(out.archive);
         self.items = self.archive.items().to_vec();

@@ -16,7 +16,9 @@ use crate::repair::repair;
 use crate::script::ScenarioScript;
 use detrand::Xoshiro256StarStar;
 use std::sync::Arc;
-use tsmo_core::{scalarize, AdaptiveMemory, CancelToken, ParallelVariant, TsmoConfig, TsmoOutcome};
+use tsmo_core::{
+    scalarize, AdaptiveMemory, CancelToken, ParallelVariant, RunOptions, TsmoConfig, TsmoOutcome,
+};
 use vrptw::{evaluate_route, Instance, Solution};
 
 /// How a dynamic job runs its epochs.
@@ -105,13 +107,12 @@ pub fn run_dynamic(
         }
         let warm_seeds = cfg.warm_start.len();
         let inst_arc = Arc::new(inst.clone());
-        let outcome = dc.variant.run_with_cancel(
-            &inst_arc,
-            &cfg,
-            Arc::clone(&recorder),
-            tsmo_faults::none(),
-            cancel.clone(),
-        );
+        let opts = RunOptions {
+            recorder: Arc::clone(&recorder),
+            cancel: cancel.clone(),
+            ..RunOptions::default()
+        };
+        let outcome = dc.variant.run_opts(&inst_arc, &cfg, opts);
         pool = outcome.archive.iter().map(|e| e.solution.clone()).collect();
         let mutations = if epoch == 0 {
             0

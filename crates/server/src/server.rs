@@ -4,7 +4,7 @@
 //! connection; handlers only touch the job table and the bounded queue,
 //! so a slow client never blocks the solvers. A fixed pool of worker
 //! threads pops job ids off the queue and runs them through
-//! [`ParallelVariant::run_with_cancel`], which threads each job's
+//! [`ParallelVariant::run_opts`], which threads each job's
 //! [`CancelToken`] into the search loop — deadlines and cancel requests
 //! truncate a run at an iteration boundary and its best-so-far front
 //! comes back as a valid result.
@@ -32,7 +32,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-use tsmo_core::{CancelToken, ParallelVariant, StopCause, TsmoConfig, TsmoOutcome};
+use tsmo_core::{
+    CancelToken, Clock, ParallelVariant, RunOptions, StopCause, TsmoConfig, TsmoOutcome,
+};
 use tsmo_obs::metrics::names;
 use tsmo_obs::{MemoryRecorder, Recorder, SearchEvent};
 
@@ -905,13 +907,13 @@ fn worker_loop(shared: &Arc<Shared>) {
             }
             continue;
         }
-        let outcome = variant.run_with_cancel(
-            &instance,
-            &cfg,
+        let opts = RunOptions {
             recorder,
-            Arc::clone(&shared.faults),
-            cancel.clone(),
-        );
+            faults: Arc::clone(&shared.faults),
+            cancel: cancel.clone(),
+            clock: Clock::Wall,
+        };
+        let outcome = variant.run_opts(&instance, &cfg, opts);
         let cause = cancel.cause();
         match cause {
             Some(StopCause::Cancelled) => shared.metrics.counter_add(names::JOBS_CANCELLED, 1),

@@ -36,7 +36,7 @@ fn main() {
         seq.feasible_front().len()
     );
 
-    let coll = CollaborativeTsmo::new(cfg, searchers).run(&inst);
+    let coll = ParallelVariant::Collaborative(searchers).run(&inst, &cfg);
     println!(
         "collaborative ({searchers} searchers): {:>6.2}s, front of {} ({} feasible), {} total evaluations",
         coll.runtime_seconds,

@@ -20,7 +20,7 @@ fn main() {
         seed: 2,
         ..TsmoConfig::default()
     };
-    let out = AsyncTsmo::new(cfg, 4).run(&inst);
+    let out = ParallelVariant::Asynchronous(4).run(&inst, &cfg);
     let trace = out.trace.as_ref().expect("tracing was enabled");
 
     println!(

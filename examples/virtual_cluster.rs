@@ -1,7 +1,7 @@
 //! The virtual-time cluster: how the suite reproduces the paper's speedup
 //! measurements on hosts with fewer cores than the experiment's processor
-//! count. Runs the simulated sync/async variants at several processor
-//! counts and prints the virtual speedup curve.
+//! count. Runs the sync/async/collaborative variants on the virtual clock
+//! at several processor counts and prints the virtual speedup curve.
 //!
 //! ```text
 //! cargo run --release --example virtual_cluster
@@ -10,7 +10,6 @@
 use std::sync::Arc;
 use tsmo_suite::prelude::*;
 use tsmo_suite::runstats::speedup_percent;
-use tsmo_suite::tsmo_core::{SimAsyncTsmo, SimCollaborativeTsmo, SimSyncTsmo};
 
 fn main() {
     let inst = Arc::new(GeneratorConfig::new(InstanceClass::C1, 120, 3).build());
@@ -33,9 +32,20 @@ fn main() {
         "procs", "sync makespan", "async makespan", "coll makespan"
     );
     for p in [2usize, 3, 6, 12] {
-        let sync = SimSyncTsmo::new(cfg.clone(), p).run(&inst);
-        let asy = SimAsyncTsmo::new(cfg.clone(), p).run(&inst);
-        let coll = SimCollaborativeTsmo::new(cfg.clone(), p).run(&inst);
+        let on_virtual_clock = |variant: ParallelVariant| {
+            let clock = Clock::Virtual { speeds: None };
+            variant.run_opts(
+                &inst,
+                &cfg,
+                RunOptions {
+                    clock,
+                    ..RunOptions::default()
+                },
+            )
+        };
+        let sync = on_virtual_clock(ParallelVariant::Synchronous(p));
+        let asy = on_virtual_clock(ParallelVariant::Asynchronous(p));
+        let coll = on_virtual_clock(ParallelVariant::Collaborative(p));
         println!(
             "{:>6} {:>9.2}s {:>+.0}% {:>8.2}s {:>+.0}% {:>8.2}s {:>+.0}%",
             p,

@@ -39,9 +39,8 @@ pub mod prelude {
     pub use pareto::{coverage, dominates, Archive, Dominance, ParetoFront};
     pub use tsmo_cluster::{run_mesh, MeshClient, MeshJob, NodeConfig, Noded};
     pub use tsmo_core::{
-        AdaptiveMemoryTs, AsyncTsmo, CancelToken, CollaborativeTsmo, HybridTsmo, ParallelVariant,
-        SelectionRule, SequentialTsmo, SimAsyncTsmo, SimCollaborativeTsmo, SimSyncTsmo, StopCause,
-        SyncTsmo, TsmoConfig, TsmoOutcome, WeightedSumTs,
+        AdaptiveMemoryTs, CancelToken, Clock, HybridTsmo, ParallelVariant, RunOptions,
+        SelectionRule, SequentialTsmo, StopCause, TsmoConfig, TsmoOutcome, WeightedSumTs,
     };
     pub use tsmo_faults::{FaultConfig, FaultHook, FaultPlan};
     pub use tsmo_obs::{MemoryRecorder, Recorder, SearchEvent};

@@ -25,7 +25,7 @@ fn sync_equals_sequential_across_classes_and_proc_counts() {
             let mut seq_cfg = cfg(1_800).with_seed(seed);
             seq_cfg.chunks = p;
             let seq = SequentialTsmo::new(seq_cfg).run(&inst);
-            let sync = SyncTsmo::new(cfg(1_800).with_seed(seed), p).run(&inst);
+            let sync = ParallelVariant::Synchronous(p).run(&inst, &cfg(1_800).with_seed(seed));
             let norm = |mut v: Vec<[f64; 3]>| {
                 v.sort_by(|a, b| a.partial_cmp(b).expect("not NaN"));
                 v
