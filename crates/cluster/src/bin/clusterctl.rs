@@ -7,8 +7,10 @@
 //!     [--seed 1] [--fault-rate 0] [--fault-seed 7] [--connect-timeout-ms 2000] \
 //!     [--wait-ms 300000] [--require-exchanges] [--shutdown]
 //!
-//! # deterministic single-process loopback (record, then verifying replay):
-//! clusterctl INSTANCE.txt --virtual-net 3 [--searchers 2] [...]
+//! # deterministic single-process virtual mesh (record, then verifying
+//! # replay), optionally with scripted churn and ring replication:
+//! clusterctl INSTANCE.txt --virtual-net 3 [--searchers 2] [...] \
+//!     [--churn kill:2@20,join:2@42] [--replication-every N]
 //!
 //! # assemble one causally-ordered trace from the nodes' last mesh job:
 //! clusterctl trace-merge --peers 127.0.0.1:4001,127.0.0.1:4002,127.0.0.1:4003 \
@@ -27,8 +29,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use tsmo_cluster::mesh::{self, prometheus_counter};
 use tsmo_cluster::{
-    front_fingerprint, replay_elastic, replay_virtual, run_elastic, run_virtual, ElasticMeshConfig,
-    MeshJob, VirtualMeshConfig,
+    front_fingerprint, replay_elastic, run_elastic, ElasticMeshConfig, MeshJob, NetRecord,
 };
 use tsmo_core::{FrontEntry, TsmoConfig};
 use tsmo_faults::{FaultConfig, FaultHook, FaultPlan};
@@ -54,25 +55,58 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
+/// The value following `flag`, if present.
+fn flag_value(args: &[String], flag: &str) -> Option<String> {
+    args.iter()
+        .position(|a| a == flag)
+        .and_then(|i| args.get(i + 1))
+        .cloned()
+}
+
+/// The integer value of `flag` (`default` when absent); a malformed value
+/// is reported and becomes the exit code.
+fn num_flag(args: &[String], flag: &str, default: u64) -> Result<u64, ExitCode> {
+    match flag_value(args, flag).map(|v| v.parse()) {
+        Some(Ok(n)) => Ok(n),
+        None => Ok(default),
+        Some(Err(_)) => {
+            eprintln!("clusterctl: {flag} expects an integer");
+            Err(ExitCode::FAILURE)
+        }
+    }
+}
+
+/// `--connect-timeout-ms`, 2 s by default.
+fn connect_timeout(args: &[String]) -> Result<Duration, ExitCode> {
+    num_flag(args, "--connect-timeout-ms", 2_000).map(Duration::from_millis)
+}
+
+/// The comma-separated `--peers` list.
+fn peers_flag(args: &[String]) -> Option<Vec<String>> {
+    let peers = flag_value(args, "--peers")?;
+    Some(
+        peers
+            .split(',')
+            .map(str::trim)
+            .filter(|p| !p.is_empty())
+            .map(str::to_string)
+            .collect(),
+    )
+}
+
 /// Membership operations against a running mesh: query a node's view,
 /// admit a new node via the coordinator, or retire a slot. `join` prints
 /// the assigned slot and the warm-front size so an operator (or script)
 /// can dispatch the job to the joiner with `node_index = slot`.
 fn membership_cmd(cmd: &str, args: &[String]) -> ExitCode {
-    let get = |flag: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
+    let get = |flag: &str| flag_value(args, flag);
     let Some(peer) = get("--peer") else {
         return usage();
     };
-    let timeout = Duration::from_millis(
-        get("--connect-timeout-ms")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(2_000),
-    );
+    let timeout = match connect_timeout(args) {
+        Ok(t) => t,
+        Err(code) => return code,
+    };
     let client = mesh::MeshClient::new(peer.clone(), timeout);
     let outcome = match cmd {
         "members" => client.members().map(|(epoch, members)| {
@@ -120,51 +154,29 @@ fn membership_cmd(cmd: &str, args: &[String]) -> ExitCode {
 /// add), adds a `tsmo_node_up{node="k"}` liveness gauge per peer, and
 /// renders the result as a single Prometheus exposition.
 fn metrics_merge(args: &[String]) -> ExitCode {
-    let get = |flag: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let Some(peers) = get("--peers") else {
+    let get = |flag: &str| flag_value(args, flag);
+    let Some(peers) = peers_flag(args) else {
         return usage();
     };
-    let peers: Vec<String> = peers
-        .split(',')
-        .map(str::trim)
-        .filter(|p| !p.is_empty())
-        .map(str::to_string)
-        .collect();
-    let timeout_ms: u64 = match get("--connect-timeout-ms").map(|v| v.parse()) {
-        Some(Ok(n)) => n,
-        None => 2_000,
-        Some(Err(_)) => {
-            eprintln!("clusterctl: --connect-timeout-ms expects an integer");
-            return ExitCode::FAILURE;
-        }
+    let timeout = match connect_timeout(args) {
+        Ok(t) => t,
+        Err(code) => return code,
     };
-    let timeout = Duration::from_millis(timeout_ms);
     let allow_partial = args.iter().any(|a| a == "--allow-partial");
     let mut federated = tsmo_obs::MetricsRegistry::new();
-    let mut reached = 0usize;
-    for (k, peer) in peers.iter().enumerate() {
-        let node = k.to_string();
-        match mesh::MeshClient::new(peer.clone(), timeout).metrics_registry() {
-            Ok(registry) => {
-                federated.merge(&registry.with_label("node", &node));
-                federated.gauge_set(&names::node_up(&node), 1.0);
-                reached += 1;
-            }
-            Err(e) if allow_partial => {
-                eprintln!("clusterctl: node {k} ({peer}) unreachable, marked down: {e}");
-                federated.gauge_set(&names::node_up(&node), 0.0);
-            }
-            Err(e) => {
-                eprintln!("clusterctl: node {k} ({peer}): metrics fetch failed: {e}");
-                return ExitCode::FAILURE;
-            }
+    let failed = mesh::federate_metrics(&peers, timeout, &mut federated);
+    for (k, e) in &failed {
+        let peer = &peers[*k];
+        if allow_partial {
+            eprintln!("clusterctl: node {k} ({peer}) unreachable, marked down: {e}");
+        } else {
+            eprintln!("clusterctl: node {k} ({peer}): metrics fetch failed: {e}");
         }
     }
+    if !failed.is_empty() && !allow_partial {
+        return ExitCode::FAILURE;
+    }
+    let reached = peers.len() - failed.len();
     if reached == 0 {
         eprintln!("clusterctl: no node contributed metrics");
         return ExitCode::FAILURE;
@@ -195,30 +207,14 @@ fn metrics_merge(args: &[String]) -> ExitCode {
 /// deterministically — with span ids offset per node so they stay
 /// unique, and the global sequence re-stamped.
 fn trace_merge(args: &[String]) -> ExitCode {
-    let get = |flag: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let Some(peers) = get("--peers") else {
+    let get = |flag: &str| flag_value(args, flag);
+    let Some(peers) = peers_flag(args) else {
         return usage();
     };
-    let peers: Vec<String> = peers
-        .split(',')
-        .map(str::trim)
-        .filter(|p| !p.is_empty())
-        .map(str::to_string)
-        .collect();
-    let timeout_ms: u64 = match get("--connect-timeout-ms").map(|v| v.parse()) {
-        Some(Ok(n)) => n,
-        None => 2_000,
-        Some(Err(_)) => {
-            eprintln!("clusterctl: --connect-timeout-ms expects an integer");
-            return ExitCode::FAILURE;
-        }
+    let timeout = match connect_timeout(args) {
+        Ok(t) => t,
+        Err(code) => return code,
     };
-    let timeout = Duration::from_millis(timeout_ms);
     // With `--allow-partial`, an unreachable or trace-less node is
     // reported and skipped instead of failing the whole merge — the trace
     // of a churned mesh is assembled from whoever survived.
@@ -379,23 +375,9 @@ fn main() -> ExitCode {
     if matches!(args[0].as_str(), "members" | "join" | "leave") {
         return membership_cmd(&args[0].clone(), &args[1..]);
     }
-    let get = |flag: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
+    let get = |flag: &str| flag_value(&args, flag);
     let has = |flag: &str| args.iter().any(|a| a == flag);
-    let num = |flag: &str, default: u64| -> Result<u64, ExitCode> {
-        match get(flag).map(|v| v.parse()) {
-            Some(Ok(n)) => Ok(n),
-            None => Ok(default),
-            Some(Err(_)) => {
-                eprintln!("clusterctl: {flag} expects an integer");
-                Err(ExitCode::FAILURE)
-            }
-        }
-    };
+    let num = |flag: &str, default: u64| num_flag(&args, flag, default);
     // The instance path is the first argument that is neither a flag nor
     // the value of the preceding value-taking flag.
     let instance_path = {
@@ -461,17 +443,13 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let vm = VirtualMeshConfig {
-            nodes,
-            searchers_per_node: searchers as usize,
-            cfg: TsmoConfig {
-                max_evaluations: evals,
-                neighborhood_size: (neighborhood as usize).max(2),
-                stagnation_limit: (stagnation as usize).max(1),
-                ..TsmoConfig::default()
-            }
-            .with_seed(seed),
-        };
+        let cfg = TsmoConfig {
+            max_evaluations: evals,
+            neighborhood_size: (neighborhood as usize).max(2),
+            stagnation_limit: (stagnation as usize).max(1),
+            ..TsmoConfig::default()
+        }
+        .with_seed(seed);
         let hook: Arc<dyn FaultHook> = if fault_rate > 0.0 {
             FaultPlan::shared(FaultConfig::exchange_only(fault_seed, fault_rate))
         } else {
@@ -489,76 +467,40 @@ fn main() -> ExitCode {
             Ok(n) => n,
             Err(code) => return code,
         };
-        // Churn or replication turns the run elastic: dynamic membership,
-        // ring-replicated checkpoints, and a recorded network log whose
-        // replay must still be byte-identical.
-        if !churn.is_empty() || replication_every > 0 {
-            let em = ElasticMeshConfig {
-                replication_every,
-                churn,
-                ..ElasticMeshConfig::fixed(vm.nodes, vm.searchers_per_node, vm.cfg.clone())
-            };
-            let events = Arc::new(MemoryRecorder::new());
-            let recorded = run_elastic(
-                &instance,
-                &em,
-                Arc::clone(&events) as Arc<dyn Recorder>,
-                Arc::clone(&hook),
-            );
-            println!(
-                "elastic virtual mesh: {nodes} nodes x {searchers} searchers, \
-                 {} net records, {} evaluations, final epoch {}",
-                recorded.log.len(),
-                recorded.evaluations,
-                recorded.final_epoch
-            );
-            if !recorded.recovered_nodes.is_empty() {
-                println!(
-                    "recovered from replicas: node(s) {:?}, {} entr(ies) in the merged front",
-                    recorded.recovered_nodes, recorded.recovered_in_front
-                );
-            }
-            let replayed =
-                match replay_elastic(&instance, &em, tsmo_obs::noop(), hook, &recorded.log) {
-                    Ok(out) => out,
-                    Err(e) => {
-                        eprintln!("clusterctl: elastic replay diverged: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            if front_fingerprint(&replayed.front) != front_fingerprint(&recorded.front) {
-                eprintln!("clusterctl: replayed front differs from the recorded run");
-                return ExitCode::FAILURE;
-            }
-            println!(
-                "replay: byte-identical merged front over {} net records",
-                replayed.log.len()
-            );
-            if let Some(path) = get("--events-out") {
-                if let Err(e) = std::fs::write(&path, events.events_jsonl()) {
-                    eprintln!("clusterctl: cannot write {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                println!("events: wrote {path}");
-            }
-            if has("--require-recovered") && recorded.recovered_nodes.is_empty() {
-                eprintln!("clusterctl: --require-recovered but no node front came from a replica");
-                return ExitCode::FAILURE;
-            }
-            if !check_front(&recorded.front) {
-                return ExitCode::FAILURE;
-            }
-            print_front(&recorded.front);
-            return ExitCode::SUCCESS;
-        }
-        let recorded = run_virtual(&instance, &vm, tsmo_obs::noop(), Arc::clone(&hook));
-        println!(
-            "virtual mesh: {nodes} nodes x {searchers} searchers, {} exchanges delivered, \
-             {} evaluations",
-            recorded.log.len(),
-            recorded.evaluations
+        // Churn or replication make the membership dynamic; without them
+        // this is a fixed mesh. Either way the network log is recorded and
+        // its verifying replay must be byte-identical.
+        let em = ElasticMeshConfig {
+            replication_every,
+            churn,
+            ..ElasticMeshConfig::fixed(nodes, searchers as usize, cfg)
+        };
+        let events = Arc::new(MemoryRecorder::new());
+        let recorded = run_elastic(
+            &instance,
+            &em,
+            Arc::clone(&events) as Arc<dyn Recorder>,
+            Arc::clone(&hook),
         );
-        let replayed = match replay_virtual(&instance, &vm, tsmo_obs::noop(), hook, &recorded.log) {
+        let exchanges = recorded
+            .log
+            .iter()
+            .filter(|r| matches!(r, NetRecord::Exchange(_)))
+            .count();
+        println!(
+            "virtual mesh: {nodes} nodes x {searchers} searchers, {exchanges} exchanges \
+             delivered, {} net records, {} evaluations, final epoch {}",
+            recorded.log.len(),
+            recorded.evaluations,
+            recorded.final_epoch
+        );
+        if !recorded.recovered_nodes.is_empty() {
+            println!(
+                "recovered from replicas: node(s) {:?}, {} entr(ies) in the merged front",
+                recorded.recovered_nodes, recorded.recovered_in_front
+            );
+        }
+        let replayed = match replay_elastic(&instance, &em, tsmo_obs::noop(), hook, &recorded.log) {
             Ok(out) => out,
             Err(e) => {
                 eprintln!("clusterctl: replay diverged: {e}");
@@ -570,9 +512,20 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
         println!(
-            "replay: byte-identical merged front over {} exchanges",
+            "replay: byte-identical merged front over {} net records",
             replayed.log.len()
         );
+        if let Some(path) = get("--events-out") {
+            if let Err(e) = std::fs::write(&path, events.events_jsonl()) {
+                eprintln!("clusterctl: cannot write {path}: {e}");
+                return ExitCode::FAILURE;
+            }
+            println!("events: wrote {path}");
+        }
+        if has("--require-recovered") && recorded.recovered_nodes.is_empty() {
+            eprintln!("clusterctl: --require-recovered but no node front came from a replica");
+            return ExitCode::FAILURE;
+        }
         if !check_front(&recorded.front) {
             return ExitCode::FAILURE;
         }
@@ -580,19 +533,10 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let Some(peers) = get("--peers") else {
+    let Some(peers) = peers_flag(&args) else {
         return usage();
     };
-    let peers: Vec<String> = peers
-        .split(',')
-        .map(str::trim)
-        .filter(|p| !p.is_empty())
-        .map(str::to_string)
-        .collect();
-    let (timeout_ms, wait_ms) = match (
-        num("--connect-timeout-ms", 2_000),
-        num("--wait-ms", 300_000),
-    ) {
+    let (timeout, wait_ms) = match (connect_timeout(&args), num("--wait-ms", 300_000)) {
         (Ok(t), Ok(w)) => (t, w),
         _ => return ExitCode::FAILURE,
     };
@@ -613,7 +557,6 @@ fn main() -> ExitCode {
         trace_id: tsmo_obs::trace_id_from_seed(seed),
         ..MeshJob::default()
     };
-    let timeout = Duration::from_millis(timeout_ms);
     let outcome = match mesh::run_mesh(&job, timeout, Duration::from_millis(wait_ms)) {
         Ok(outcome) => outcome,
         Err(e) => {

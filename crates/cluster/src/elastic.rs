@@ -1,16 +1,25 @@
-//! The elastic virtual mesh: dynamic membership, searcher rebalancing,
-//! and replicated archive checkpoints — deterministic and replayable.
+//! The virtual mesh: a whole mesh in one process and one thread, with
+//! dynamic membership, searcher rebalancing, and replicated archive
+//! checkpoints — deterministic and replayable.
 //!
-//! [`virtual_net`](crate::virtual_net) pins a *fixed* mesh to one thread;
-//! this module adds churn. Nodes can be killed mid-run (their searcher
+//! Real distributed runs interleave exchanges by wall clock, so two runs
+//! of the same seed differ. The virtual mesh removes that freedom: every
+//! hosted searcher steps once per round, in global id order, and every
+//! transport is an in-process channel that logs what it delivers. With
+//! [`ElasticMeshConfig::fixed`] the result is a byte-reproducible
+//! distributed run — the same streams, communication lists, perturbations,
+//! and two-stage front merge as the TCP mesh (per-node archives first,
+//! then the global archive).
+//!
+//! On top of that, nodes can be killed mid-run (their searcher
 //! incarnations die with their un-flushed archives), rejoin later, or
 //! start dead and join late. Whenever the member set changes, a
 //! deterministic rebalancer reassigns contiguous searcher-id slices over
 //! the live slots: a searcher id that changes owner is finished gracefully
 //! (its archive banked, its consumed budget recorded) and restarted on the
 //! new owner with the *remaining* budget, its RNG stream, communication
-//! list, and parameter perturbation re-derived from scratch — so at fixed
-//! membership every id's trajectory is byte-identical to the static mesh.
+//! list, and parameter perturbation re-derived from scratch — so ids that
+//! never move keep the trajectory they have at fixed membership.
 //!
 //! Durability comes from archive replication: every `replication_every`
 //! rounds (and once when a node's searchers finish) each live node cuts a
@@ -24,17 +33,18 @@
 //!
 //! Everything the network does — exchanges, checkpoints, leaves, joins,
 //! rebalances — lands in one ordered [`NetRecord`] log. Replaying a run
-//! with the same configuration verifies every record in order, making an
-//! 8–16 node churn scenario byte-identical in CI.
+//! with the same configuration verifies every record in order and reports
+//! the first divergence; matching logs plus matching merged fronts are the
+//! reproducibility proof `clusterctl --virtual-net` and the tests rely on.
 
 use crate::membership::{assign_slices, owner_of, ChurnEvent, ChurnKind, Membership};
 use crate::mesh::merge_node_fronts;
-use crate::virtual_net::{front_fingerprint, ExchangeRecord};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use deme::multisearch::{comm_order, Endpoint, Transport};
 use detrand::streams;
 use pareto::Archive;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 use tsmo_core::{searcher_cfg, CancelToken, CollabSearcher, FrontEntry, TsmoConfig};
@@ -42,7 +52,7 @@ use tsmo_faults::{FaultHook, MsgFault};
 use tsmo_obs::{metrics::names, Recorder, SearchEvent};
 use vrptw::Instance;
 
-/// The shape of an elastic virtual mesh run.
+/// The shape of a virtual mesh run.
 #[derive(Debug, Clone)]
 pub struct ElasticMeshConfig {
     /// Number of node slots (the *slice attribution* grid; live membership
@@ -66,8 +76,7 @@ pub struct ElasticMeshConfig {
 }
 
 impl ElasticMeshConfig {
-    /// A churn-free, replication-free configuration equivalent to
-    /// [`VirtualMeshConfig`](crate::VirtualMeshConfig).
+    /// A fixed mesh: no churn, no replication, every slot live throughout.
     pub fn fixed(nodes: usize, searchers_per_node: usize, cfg: TsmoConfig) -> Self {
         Self {
             nodes,
@@ -89,7 +98,18 @@ impl ElasticMeshConfig {
     }
 }
 
-/// One entry of the elastic run's ordered network log. Replay verifies
+/// One delivered exchange, as recorded by the virtual mesh.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ExchangeRecord {
+    /// Sending searcher's global id.
+    pub from: usize,
+    /// Receiving searcher's global id.
+    pub to: usize,
+    /// The delivered solution's objective vector.
+    pub objectives: [f64; 3],
+}
+
+/// One entry of the virtual mesh's ordered network log. Replay verifies
 /// each record in order; a mismatch pinpoints the first divergence.
 #[derive(Debug, Clone, PartialEq)]
 pub enum NetRecord {
@@ -137,7 +157,7 @@ pub enum NetRecord {
     },
 }
 
-/// Result of an elastic mesh run.
+/// Result of a virtual mesh run.
 #[derive(Debug)]
 pub struct ElasticOutcome {
     /// The global merged front (two-stage merge, like the TCP mesh).
@@ -264,9 +284,30 @@ struct Hosted {
     endpoint: Endpoint<FrontEntry>,
 }
 
+/// Canonical byte serialization of a front, for identity comparisons: one
+/// line per entry, objectives then routes, in archive order.
+pub fn front_fingerprint(front: &[FrontEntry]) -> String {
+    let mut out = String::new();
+    for entry in front {
+        let [d, v, t] = entry.objectives.to_vector();
+        let _ = write!(out, "[{d},{v},{t}]");
+        for route in entry.solution.routes() {
+            out.push('|');
+            for (i, site) in route.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                let _ = write!(out, "{site}");
+            }
+        }
+        out.push('\n');
+    }
+    out
+}
+
 /// FNV-1a 64 of a front's canonical fingerprint — a compact byte-identity
-/// witness for checkpoint records.
-fn fp_hash(front: &[FrontEntry]) -> u64 {
+/// witness, as carried by checkpoint records.
+pub fn fingerprint_hash(front: &[FrontEntry]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in front_fingerprint(front).bytes() {
         h ^= b as u64;
@@ -275,7 +316,7 @@ fn fp_hash(front: &[FrontEntry]) -> u64 {
     h
 }
 
-/// Runs the elastic mesh, recording its network log.
+/// Runs the virtual mesh, recording its network log.
 pub fn run_elastic(
     inst: &Arc<Instance>,
     em: &ElasticMeshConfig,
@@ -285,7 +326,7 @@ pub fn run_elastic(
     run(inst, em, recorder, hook, LogMode::Record).expect("record mode cannot diverge")
 }
 
-/// Re-runs the elastic mesh while verifying every network record against
+/// Re-runs the virtual mesh while verifying every network record against
 /// `log`; `Err` carries the first divergence. A clean replay returns an
 /// outcome byte-comparable to the recorded run's.
 pub fn replay_elastic(
@@ -448,17 +489,7 @@ impl Run<'_> {
                 continue;
             }
             // Gracefully migrate a live incarnation off its old owner.
-            if let Some(h) = self.hosted[id].take() {
-                let Hosted {
-                    searcher,
-                    mut endpoint,
-                } = h;
-                let result = searcher.finish(&mut endpoint);
-                self.slots[id].consumed += result.evaluations;
-                self.evaluations += result.evaluations;
-                self.iterations += result.iterations as u64;
-                self.slice_results[id].extend(result.archive);
-            }
+            self.finish_incarnation(id);
             if new.is_none() {
                 continue;
             }
@@ -515,6 +546,22 @@ impl Run<'_> {
             epoch,
             assignment: triples,
         });
+    }
+
+    /// Finishes searcher `id`'s live incarnation, if any: its archive is
+    /// banked and its consumed budget recorded.
+    fn finish_incarnation(&mut self, id: usize) {
+        if let Some(Hosted {
+            searcher,
+            mut endpoint,
+        }) = self.hosted[id].take()
+        {
+            let result = searcher.finish(&mut endpoint);
+            self.slots[id].consumed += result.evaluations;
+            self.evaluations += result.evaluations;
+            self.iterations += result.iterations as u64;
+            self.slice_results[id].extend(result.archive);
+        }
     }
 
     fn set_live(&mut self, id: usize, live: bool) {
@@ -578,7 +625,7 @@ impl Run<'_> {
             return; // The successor died while the checkpoint was in flight.
         }
         let entries = rep.entries.len();
-        let fp = fp_hash(&rep.entries);
+        let fp = fingerprint_hash(&rep.entries);
         self.replicas[holder].insert(subject, rep);
         self.recorder.counter_add(names::ARCHIVES_REPLICATED, 1);
         if self.recorder.enabled() {
@@ -732,24 +779,17 @@ fn run(
             }
         }
         // Fault-delayed checkpoints whose round has come.
-        let due: Vec<_> = {
-            let mut keep = Vec::new();
-            let mut due = Vec::new();
-            for item in std::mem::take(&mut r.delayed_ckpts) {
-                if item.0 <= round {
-                    due.push(item);
-                } else {
-                    keep.push(item);
-                }
-            }
-            r.delayed_ckpts = keep;
-            due
-        };
+        let (due, keep): (Vec<_>, Vec<_>) = std::mem::take(&mut r.delayed_ckpts)
+            .into_iter()
+            .partition(|item| item.0 <= round);
+        r.delayed_ckpts = keep;
         for (_, holder, subject, rep) in due {
             r.deliver_checkpoint(subject, holder, round, rep);
         }
         // One synchronous round: every hosted searcher steps once, in
-        // global id order — the same schedule as the static virtual mesh.
+        // global id order, so searcher i runs its iteration k before anyone
+        // runs iteration k+1 — which pins the delivery order of every
+        // exchange.
         let mut any = false;
         for id in 0..n_total {
             if let Some(h) = r.hosted[id].as_mut() {
@@ -789,17 +829,7 @@ fn run(
 
     // Gather: finish the surviving incarnations and bank their archives.
     for id in 0..n_total {
-        if let Some(h) = r.hosted[id].take() {
-            let Hosted {
-                searcher,
-                mut endpoint,
-            } = h;
-            let result = searcher.finish(&mut endpoint);
-            r.slots[id].consumed += result.evaluations;
-            r.evaluations += result.evaluations;
-            r.iterations += result.iterations as u64;
-            r.slice_results[id].extend(result.archive);
-        }
+        r.finish_incarnation(id);
     }
     // Two-stage merge on the slot grid: each slot's front is its searcher
     // slice's banked archives (id order), anything recovered on rejoin,

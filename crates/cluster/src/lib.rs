@@ -17,10 +17,12 @@
 //! carry over to real sockets unchanged — killing a node mid-run leaves
 //! the survivors converging on a valid merged front.
 //!
-//! For reproducibility, [`virtual_net`] runs the whole mesh single-threaded
-//! over recorded in-process loopback transports: the same seeds, lists, and
-//! perturbations as the TCP build, but with a pinned delivery order, so a
-//! run and its replay produce byte-identical merged fronts.
+//! For reproducibility, [`elastic::run_elastic`] runs the whole mesh
+//! single-threaded over recorded in-process loopback transports: the same
+//! seeds, lists, and perturbations as the TCP build, but with a pinned
+//! delivery order, so a run and its replay produce byte-identical merged
+//! fronts — at fixed membership ([`ElasticMeshConfig::fixed`]) and under
+//! scripted churn alike.
 
 #![warn(missing_docs)]
 
@@ -30,9 +32,11 @@ pub mod mesh;
 pub mod node;
 pub mod proto;
 pub mod transport;
-pub mod virtual_net;
 
-pub use elastic::{replay_elastic, run_elastic, ElasticMeshConfig, ElasticOutcome, NetRecord};
+pub use elastic::{
+    fingerprint_hash, front_fingerprint, replay_elastic, run_elastic, ElasticMeshConfig,
+    ElasticOutcome, ExchangeRecord, NetRecord,
+};
 pub use membership::{
     assign_slices, owner_of, parse_churn, ChurnEvent, ChurnKind, Member, Membership,
 };
@@ -40,6 +44,3 @@ pub use mesh::{run_mesh, MeshClient, MeshOutcome};
 pub use node::{NodeConfig, NodeReport, Noded, DEFAULT_PEER_TIMEOUT};
 pub use proto::{ExchangeEntry, MeshJob, NodeMsg};
 pub use transport::{PeerConn, RouteTable, TcpTransport, DEFAULT_NET_TIMEOUT};
-pub use virtual_net::{
-    front_fingerprint, replay_virtual, run_virtual, VirtualMeshConfig, VirtualOutcome,
-};

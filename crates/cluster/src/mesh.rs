@@ -15,6 +15,7 @@ use pareto::Archive;
 use std::io;
 use std::time::{Duration, Instant};
 use tsmo_core::FrontEntry;
+use tsmo_obs::metrics::names;
 
 /// A controller's connection to one node.
 pub struct MeshClient {
@@ -56,8 +57,7 @@ impl MeshClient {
     pub fn start(&self, job: MeshJob) -> io::Result<()> {
         match self.call(&NodeMsg::Start { job })? {
             NodeMsg::Started => Ok(()),
-            NodeMsg::Error { message } => Err(io::Error::other(message)),
-            other => Err(unexpected(&other)),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -65,7 +65,7 @@ impl MeshClient {
     pub fn status(&self) -> io::Result<String> {
         match self.call(&NodeMsg::Status)? {
             NodeMsg::NodeStatus { state } => Ok(state),
-            other => Err(unexpected(&other)),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -81,8 +81,7 @@ impl MeshClient {
                 evaluations,
                 iterations,
             }),
-            NodeMsg::Error { message } => Err(io::Error::other(message)),
-            other => Err(unexpected(&other)),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -91,8 +90,7 @@ impl MeshClient {
     pub fn trace(&self) -> io::Result<String> {
         match self.call(&NodeMsg::Trace)? {
             NodeMsg::TraceReply { jsonl } => Ok(jsonl),
-            NodeMsg::Error { message } => Err(io::Error::other(message)),
-            other => Err(unexpected(&other)),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -100,7 +98,7 @@ impl MeshClient {
     pub fn metrics(&self) -> io::Result<String> {
         match self.call(&NodeMsg::Metrics)? {
             NodeMsg::MetricsReply { prometheus } => Ok(prometheus),
-            other => Err(unexpected(&other)),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -114,7 +112,7 @@ impl MeshClient {
                 tsmo_obs::MetricsRegistry::from_json(&registry)
                     .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
             }
-            other => Err(unexpected(&other)),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -122,7 +120,7 @@ impl MeshClient {
     pub fn stop(&self) -> io::Result<()> {
         match self.call(&NodeMsg::Stop)? {
             NodeMsg::Stopped => Ok(()),
-            other => Err(unexpected(&other)),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -130,7 +128,7 @@ impl MeshClient {
     pub fn shutdown(&self) -> io::Result<()> {
         match self.call(&NodeMsg::Shutdown)? {
             NodeMsg::ShutdownOk => Ok(()),
-            other => Err(unexpected(&other)),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -138,8 +136,7 @@ impl MeshClient {
     pub fn members(&self) -> io::Result<(u64, Vec<crate::membership::Member>)> {
         match self.call(&NodeMsg::Members)? {
             NodeMsg::MembersReply { epoch, members } => Ok((epoch, members)),
-            NodeMsg::Error { message } => Err(io::Error::other(message)),
-            other => Err(unexpected(&other)),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -166,8 +163,7 @@ impl MeshClient {
                 members,
                 warm,
             } => Ok((epoch, slot as usize, members, warm)),
-            NodeMsg::Error { message } => Err(io::Error::other(message)),
-            other => Err(unexpected(&other)),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -176,8 +172,7 @@ impl MeshClient {
     pub fn leave(&self, node: usize) -> io::Result<u64> {
         match self.call(&NodeMsg::Leave { node: node as u64 })? {
             NodeMsg::LeaveAck { epoch } => Ok(epoch),
-            NodeMsg::Error { message } => Err(io::Error::other(message)),
-            other => Err(unexpected(&other)),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -192,16 +187,47 @@ impl MeshClient {
                 ..
             } => Ok(Some((evaluations, entries))),
             NodeMsg::ReplicaReply { .. } => Ok(None),
-            other => Err(unexpected(&other)),
+            other => Err(unexpected(other)),
         }
     }
 }
 
-fn unexpected(msg: &NodeMsg) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!("unexpected node reply: {}", msg.to_json()),
-    )
+/// Fetches every peer's metrics registry and folds it into `into` under a
+/// `node="k"` label (counters sum, gauges keep the maximum, histogram
+/// buckets add), with a `tsmo_node_up{node="k"}` liveness gauge per peer —
+/// `0` for a peer that did not answer. Returns the failed fetches by node.
+pub fn federate_metrics(
+    peers: &[String],
+    timeout: Duration,
+    into: &mut tsmo_obs::MetricsRegistry,
+) -> Vec<(usize, io::Error)> {
+    let mut failed = Vec::new();
+    for (k, peer) in peers.iter().enumerate() {
+        let node = k.to_string();
+        match MeshClient::new(peer.clone(), timeout).metrics_registry() {
+            Ok(registry) => {
+                into.merge(&registry.with_label("node", &node));
+                into.gauge_set(&names::node_up(&node), 1.0);
+            }
+            Err(e) => {
+                into.gauge_set(&names::node_up(&node), 0.0);
+                failed.push((k, e));
+            }
+        }
+    }
+    failed
+}
+
+/// The error for a reply other than the one asked for: the node's own
+/// message when it answered `Error`.
+fn unexpected(msg: NodeMsg) -> io::Error {
+    match msg {
+        NodeMsg::Error { message } => io::Error::other(message),
+        other => io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("unexpected node reply: {}", other.to_json()),
+        ),
+    }
 }
 
 /// What one node contributed to a finished mesh run (`report` is `None`

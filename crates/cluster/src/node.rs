@@ -318,7 +318,7 @@ fn serve_frames(mut stream: &TcpStream, shared: &Arc<NodeShared>) {
         }
         let reply = match NodeMsg::parse(&text) {
             Ok(msg) => handle(msg, shared),
-            Err(e) => NodeMsg::Error { message: e },
+            Err(e) => NodeMsg::error(e),
         };
         let shutting_down = reply == NodeMsg::ShutdownOk;
         if tsmo_obs::frame::write_frame(&mut stream, &reply.to_json()).is_err() {
@@ -353,9 +353,7 @@ fn handle(msg: NodeMsg, shared: &Arc<NodeShared>) -> NodeMsg {
                         .counter_add(&names::exchanges_received_from_peer(from as usize), 1);
                     NodeMsg::ExchangeAck
                 }
-                _ => NodeMsg::Error {
-                    message: format!("searcher {to} is not accepting exchanges here"),
-                },
+                _ => NodeMsg::error(format!("searcher {to} is not accepting exchanges here")),
             }
         }
         NodeMsg::Start { job } => start_job(job, shared),
@@ -378,9 +376,7 @@ fn handle(msg: NodeMsg, shared: &Arc<NodeShared>) -> NodeMsg {
                     evaluations: report.evaluations,
                     iterations: report.iterations,
                 },
-                _ => NodeMsg::Error {
-                    message: "node has no finished job".to_string(),
-                },
+                _ => NodeMsg::error("node has no finished job"),
             }
         }
         NodeMsg::Metrics => NodeMsg::MetricsReply {
@@ -413,9 +409,7 @@ fn handle(msg: NodeMsg, shared: &Arc<NodeShared>) -> NodeMsg {
                     }
                     NodeMsg::MemberUpdateAck { epoch: view.epoch }
                 }
-                None => NodeMsg::Error {
-                    message: "no membership view: no job was started here".to_string(),
-                },
+                None => NodeMsg::error("no membership view: no job was started here"),
             }
         }
         NodeMsg::Members => match shared.membership().as_ref() {
@@ -423,9 +417,7 @@ fn handle(msg: NodeMsg, shared: &Arc<NodeShared>) -> NodeMsg {
                 epoch: view.epoch,
                 members: view.members.clone(),
             },
-            None => NodeMsg::Error {
-                message: "no membership view: no job was started here".to_string(),
-            },
+            None => NodeMsg::error("no membership view: no job was started here"),
         },
         NodeMsg::Checkpoint {
             from,
@@ -473,9 +465,7 @@ fn handle(msg: NodeMsg, shared: &Arc<NodeShared>) -> NodeMsg {
         }
         NodeMsg::Shutdown => NodeMsg::ShutdownOk,
         // Reply-shaped messages are not requests.
-        other => NodeMsg::Error {
-            message: format!("unexpected message: {}", other.to_json()),
-        },
+        other => NodeMsg::error(format!("unexpected message: {}", other.to_json())),
     }
 }
 
@@ -487,9 +477,7 @@ fn admit_member(addr: &str, shared: &Arc<NodeShared>) -> NodeMsg {
     let (epoch, slot, members) = {
         let mut guard = shared.membership();
         let Some(view) = guard.as_mut() else {
-            return NodeMsg::Error {
-                message: "cannot admit: no membership view (no job started)".to_string(),
-            };
+            return NodeMsg::error("cannot admit: no membership view (no job started)");
         };
         let slot = view.admit(addr);
         (view.epoch, slot, view.members.clone())
@@ -521,9 +509,7 @@ fn retire_member(node: usize, shared: &Arc<NodeShared>) -> NodeMsg {
     let (changed, epoch, members) = {
         let mut guard = shared.membership();
         let Some(view) = guard.as_mut() else {
-            return NodeMsg::Error {
-                message: "cannot retire: no membership view (no job started)".to_string(),
-            };
+            return NodeMsg::error("cannot retire: no membership view (no job started)");
         };
         let changed = view.mark_left(node);
         (changed, view.epoch, view.members.clone())
@@ -579,24 +565,15 @@ fn broadcast_view(shared: &Arc<NodeShared>, epoch: u64, members: &[Member], exce
 
 fn start_job(job: MeshJob, shared: &Arc<NodeShared>) -> NodeMsg {
     if job.searchers_per_node == 0 || job.node_index >= job.peers.len() {
-        return NodeMsg::Error {
-            message: "bad job: need searchers_per_node > 0 and node_index < peers.len()"
-                .to_string(),
-        };
+        return NodeMsg::error("bad job: need searchers_per_node > 0 and node_index < peers.len()");
     }
     let instance = match vrptw::solomon::parse(&job.instance_text) {
         Ok(inst) => Arc::new(inst),
-        Err(e) => {
-            return NodeMsg::Error {
-                message: format!("bad instance: {e}"),
-            }
-        }
+        Err(e) => return NodeMsg::error(format!("bad instance: {e}")),
     };
     let mut state = shared.state();
     if state.phase == Phase::Running {
-        return NodeMsg::Error {
-            message: "a job is already running".to_string(),
-        };
+        return NodeMsg::error("a job is already running");
     }
     if let Some(old) = state.runner.take() {
         drop(state);

@@ -10,12 +10,17 @@
 use crate::membership::Member;
 use std::fmt::Write as _;
 use tsmo_core::FrontEntry;
-use tsmo_obs::json::{self, Json};
+use tsmo_obs::json::{
+    self, objective_vector, opt_array, opt_u64, req_array, req_bool, req_f64, req_str, req_u64,
+    routes_from, write_array, Json,
+};
 use vrptw::{Objectives, Solution};
 
 /// One archive entry in transit: the objective vector plus the routes
 /// realizing it. This is all a receiver needs — objectives feed dominance
 /// checks directly and the routes rebuild the [`Solution`] for `M_nondom`.
+/// The solver service returns its result fronts as the same type
+/// (`tsmo_serve::FrontPoint`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExchangeEntry {
     /// Minimization vector `[distance, vehicles, tardiness]`.
@@ -51,28 +56,11 @@ impl ExchangeEntry {
     }
 
     fn write_json(&self, out: &mut String) {
-        out.push_str("{\"objectives\":[");
-        for (i, x) in self.objectives.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::write_f64(out, *x);
-        }
-        out.push_str("],\"routes\":[");
-        for (i, route) in self.routes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('[');
-            for (j, site) in route.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{site}");
-            }
-            out.push(']');
-        }
-        out.push_str("]}");
+        out.push_str("{\"objectives\":");
+        json::write_f64s(out, &self.objectives);
+        out.push_str(",\"routes\":");
+        json::write_routes(out, &self.routes);
+        out.push('}');
     }
 
     fn from_json(doc: &Json) -> Result<Self, String> {
@@ -164,16 +152,11 @@ impl MeshJob {
     fn write_json(&self, out: &mut String) {
         out.push_str("{\"instance\":");
         json::write_str(out, &self.instance_text);
-        let _ = write!(out, ",\"node_index\":{},\"peers\":[", self.node_index);
-        for (i, p) in self.peers.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::write_str(out, p);
-        }
+        let _ = write!(out, ",\"node_index\":{},\"peers\":", self.node_index);
+        write_array(out, &self.peers, |out, p| json::write_str(out, p));
         let _ = write!(
             out,
-            "],\"searchers_per_node\":{},\"seed\":{},\"max_evaluations\":{},\"neighborhood_size\":{},\"stagnation_limit\":{},\"fault_seed\":{},\"fault_rate\":",
+            ",\"searchers_per_node\":{},\"seed\":{},\"max_evaluations\":{},\"neighborhood_size\":{},\"stagnation_limit\":{},\"fault_seed\":{},\"fault_rate\":",
             self.searchers_per_node,
             self.seed,
             self.max_evaluations,
@@ -184,34 +167,22 @@ impl MeshJob {
         json::write_f64(out, self.fault_rate);
         let _ = write!(
             out,
-            ",\"trace_id\":{},\"exchange_interval\":{},\"replication_ms\":{},\"epoch\":{},\"warm\":[",
+            ",\"trace_id\":{},\"exchange_interval\":{},\"replication_ms\":{},\"epoch\":{},\"warm\":",
             self.trace_id, self.exchange_interval, self.replication_ms, self.epoch
         );
-        for (i, e) in self.warm.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            e.write_json(out);
-        }
-        out.push_str("]}");
+        write_entries(out, &self.warm);
+        out.push('}');
     }
 
     fn from_json(doc: &Json) -> Result<Self, String> {
-        let peers = match doc.get("peers") {
-            Some(Json::Array(items)) => items
-                .iter()
-                .map(|p| {
-                    p.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| "bad peer address".to_string())
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err("missing 'peers' array".to_string()),
-        };
         Ok(Self {
             instance_text: req_str(doc, "instance")?.to_string(),
             node_index: req_u64(doc, "node_index")? as usize,
-            peers,
+            peers: req_array(doc, "peers", |p| {
+                p.as_str()
+                    .map(str::to_string)
+                    .ok_or_else(|| "bad peer address".to_string())
+            })?,
             searchers_per_node: req_u64(doc, "searchers_per_node")? as usize,
             seed: req_u64(doc, "seed")?,
             max_evaluations: req_u64(doc, "max_evaluations")?,
@@ -220,24 +191,12 @@ impl MeshJob {
             fault_seed: req_u64(doc, "fault_seed")?,
             fault_rate: req_f64(doc, "fault_rate")?,
             // Lenient for compatibility with pre-trace controllers.
-            trace_id: doc.get("trace_id").and_then(Json::as_u64).unwrap_or(0),
+            trace_id: opt_u64(doc, "trace_id")?.unwrap_or(0),
             // Lenient for controllers predating the elastic mesh.
-            exchange_interval: doc
-                .get("exchange_interval")
-                .and_then(Json::as_u64)
-                .unwrap_or(1) as usize,
-            replication_ms: doc
-                .get("replication_ms")
-                .and_then(Json::as_u64)
-                .unwrap_or(0),
-            epoch: doc.get("epoch").and_then(Json::as_u64).unwrap_or(0),
-            warm: match doc.get("warm") {
-                Some(Json::Array(items)) => items
-                    .iter()
-                    .map(ExchangeEntry::from_json)
-                    .collect::<Result<Vec<_>, _>>()?,
-                _ => Vec::new(),
-            },
+            exchange_interval: opt_u64(doc, "exchange_interval")?.unwrap_or(1) as usize,
+            replication_ms: opt_u64(doc, "replication_ms")?.unwrap_or(0),
+            epoch: opt_u64(doc, "epoch")?.unwrap_or(0),
+            warm: opt_array(doc, "warm", ExchangeEntry::from_json)?,
         })
     }
 }
@@ -419,6 +378,13 @@ pub enum NodeMsg {
 }
 
 impl NodeMsg {
+    /// An `Error` reply carrying `message`.
+    pub fn error(message: impl Into<String>) -> Self {
+        NodeMsg::Error {
+            message: message.into(),
+        }
+    }
+
     /// Encodes the message as one JSON document.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(64);
@@ -456,16 +422,11 @@ impl NodeMsg {
                 evaluations,
                 iterations,
             } => {
-                s.push_str("{\"type\":\"front_reply\",\"entries\":[");
-                for (i, e) in entries.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    e.write_json(&mut s);
-                }
+                s.push_str("{\"type\":\"front_reply\",\"entries\":");
+                write_entries(&mut s, entries);
                 let _ = write!(
                     s,
-                    "],\"evaluations\":{evaluations},\"iterations\":{iterations}}}"
+                    ",\"evaluations\":{evaluations},\"iterations\":{iterations}}}"
                 );
             }
             NodeMsg::Metrics => s.push_str("{\"type\":\"metrics\"}"),
@@ -502,14 +463,9 @@ impl NodeMsg {
                     "{{\"type\":\"join_ack\",\"epoch\":{epoch},\"slot\":{slot},\"members\":"
                 );
                 write_members(&mut s, members);
-                s.push_str(",\"warm\":[");
-                for (i, e) in warm.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    e.write_json(&mut s);
-                }
-                s.push_str("]}");
+                s.push_str(",\"warm\":");
+                write_entries(&mut s, warm);
+                s.push('}');
             }
             NodeMsg::Leave { node } => {
                 let _ = write!(s, "{{\"type\":\"leave\",\"node\":{node}}}");
@@ -536,15 +492,10 @@ impl NodeMsg {
             } => {
                 let _ = write!(
                     s,
-                    "{{\"type\":\"checkpoint\",\"from\":{from},\"epoch\":{epoch},\"evaluations\":{evaluations},\"entries\":["
+                    "{{\"type\":\"checkpoint\",\"from\":{from},\"epoch\":{epoch},\"evaluations\":{evaluations},\"entries\":"
                 );
-                for (i, e) in entries.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    e.write_json(&mut s);
-                }
-                s.push_str("]}");
+                write_entries(&mut s, entries);
+                s.push('}');
             }
             NodeMsg::CheckpointAck => s.push_str("{\"type\":\"checkpoint_ack\"}"),
             NodeMsg::ReplicaFetch { node } => {
@@ -559,15 +510,10 @@ impl NodeMsg {
             } => {
                 let _ = write!(
                     s,
-                    "{{\"type\":\"replica_reply\",\"node\":{node},\"epoch\":{epoch},\"evaluations\":{evaluations},\"entries\":["
+                    "{{\"type\":\"replica_reply\",\"node\":{node},\"epoch\":{epoch},\"evaluations\":{evaluations},\"entries\":"
                 );
-                for (i, e) in entries.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    e.write_json(&mut s);
-                }
-                let _ = write!(s, "],\"found\":{found}}}");
+                write_entries(&mut s, entries);
+                let _ = write!(s, ",\"found\":{found}}}");
             }
             NodeMsg::Members => s.push_str("{\"type\":\"members\"}"),
             NodeMsg::MembersReply { epoch, members } => {
@@ -616,20 +562,11 @@ impl NodeMsg {
                 state: req_str(&doc, "state")?.to_string(),
             }),
             "front" => Ok(NodeMsg::Front),
-            "front_reply" => {
-                let entries = match doc.get("entries") {
-                    Some(Json::Array(items)) => items
-                        .iter()
-                        .map(ExchangeEntry::from_json)
-                        .collect::<Result<Vec<_>, _>>()?,
-                    _ => return Err("missing 'entries' array".to_string()),
-                };
-                Ok(NodeMsg::FrontReply {
-                    entries,
-                    evaluations: req_u64(&doc, "evaluations")?,
-                    iterations: req_u64(&doc, "iterations")?,
-                })
-            }
+            "front_reply" => Ok(NodeMsg::FrontReply {
+                entries: entries_from(&doc, "entries")?,
+                evaluations: req_u64(&doc, "evaluations")?,
+                iterations: req_u64(&doc, "iterations")?,
+            }),
             "metrics" => Ok(NodeMsg::Metrics),
             "metrics_reply" => Ok(NodeMsg::MetricsReply {
                 prometheus: req_str(&doc, "prometheus")?.to_string(),
@@ -648,8 +585,8 @@ impl NodeMsg {
             "join_ack" => Ok(NodeMsg::JoinAck {
                 epoch: req_u64(&doc, "epoch")?,
                 slot: req_u64(&doc, "slot")?,
-                members: members_from(doc.get("members").ok_or("missing 'members'")?)?,
-                warm: entries_from(doc.get("warm").ok_or("missing 'warm'")?)?,
+                members: members_from(&doc)?,
+                warm: entries_from(&doc, "warm")?,
             }),
             "leave" => Ok(NodeMsg::Leave {
                 node: req_u64(&doc, "node")?,
@@ -659,7 +596,7 @@ impl NodeMsg {
             }),
             "member_update" => Ok(NodeMsg::MemberUpdate {
                 epoch: req_u64(&doc, "epoch")?,
-                members: members_from(doc.get("members").ok_or("missing 'members'")?)?,
+                members: members_from(&doc)?,
             }),
             "member_update_ack" => Ok(NodeMsg::MemberUpdateAck {
                 epoch: req_u64(&doc, "epoch")?,
@@ -668,7 +605,7 @@ impl NodeMsg {
                 from: req_u64(&doc, "from")?,
                 epoch: req_u64(&doc, "epoch")?,
                 evaluations: req_u64(&doc, "evaluations")?,
-                entries: entries_from(doc.get("entries").ok_or("missing 'entries'")?)?,
+                entries: entries_from(&doc, "entries")?,
             }),
             "checkpoint_ack" => Ok(NodeMsg::CheckpointAck),
             "replica_fetch" => Ok(NodeMsg::ReplicaFetch {
@@ -678,16 +615,13 @@ impl NodeMsg {
                 node: req_u64(&doc, "node")?,
                 epoch: req_u64(&doc, "epoch")?,
                 evaluations: req_u64(&doc, "evaluations")?,
-                entries: entries_from(doc.get("entries").ok_or("missing 'entries'")?)?,
-                found: doc
-                    .get("found")
-                    .and_then(Json::as_bool)
-                    .ok_or("bad 'found' field")?,
+                entries: entries_from(&doc, "entries")?,
+                found: req_bool(&doc, "found")?,
             }),
             "members" => Ok(NodeMsg::Members),
             "members_reply" => Ok(NodeMsg::MembersReply {
                 epoch: req_u64(&doc, "epoch")?,
-                members: members_from(doc.get("members").ok_or("missing 'members'")?)?,
+                members: members_from(&doc)?,
             }),
             "stop" => Ok(NodeMsg::Stop),
             "stopped" => Ok(NodeMsg::Stopped),
@@ -701,93 +635,29 @@ impl NodeMsg {
     }
 }
 
-fn req_str<'a>(doc: &'a Json, key: &str) -> Result<&'a str, String> {
-    doc.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("bad '{key}' field"))
-}
-
-fn req_u64(doc: &Json, key: &str) -> Result<u64, String> {
-    doc.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("bad '{key}' field"))
-}
-
-fn req_f64(doc: &Json, key: &str) -> Result<f64, String> {
-    doc.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("bad '{key}' field"))
-}
-
 fn write_members(out: &mut String, members: &[Member]) {
-    out.push('[');
-    for (i, m) in members.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    write_array(out, members, |out, m| {
         out.push_str("{\"addr\":");
         json::write_str(out, &m.addr);
         let _ = write!(out, ",\"live\":{}}}", m.live);
-    }
-    out.push(']');
+    });
 }
 
-fn members_from(v: &Json) -> Result<Vec<Member>, String> {
-    match v {
-        Json::Array(items) => items
-            .iter()
-            .map(|m| {
-                Ok(Member {
-                    addr: req_str(m, "addr")?.to_string(),
-                    live: m
-                        .get("live")
-                        .and_then(Json::as_bool)
-                        .ok_or("bad 'live' field")?,
-                })
-            })
-            .collect(),
-        _ => Err("members must be an array".to_string()),
-    }
+fn members_from(doc: &Json) -> Result<Vec<Member>, String> {
+    req_array(doc, "members", |m| {
+        Ok(Member {
+            addr: req_str(m, "addr")?.to_string(),
+            live: req_bool(m, "live")?,
+        })
+    })
 }
 
-fn entries_from(v: &Json) -> Result<Vec<ExchangeEntry>, String> {
-    match v {
-        Json::Array(items) => items.iter().map(ExchangeEntry::from_json).collect(),
-        _ => Err("entries must be an array".to_string()),
-    }
+fn write_entries(out: &mut String, entries: &[ExchangeEntry]) {
+    write_array(out, entries, |out, e| e.write_json(out));
 }
 
-fn objective_vector(v: &Json) -> Result<[f64; 3], String> {
-    match v {
-        Json::Array(items) if items.len() == 3 => {
-            let mut out = [0.0; 3];
-            for (i, item) in items.iter().enumerate() {
-                out[i] = item.as_f64().ok_or("non-numeric objective")?;
-            }
-            Ok(out)
-        }
-        _ => Err("objective vector must be a 3-element array".to_string()),
-    }
-}
-
-fn routes_from(v: &Json) -> Result<Vec<Vec<u16>>, String> {
-    match v {
-        Json::Array(routes) => routes
-            .iter()
-            .map(|route| match route {
-                Json::Array(sites) => sites
-                    .iter()
-                    .map(|s| {
-                        s.as_u64()
-                            .and_then(|x| u16::try_from(x).ok())
-                            .ok_or_else(|| "bad site id".to_string())
-                    })
-                    .collect(),
-                _ => Err("route must be an array".to_string()),
-            })
-            .collect(),
-        _ => Err("routes must be an array of routes".to_string()),
-    }
+fn entries_from(doc: &Json, key: &str) -> Result<Vec<ExchangeEntry>, String> {
+    req_array(doc, key, ExchangeEntry::from_json)
 }
 
 #[cfg(test)]
@@ -799,19 +669,6 @@ mod tests {
             objectives: [512.25, 4.0, 0.0],
             routes: vec![vec![1, 3, 2], vec![4], vec![5, 6]],
         }
-    }
-
-    fn sample_members() -> Vec<Member> {
-        vec![
-            Member {
-                addr: "127.0.0.1:4001".to_string(),
-                live: true,
-            },
-            Member {
-                addr: "127.0.0.1:4002".to_string(),
-                live: false,
-            },
-        ]
     }
 
     #[test]
@@ -828,123 +685,6 @@ mod tests {
                 assert!(job.warm.is_empty());
             }
             other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn messages_round_trip() {
-        let samples = vec![
-            NodeMsg::Hello { node: 2 },
-            NodeMsg::HelloAck { node: u64::MAX },
-            NodeMsg::Exchange {
-                from: 5,
-                to: 1,
-                entry: sample_entry(),
-            },
-            NodeMsg::ExchangeAck,
-            NodeMsg::Start {
-                job: MeshJob {
-                    instance_text: "R101\nline two\t\"quoted\"".to_string(),
-                    node_index: 1,
-                    peers: vec!["127.0.0.1:4001".to_string(), "127.0.0.1:4002".to_string()],
-                    searchers_per_node: 3,
-                    seed: 42,
-                    max_evaluations: 20_000,
-                    neighborhood_size: 80,
-                    stagnation_limit: 25,
-                    fault_seed: 7,
-                    fault_rate: 0.125,
-                    trace_id: 0xFFFF_FFFF_FFFF,
-                    exchange_interval: 4,
-                    replication_ms: 250,
-                    epoch: 3,
-                    warm: vec![sample_entry()],
-                },
-            },
-            NodeMsg::Start {
-                job: MeshJob::default(),
-            },
-            NodeMsg::Started,
-            NodeMsg::Status,
-            NodeMsg::NodeStatus {
-                state: "running".to_string(),
-            },
-            NodeMsg::Front,
-            NodeMsg::FrontReply {
-                entries: vec![sample_entry()],
-                evaluations: 40_000,
-                iterations: 800,
-            },
-            NodeMsg::Metrics,
-            NodeMsg::MetricsReply {
-                prometheus: "tsmo_exchanges_received_total 3\n".to_string(),
-            },
-            NodeMsg::MetricsFetch,
-            NodeMsg::MetricsFetchReply {
-                registry:
-                    "{\"counters\":{\"tsmo_evaluations_total\":10},\"gauges\":{},\"histograms\":{}}"
-                        .to_string(),
-            },
-            NodeMsg::Trace,
-            NodeMsg::TraceReply {
-                jsonl: "{\"seq\":0,\"type\":\"span_enter\",\"name\":\"search\"}\n".to_string(),
-            },
-            NodeMsg::Join {
-                addr: "127.0.0.1:4009".to_string(),
-            },
-            NodeMsg::JoinAck {
-                epoch: 5,
-                slot: 2,
-                members: sample_members(),
-                warm: vec![sample_entry()],
-            },
-            NodeMsg::Leave { node: 3 },
-            NodeMsg::LeaveAck { epoch: 6 },
-            NodeMsg::MemberUpdate {
-                epoch: 6,
-                members: sample_members(),
-            },
-            NodeMsg::MemberUpdateAck { epoch: 6 },
-            NodeMsg::Checkpoint {
-                from: 1,
-                epoch: 6,
-                evaluations: 12_345,
-                entries: vec![sample_entry()],
-            },
-            NodeMsg::CheckpointAck,
-            NodeMsg::ReplicaFetch { node: 1 },
-            NodeMsg::ReplicaReply {
-                node: 1,
-                epoch: 6,
-                evaluations: 12_345,
-                entries: vec![sample_entry()],
-                found: true,
-            },
-            NodeMsg::ReplicaReply {
-                node: 4,
-                epoch: 0,
-                evaluations: 0,
-                entries: Vec::new(),
-                found: false,
-            },
-            NodeMsg::Members,
-            NodeMsg::MembersReply {
-                epoch: 6,
-                members: sample_members(),
-            },
-            NodeMsg::Stop,
-            NodeMsg::Stopped,
-            NodeMsg::Shutdown,
-            NodeMsg::ShutdownOk,
-            NodeMsg::Error {
-                message: "no \"job\" running".to_string(),
-            },
-        ];
-        for msg in samples {
-            let text = msg.to_json();
-            let parsed = NodeMsg::parse(&text).expect("parse back");
-            assert_eq!(parsed, msg, "mismatch for {text}");
-            assert_eq!(parsed.to_json(), text, "re-encode must be stable");
         }
     }
 

@@ -1,11 +1,12 @@
 //! Acceptance tests for the elastic virtual mesh: fixed-membership
-//! equivalence with the static mesh, zero elite loss through kill/recover,
-//! byte-identical churn replay, and late-joiner admission.
+//! equivalence with the retired static mesh runner, zero elite loss
+//! through kill/recover, byte-identical churn replay, and late-joiner
+//! admission.
 
 use std::sync::Arc;
 use tsmo_cluster::{
-    front_fingerprint, replay_elastic, run_elastic, run_virtual, ChurnEvent, ChurnKind,
-    ElasticMeshConfig, NetRecord, VirtualMeshConfig,
+    fingerprint_hash, front_fingerprint, replay_elastic, run_elastic, ChurnEvent, ChurnKind,
+    ElasticMeshConfig, ExchangeRecord, NetRecord,
 };
 use tsmo_core::TsmoConfig;
 use tsmo_obs::{MemoryRecorder, Recorder};
@@ -34,7 +35,7 @@ fn hook() -> Arc<dyn tsmo_faults::FaultHook> {
     tsmo_faults::none()
 }
 
-fn exchanges(log: &[NetRecord]) -> Vec<&tsmo_cluster::virtual_net::ExchangeRecord> {
+fn exchanges(log: &[NetRecord]) -> Vec<&ExchangeRecord> {
     log.iter()
         .filter_map(|r| match r {
             NetRecord::Exchange(e) => Some(e),
@@ -43,39 +44,41 @@ fn exchanges(log: &[NetRecord]) -> Vec<&tsmo_cluster::virtual_net::ExchangeRecor
         .collect()
 }
 
+/// What the static round-robin mesh runner (since folded into
+/// `run_elastic`) produced for `ElasticMeshConfig::fixed(4, 2, cfg(7))` on
+/// this instance: the FNV-1a hash of the merged front's fingerprint, of
+/// each node front's, the delivered exchanges, and the evaluations.
+const STATIC_FRONT_FP: u64 = 0xd111_b61a_8692_b15b;
+const STATIC_NODE_FPS: [u64; 4] = [
+    0x7e2b_c1c0_3888_5712,
+    0xb746_1cf3_170c_b0c0,
+    0xb736_dae4_d91b_a1d7,
+    0x7375_826a_0a0f_0815,
+];
+const STATIC_EXCHANGES: usize = 157;
+const STATIC_EVALUATIONS: u64 = 24_000;
+
 #[test]
 fn fixed_membership_elastic_run_matches_static_virtual_mesh() {
     let inst = instance();
-    let vm = VirtualMeshConfig {
-        nodes: 4,
-        searchers_per_node: 2,
-        cfg: cfg(7),
-    };
-    let stat = run_virtual(&inst, &vm, recorder(), hook());
     let em = ElasticMeshConfig::fixed(4, 2, cfg(7));
     let elastic = run_elastic(&inst, &em, recorder(), hook());
     assert_eq!(
-        front_fingerprint(&elastic.front),
-        front_fingerprint(&stat.front),
+        fingerprint_hash(&elastic.front),
+        STATIC_FRONT_FP,
         "fixed membership must reproduce the static mesh front"
     );
-    for (node, (a, b)) in elastic
-        .node_fronts
-        .iter()
-        .zip(stat.node_fronts.iter())
-        .enumerate()
-    {
+    for (node, front) in elastic.node_fronts.iter().enumerate() {
         assert_eq!(
-            front_fingerprint(a),
-            front_fingerprint(b),
+            fingerprint_hash(front),
+            STATIC_NODE_FPS[node],
             "node {node} front diverged"
         );
     }
-    assert_eq!(elastic.evaluations, stat.evaluations);
-    let recorded: Vec<_> = stat.log.iter().collect();
+    assert_eq!(elastic.evaluations, STATIC_EVALUATIONS);
     assert_eq!(
-        exchanges(&elastic.log),
-        recorded,
+        exchanges(&elastic.log).len(),
+        STATIC_EXCHANGES,
         "exchange sequence diverged"
     );
     // Replication changes nothing about the search itself: checkpoints
@@ -87,8 +90,9 @@ fn fixed_membership_elastic_run_matches_static_virtual_mesh() {
     let rep = run_elastic(&inst, &replicated, recorder(), hook());
     assert_eq!(
         front_fingerprint(&rep.front),
-        front_fingerprint(&stat.front)
+        front_fingerprint(&elastic.front)
     );
+    assert_eq!(exchanges(&rep.log), exchanges(&elastic.log));
     assert!(
         rep.log
             .iter()

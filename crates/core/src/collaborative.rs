@@ -158,7 +158,7 @@ impl Transport<FrontEntry> for VirtualLink {
 /// times `P/2` — interconnect contention on the modeled shared-memory
 /// machine, which makes the collaborative runtime *grow* with the
 /// processor count as in the paper's tables.
-pub(crate) fn run_virtual(
+pub(crate) fn run_on_virtual_clock(
     inst: &Arc<Instance>,
     cfg: &TsmoConfig,
     n: usize,

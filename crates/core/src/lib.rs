@@ -252,7 +252,7 @@ impl ParallelVariant {
                 assert!(p > 0, "need at least one searcher");
                 match speeds {
                     None => collaborative::run_threads(inst, cfg, p, &recorder, &faults, &cancel),
-                    Some(speeds) => collaborative::run_virtual(
+                    Some(speeds) => collaborative::run_on_virtual_clock(
                         inst, cfg, p, speeds, &recorder, &faults, &cancel,
                     ),
                 }

@@ -27,8 +27,14 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &str) -> io::Result<()> {
     w.flush()
 }
 
+/// Largest buffer a frame read reserves before its payload arrives. The
+/// buffer grows only as bytes come in, so a header that declares
+/// [`MAX_FRAME_LEN`] and then stalls pins this much, not 16 MiB.
+const INITIAL_READ_CAPACITY: usize = 64 * 1024;
+
 /// Reads one frame. Returns `Ok(None)` on a clean EOF at a frame
-/// boundary (the peer closed the connection between messages).
+/// boundary (the peer closed the connection between messages); EOF inside
+/// a frame is an error.
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<String>> {
     let mut len_buf = [0u8; 4];
     match r.read_exact(&mut len_buf) {
@@ -43,8 +49,15 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<String>> {
             format!("frame length {len} exceeds MAX_FRAME_LEN"),
         ));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    let len = len as usize;
+    let mut payload = Vec::with_capacity(len.min(INITIAL_READ_CAPACITY));
+    r.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() != len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("frame truncated at {} of {len} bytes", payload.len()),
+        ));
+    }
     String::from_utf8(payload)
         .map(Some)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame payload is not UTF-8"))

@@ -1,18 +1,19 @@
 //! A minimal JSON value, encoder, and parser.
 //!
 //! The telemetry layer is zero-dependency by design, so the JSONL event
-//! sink carries its own JSON support. The subset is what [`SearchEvent`]
-//! needs: objects with string keys, strings, numbers, booleans, null, and
-//! arrays of numbers. Encoding is deterministic — object keys are written
-//! in the order given, and `f64` uses Rust's shortest round-trip `Display`
-//! — so identical event streams serialize byte-identically.
-//!
-//! [`SearchEvent`]: crate::SearchEvent
+//! sink carries its own JSON support; the service wire (`tsmo-serve`) and
+//! the node protocol (`tsmo-cluster`) build their codecs on the same
+//! writers and the typed field readers below (`req_*`, `opt_*`,
+//! [`array_of`], [`objective_vector`], [`routes_from`]). Encoding is
+//! deterministic — object keys are written in the order given, and `f64`
+//! uses Rust's shortest round-trip `Display` — so identical messages
+//! serialize byte-identically. Parsing is bounded: nesting deeper than
+//! [`MAX_DEPTH`] is an error, not a stack overflow.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// A parsed JSON value (subset: no nested objects inside arrays).
+/// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`
@@ -103,6 +104,154 @@ pub fn write_f64(out: &mut String, x: f64) {
     }
 }
 
+/// Appends `[a,b,…]` to `out`, writing each item with `write`.
+pub fn write_array<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut write: impl FnMut(&mut String, T),
+) {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write(out, item);
+    }
+    out.push(']');
+}
+
+/// Appends a number array (e.g. an objective vector).
+pub fn write_f64s(out: &mut String, xs: &[f64]) {
+    write_array(out, xs, |out, x| write_f64(out, *x));
+}
+
+/// Appends routes — arrays of site ids — as nested arrays; the inverse of
+/// [`routes_from`].
+pub fn write_routes(out: &mut String, routes: &[Vec<u16>]) {
+    write_array(out, routes, |out, route| {
+        write_array(out, route, |out, site| {
+            let _ = write!(out, "{site}");
+        });
+    });
+}
+
+fn bad_field(key: &str) -> String {
+    format!("bad '{key}' field")
+}
+
+/// The string field `key` of an object.
+pub fn req_str<'a>(doc: &'a Json, key: &str) -> Result<&'a str, String> {
+    doc.get(key)
+        .and_then(Json::as_str)
+        .ok_or_else(|| bad_field(key))
+}
+
+/// The non-negative integer field `key` of an object.
+pub fn req_u64(doc: &Json, key: &str) -> Result<u64, String> {
+    doc.get(key)
+        .and_then(Json::as_u64)
+        .ok_or_else(|| bad_field(key))
+}
+
+/// The number field `key` of an object.
+pub fn req_f64(doc: &Json, key: &str) -> Result<f64, String> {
+    doc.get(key)
+        .and_then(Json::as_f64)
+        .ok_or_else(|| bad_field(key))
+}
+
+/// The boolean field `key` of an object.
+pub fn req_bool(doc: &Json, key: &str) -> Result<bool, String> {
+    doc.get(key)
+        .and_then(Json::as_bool)
+        .ok_or_else(|| bad_field(key))
+}
+
+/// The optional integer field `key`: absent or `null` is `None`.
+pub fn opt_u64(doc: &Json, key: &str) -> Result<Option<u64>, String> {
+    match doc.get(key) {
+        Some(Json::Null) | None => Ok(None),
+        Some(v) => v.as_u64().map(Some).ok_or_else(|| bad_field(key)),
+    }
+}
+
+/// The optional number field `key`: absent or `null` is `None`.
+pub fn opt_f64(doc: &Json, key: &str) -> Result<Option<f64>, String> {
+    match doc.get(key) {
+        Some(Json::Null) | None => Ok(None),
+        Some(v) => v.as_f64().map(Some).ok_or_else(|| bad_field(key)),
+    }
+}
+
+/// The optional boolean field `key`: absent or `null` is `None`.
+pub fn opt_bool(doc: &Json, key: &str) -> Result<Option<bool>, String> {
+    match doc.get(key) {
+        Some(Json::Null) | None => Ok(None),
+        Some(v) => v.as_bool().map(Some).ok_or_else(|| bad_field(key)),
+    }
+}
+
+/// Decodes every item of an array with `item`; the first item error, or a
+/// non-array value, is the error.
+pub fn array_of<T>(
+    v: &Json,
+    item: impl FnMut(&Json) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    match v {
+        Json::Array(items) => items.iter().map(item).collect(),
+        _ => Err("expected an array".to_string()),
+    }
+}
+
+/// The array field `key`, decoded with `item`.
+pub fn req_array<T>(
+    doc: &Json,
+    key: &str,
+    item: impl FnMut(&Json) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    match doc.get(key) {
+        Some(v) => array_of(v, item).map_err(|e| format!("'{key}': {e}")),
+        None => Err(format!("missing '{key}' array")),
+    }
+}
+
+/// The optional array field `key`: absent or `null` is empty.
+pub fn opt_array<T>(
+    doc: &Json,
+    key: &str,
+    item: impl FnMut(&Json) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    match doc.get(key) {
+        Some(Json::Null) | None => Ok(Vec::new()),
+        Some(_) => req_array(doc, key, item),
+    }
+}
+
+/// A 3-element `[distance, vehicles, tardiness]` objective vector.
+pub fn objective_vector(v: &Json) -> Result<[f64; 3], String> {
+    match v {
+        Json::Array(items) if items.len() == 3 => {
+            let mut out = [0.0; 3];
+            for (slot, item) in out.iter_mut().zip(items) {
+                *slot = item.as_f64().ok_or("non-numeric objective")?;
+            }
+            Ok(out)
+        }
+        _ => Err("objective vector must be a 3-element array".to_string()),
+    }
+}
+
+/// Routes written by [`write_routes`]: arrays of `u16` site ids.
+pub fn routes_from(v: &Json) -> Result<Vec<Vec<u16>>, String> {
+    array_of(v, |route| {
+        array_of(route, |site| {
+            site.as_u64()
+                .and_then(|x| u16::try_from(x).ok())
+                .ok_or_else(|| "bad site id".to_string())
+        })
+    })
+}
+
 /// Parse error: byte offset plus message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
@@ -124,11 +273,19 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so without a cap one frame of `[[[[…` overflows the
+/// stack of whichever daemon thread decodes it. The suite's own documents
+/// nest at most six levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document, requiring it to consume the whole input.
+/// Documents nested deeper than [`MAX_DEPTH`] are rejected.
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -142,6 +299,7 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -182,8 +340,19 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.error("document nested too deeply"));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Json::String(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -359,6 +528,37 @@ mod tests {
             write_f64(&mut out, x);
             assert_eq!(parse(&out).unwrap().as_f64(), Some(x));
         }
+    }
+
+    #[test]
+    fn field_helpers_round_trip_routes_and_vectors() {
+        let mut out = String::from("{\"obj\":");
+        write_f64s(&mut out, &[1.5, 2.0, 0.0]);
+        out.push_str(",\"routes\":");
+        write_routes(&mut out, &[vec![1, 3], vec![], vec![2]]);
+        out.push_str(",\"n\":7,\"none\":null}");
+        assert_eq!(
+            out,
+            "{\"obj\":[1.5,2,0],\"routes\":[[1,3],[],[2]],\"n\":7,\"none\":null}"
+        );
+        let doc = parse(&out).unwrap();
+        assert_eq!(
+            objective_vector(doc.get("obj").unwrap()),
+            Ok([1.5, 2.0, 0.0])
+        );
+        assert_eq!(
+            routes_from(doc.get("routes").unwrap()),
+            Ok(vec![vec![1, 3], vec![], vec![2]])
+        );
+        assert_eq!(req_u64(&doc, "n"), Ok(7));
+        assert_eq!(opt_u64(&doc, "none"), Ok(None));
+        assert_eq!(opt_u64(&doc, "absent"), Ok(None));
+        assert!(req_str(&doc, "n").is_err());
+        assert!(req_array(&doc, "absent", routes_from).is_err());
+        assert_eq!(opt_array(&doc, "none", routes_from), Ok(Vec::new()));
+        assert!(opt_array(&doc, "n", routes_from).is_err());
+        assert!(routes_from(&parse("[[70000]]").unwrap()).is_err());
+        assert!(objective_vector(&parse("[1,2]").unwrap()).is_err());
     }
 
     #[test]

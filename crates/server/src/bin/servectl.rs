@@ -19,9 +19,12 @@
 //! servectl --addr HOST:PORT shutdown
 //! ```
 //!
-//! `submit` prints the assigned job id; with `--wait` it polls until the
-//! job is terminal and prints the result front. Exit code 2 signals
-//! `QueueFull` backpressure so scripts can retry. `tail` streams a
+//! The three submit subcommands send the same `Submit` request and differ
+//! only in the job's mode: one search, dynamic re-optimization epochs, or
+//! a portfolio race. Each prints the assigned job id; with `--wait` it
+//! polls until the job is terminal and prints the result front. Exit code
+//! 2 signals `QueueFull` backpressure so scripts can retry; a malformed
+//! flag value prints the usage text and exits 1. `tail` streams a
 //! `--record-events` job's span/timeline events live, one JSON line
 //! each, until the job is terminal and the stream has drained.
 //!
@@ -32,10 +35,11 @@
 //! `--interval-ms` until `--iterations` ticks have printed (0 = forever).
 
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::{Duration, Instant};
 use tsmo_obs::metrics::names;
 use tsmo_obs::MetricsRegistry;
-use tsmo_serve::{Client, DynamicParams, JobResult, JobSpec, PortfolioParams};
+use tsmo_serve::{Client, DynamicParams, JobMode, JobResult, JobSpec, PortfolioParams};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -196,44 +200,130 @@ fn top(client: &mut Client, interval: Duration, iterations: u64) -> std::io::Res
     }
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let get = |flag: &str| -> Option<String> {
-        args.iter()
+/// The command line, with typed flag lookup: a flag whose value does not
+/// parse is an error the caller reports with the usage text, not a panic.
+struct Flags(Vec<String>);
+
+impl Flags {
+    /// Flags that take no value.
+    const SWITCHES: [&'static str; 3] = ["--record-events", "--cold", "--json"];
+
+    fn get(&self, flag: &str) -> Option<&str> {
+        self.0
+            .iter()
             .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let Some(addr) = get("--addr") else {
-        return usage();
-    };
-    // The command is the first argument that is not a flag or flag value.
-    let mut positional = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i].starts_with("--") {
-            // Boolean flags take no value; everything else consumes one.
-            i += if args[i] == "--record-events" || args[i] == "--cold" || args[i] == "--json" {
-                1
-            } else {
-                2
-            };
-        } else {
-            positional.push(args[i].clone());
-            i += 1;
-        }
+            .and_then(|i| self.0.get(i + 1))
+            .map(String::as_str)
     }
-    let Some(command) = positional.first().map(String::as_str) else {
+
+    fn has(&self, flag: &str) -> bool {
+        self.0.iter().any(|a| a == flag)
+    }
+
+    /// The value of `flag` parsed as `T`; `None` when the flag is absent.
+    fn parse<T: FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
+        self.get(flag)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("invalid value {v:?} for {flag}"))
+            })
+            .transpose()
+    }
+
+    /// The arguments that are neither flags nor flag values.
+    fn positional(&self) -> Vec<&str> {
+        let mut out = Vec::new();
+        let mut i = 0;
+        while i < self.0.len() {
+            let arg = self.0[i].as_str();
+            if arg.starts_with("--") {
+                i += if Self::SWITCHES.contains(&arg) { 1 } else { 2 };
+            } else {
+                out.push(arg);
+                i += 1;
+            }
+        }
+        out
+    }
+}
+
+/// The job the submit options describe (the instance text is filled in
+/// once the file is read). The subcommand picks the [`JobMode`].
+fn submit_spec(command: &str, flags: &Flags) -> Result<JobSpec, String> {
+    let mode = match command {
+        "submit-dynamic" => {
+            let d = DynamicParams::default();
+            JobMode::Dynamic(DynamicParams {
+                script_seed: flags.parse("--script-seed")?.unwrap_or(d.script_seed),
+                epochs: flags.parse("--epochs")?.unwrap_or(d.epochs),
+                mutations_per_epoch: flags.parse("--mutations")?.unwrap_or(d.mutations_per_epoch),
+                warm: !flags.has("--cold"),
+            })
+        }
+        "submit-portfolio" => {
+            let p = PortfolioParams::default();
+            JobMode::Portfolio(PortfolioParams {
+                algos: flags
+                    .get("--algos")
+                    .map_or(p.algos, |v| v.split(',').map(str::to_string).collect()),
+                rounds: flags.parse("--rounds")?.unwrap_or(p.rounds),
+                floor: flags.parse("--floor")?.unwrap_or(p.floor),
+                eta: flags.parse("--eta")?.unwrap_or(p.eta),
+                softmax_beta: flags.parse("--beta")?.unwrap_or(p.softmax_beta),
+                retire_after: flags.parse("--retire-after")?.unwrap_or(p.retire_after),
+            })
+        }
+        _ => JobMode::Search,
+    };
+    let d = JobSpec::default();
+    Ok(JobSpec {
+        instance_text: String::new(),
+        variant: flags.get("--variant").map_or(d.variant, str::to_string),
+        processors: flags.parse("--processors")?.unwrap_or(d.processors),
+        max_evaluations: flags.parse("--evals")?.unwrap_or(d.max_evaluations),
+        neighborhood_size: flags
+            .parse("--neighborhood")?
+            .unwrap_or(d.neighborhood_size),
+        seed: flags.parse("--seed")?.unwrap_or(d.seed),
+        deadline_ms: flags.parse("--deadline-ms")?,
+        max_iterations: flags.parse("--max-iters")?,
+        record_events: flags.has("--record-events"),
+        mode,
+    })
+}
+
+fn main() -> ExitCode {
+    let flags = Flags(std::env::args().skip(1).collect());
+    let Some(addr) = flags.get("--addr") else {
         return usage();
+    };
+    let positional = flags.positional();
+    let Some(&command) = positional.first() else {
+        return usage();
+    };
+    // Every flag value is parsed before connecting, so a malformed one
+    // fails fast with the usage text.
+    let parsed = (|| -> Result<_, String> {
+        Ok((
+            flags.parse("--connect-timeout-ms")?.unwrap_or(2_000),
+            flags.parse("--interval-ms")?.unwrap_or(1_000),
+            flags.parse("--iterations")?.unwrap_or(0),
+            flags.parse::<u64>("--wait")?,
+            submit_spec(command, &flags)?,
+        ))
+    })();
+    let (connect_timeout_ms, interval_ms, iterations, wait_secs, spec) = match parsed {
+        Ok(values) => values,
+        Err(e) => {
+            eprintln!("servectl: {e}");
+            return usage();
+        }
     };
 
     // A bounded connect (2 s default) so a downed daemon fails the command
     // promptly instead of hanging in the OS connect.
-    let connect_timeout = Duration::from_millis(
-        get("--connect-timeout-ms")
-            .map(|v| v.parse().expect("--connect-timeout-ms expects an integer"))
-            .unwrap_or(2_000),
-    );
-    let mut client = match Client::connect_timeout(&addr, connect_timeout) {
+    let mut client = match Client::connect_timeout(addr, Duration::from_millis(connect_timeout_ms))
+    {
         Ok(c) => c,
         Err(e) => {
             eprintln!("cannot connect to {addr}: {e}");
@@ -249,7 +339,7 @@ fn main() -> ExitCode {
             Ok(ExitCode::SUCCESS)
         }
         "metrics" => {
-            if args.iter().any(|a| a == "--json") {
+            if flags.has("--json") {
                 println!("{}", client.metrics_json()?);
             } else {
                 print!("{}", client.metrics()?);
@@ -257,15 +347,7 @@ fn main() -> ExitCode {
             Ok(ExitCode::SUCCESS)
         }
         "top" => {
-            let interval = Duration::from_millis(
-                get("--interval-ms")
-                    .map(|v| v.parse().expect("--interval-ms expects an integer"))
-                    .unwrap_or(1_000),
-            );
-            let iterations: u64 = get("--iterations")
-                .map(|v| v.parse().expect("--iterations expects an integer"))
-                .unwrap_or(0);
-            top(&mut client, interval, iterations)?;
+            top(&mut client, Duration::from_millis(interval_ms), iterations)?;
             Ok(ExitCode::SUCCESS)
         }
         "submit" | "submit-dynamic" | "submit-portfolio" => {
@@ -274,79 +356,13 @@ fn main() -> ExitCode {
             };
             let instance_text = std::fs::read_to_string(file)
                 .map_err(|e| std::io::Error::new(e.kind(), format!("cannot read {file:?}: {e}")))?;
-            let mut spec = JobSpec {
+            match client.submit(JobSpec {
                 instance_text,
-                ..JobSpec::default()
-            };
-            if let Some(v) = get("--variant") {
-                spec.variant = v;
-            }
-            if let Some(v) = get("--processors") {
-                spec.processors = v.parse().expect("--processors expects an integer");
-            }
-            if let Some(v) = get("--evals") {
-                spec.max_evaluations = v.parse().expect("--evals expects an integer");
-            }
-            if let Some(v) = get("--neighborhood") {
-                spec.neighborhood_size = v.parse().expect("--neighborhood expects an integer");
-            }
-            if let Some(v) = get("--seed") {
-                spec.seed = v.parse().expect("--seed expects an integer");
-            }
-            if let Some(v) = get("--deadline-ms") {
-                spec.deadline_ms = Some(v.parse().expect("--deadline-ms expects an integer"));
-            }
-            if let Some(v) = get("--max-iters") {
-                spec.max_iterations = Some(v.parse().expect("--max-iters expects an integer"));
-            }
-            if args.iter().any(|a| a == "--record-events") {
-                spec.record_events = true;
-            }
-            let submitted = if command == "submit-portfolio" {
-                let mut portfolio = PortfolioParams::default();
-                if let Some(v) = get("--algos") {
-                    portfolio.algos = v.split(',').map(str::to_string).collect();
-                }
-                if let Some(v) = get("--rounds") {
-                    portfolio.rounds = v.parse().expect("--rounds expects an integer");
-                }
-                if let Some(v) = get("--floor") {
-                    portfolio.floor = v.parse().expect("--floor expects a number");
-                }
-                if let Some(v) = get("--eta") {
-                    portfolio.eta = v.parse().expect("--eta expects a number");
-                }
-                if let Some(v) = get("--beta") {
-                    portfolio.softmax_beta = v.parse().expect("--beta expects a number");
-                }
-                if let Some(v) = get("--retire-after") {
-                    portfolio.retire_after = v.parse().expect("--retire-after expects an integer");
-                }
-                client.submit_portfolio(spec, portfolio)?
-            } else if command == "submit-dynamic" {
-                let mut dynamic = DynamicParams::default();
-                if let Some(v) = get("--script-seed") {
-                    dynamic.script_seed = v.parse().expect("--script-seed expects an integer");
-                }
-                if let Some(v) = get("--epochs") {
-                    dynamic.epochs = v.parse().expect("--epochs expects an integer");
-                }
-                if let Some(v) = get("--mutations") {
-                    dynamic.mutations_per_epoch =
-                        v.parse().expect("--mutations expects an integer");
-                }
-                if args.iter().any(|a| a == "--cold") {
-                    dynamic.warm = false;
-                }
-                client.submit_dynamic(spec, dynamic)?
-            } else {
-                client.submit(spec)?
-            };
-            match submitted {
+                ..spec
+            })? {
                 Ok(job) => {
                     println!("submitted job {job}");
-                    if let Some(wait) = get("--wait") {
-                        let secs: u64 = wait.parse().expect("--wait expects seconds");
+                    if let Some(secs) = wait_secs {
                         let r = client.wait_result(job, Duration::from_secs(secs))?;
                         print_result(job, &r);
                     }

@@ -4,7 +4,7 @@
 //! order, so a client is also the unit of pipelining. All methods are
 //! thin wrappers over [`Client::request`].
 
-use crate::wire::{self, DynamicParams, JobResult, JobSpec, PortfolioParams, Request, Response};
+use crate::wire::{self, JobResult, JobSpec, Request, Response};
 use std::io::{self, BufReader, BufWriter};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
@@ -17,6 +17,16 @@ pub struct Client {
 
 fn protocol_err(message: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, message)
+}
+
+/// The error for a response other than the one asked for: the daemon's
+/// own reason when it answered `Error` or `NotFound`.
+fn unexpected(response: Response) -> io::Error {
+    protocol_err(match response {
+        Response::Error { message } => message,
+        Response::NotFound { job } => format!("job {job} not found"),
+        other => format!("unexpected response {other:?}"),
+    })
 }
 
 impl Client {
@@ -50,49 +60,14 @@ impl Client {
         Response::parse(&payload).map_err(protocol_err)
     }
 
-    /// Submits a job. `Ok(Ok(id))` on admission, `Ok(Err(capacity))` on
-    /// `QueueFull` backpressure.
+    /// Submits a job of any [`JobMode`](crate::JobMode) — a search, a
+    /// dynamic re-optimization, or a portfolio race. `Ok(Ok(id))` on
+    /// admission, `Ok(Err(capacity))` on `QueueFull` backpressure.
     pub fn submit(&mut self, spec: JobSpec) -> io::Result<Result<u64, u32>> {
         match self.request(&Request::Submit(spec))? {
             Response::Submitted { job, .. } => Ok(Ok(job)),
             Response::QueueFull { capacity } => Ok(Err(capacity)),
-            Response::Error { message } => Err(protocol_err(message)),
-            other => Err(protocol_err(format!("unexpected response {other:?}"))),
-        }
-    }
-
-    /// Submits a dynamic re-optimization job: the daemon mutates the
-    /// instance per the deterministic scenario script and re-solves every
-    /// epoch, warm-starting from the previous front unless
-    /// `dynamic.warm` is off. Same admission contract as
-    /// [`submit`](Client::submit).
-    pub fn submit_dynamic(
-        &mut self,
-        spec: JobSpec,
-        dynamic: DynamicParams,
-    ) -> io::Result<Result<u64, u32>> {
-        match self.request(&Request::SubmitDynamic { spec, dynamic })? {
-            Response::Submitted { job, .. } => Ok(Ok(job)),
-            Response::QueueFull { capacity } => Ok(Err(capacity)),
-            Response::Error { message } => Err(protocol_err(message)),
-            other => Err(protocol_err(format!("unexpected response {other:?}"))),
-        }
-    }
-
-    /// Submits a portfolio race: the named algorithms share `spec`'s
-    /// evaluation budget across `portfolio.rounds` scored rounds with
-    /// coverage-driven reallocation. Same admission contract as
-    /// [`submit`](Client::submit).
-    pub fn submit_portfolio(
-        &mut self,
-        spec: JobSpec,
-        portfolio: PortfolioParams,
-    ) -> io::Result<Result<u64, u32>> {
-        match self.request(&Request::SubmitPortfolio { spec, portfolio })? {
-            Response::Submitted { job, .. } => Ok(Ok(job)),
-            Response::QueueFull { capacity } => Ok(Err(capacity)),
-            Response::Error { message } => Err(protocol_err(message)),
-            other => Err(protocol_err(format!("unexpected response {other:?}"))),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -100,8 +75,7 @@ impl Client {
     pub fn status(&mut self, job: u64) -> io::Result<String> {
         match self.request(&Request::Status { job })? {
             Response::JobStatus { state, .. } => Ok(state),
-            Response::NotFound { job } => Err(protocol_err(format!("job {job} not found"))),
-            other => Err(protocol_err(format!("unexpected response {other:?}"))),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -109,8 +83,7 @@ impl Client {
     pub fn cancel(&mut self, job: u64) -> io::Result<()> {
         match self.request(&Request::Cancel { job })? {
             Response::CancelAccepted { .. } => Ok(()),
-            Response::NotFound { job } => Err(protocol_err(format!("job {job} not found"))),
-            other => Err(protocol_err(format!("unexpected response {other:?}"))),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -118,9 +91,7 @@ impl Client {
     pub fn result(&mut self, job: u64) -> io::Result<JobResult> {
         match self.request(&Request::Result { job })? {
             Response::JobResult { result, .. } => Ok(result),
-            Response::NotFound { job } => Err(protocol_err(format!("job {job} not found"))),
-            Response::Error { message } => Err(protocol_err(message)),
-            other => Err(protocol_err(format!("unexpected response {other:?}"))),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -157,11 +128,7 @@ impl Client {
             match Response::parse(&payload).map_err(protocol_err)? {
                 Response::TailEvent { line, .. } => on_event(&line),
                 Response::TailDone { events, .. } => return Ok(events),
-                Response::NotFound { job } => {
-                    return Err(protocol_err(format!("job {job} not found")))
-                }
-                Response::Error { message } => return Err(protocol_err(message)),
-                other => return Err(protocol_err(format!("unexpected response {other:?}"))),
+                other => return Err(unexpected(other)),
             }
         }
     }
@@ -175,7 +142,7 @@ impl Client {
                 running,
                 workers,
             } => Ok((status, queued, running, workers)),
-            other => Err(protocol_err(format!("unexpected response {other:?}"))),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -183,7 +150,7 @@ impl Client {
     pub fn metrics(&mut self) -> io::Result<String> {
         match self.request(&Request::Metrics)? {
             Response::Metrics { prometheus } => Ok(prometheus),
-            other => Err(protocol_err(format!("unexpected response {other:?}"))),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -193,7 +160,7 @@ impl Client {
     pub fn metrics_json(&mut self) -> io::Result<String> {
         match self.request(&Request::MetricsJson)? {
             Response::MetricsJson { registry } => Ok(registry),
-            other => Err(protocol_err(format!("unexpected response {other:?}"))),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -202,7 +169,7 @@ impl Client {
     pub fn shutdown(&mut self) -> io::Result<u64> {
         match self.request(&Request::Shutdown)? {
             Response::ShutdownComplete { jobs_completed } => Ok(jobs_completed),
-            other => Err(protocol_err(format!("unexpected response {other:?}"))),
+            other => Err(unexpected(other)),
         }
     }
 }

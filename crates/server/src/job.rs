@@ -5,7 +5,7 @@
 //! or `Failed`); waiters block on a condvar, which is also how the
 //! daemon's shutdown path waits for the in-flight jobs to drain.
 
-use crate::wire::{DynamicParams, JobResult, JobSpec, PortfolioParams};
+use crate::wire::{JobResult, JobSpec};
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -43,7 +43,7 @@ impl JobState {
     }
 }
 
-/// One tracked job: the spec, its shared parsed instance, the cancel
+/// One tracked job: the spec (mode included), its shared parsed instance, the cancel
 /// token threaded into the search, and the submission timestamp for
 /// latency accounting.
 pub struct Job {
@@ -62,12 +62,6 @@ pub struct Job {
     /// asked for `record_events`. `Tail` streams from it while the job
     /// runs; metrics still flow to the daemon's shared registry.
     pub events: Option<Arc<MemoryRecorder>>,
-    /// Dynamic re-optimization parameters, present when the job was
-    /// submitted via `SubmitDynamic`; `None` runs a plain single search.
-    pub dynamic: Option<DynamicParams>,
-    /// Portfolio race parameters, present when the job was submitted via
-    /// `SubmitPortfolio`. Mutually exclusive with `dynamic`.
-    pub portfolio: Option<PortfolioParams>,
 }
 
 struct TableState {
@@ -107,16 +101,8 @@ impl JobTable {
 
     /// Registers a new queued job and returns its id. The instance text
     /// inside `spec` is dropped here: the parsed `instance` is the single
-    /// shared copy. `dynamic` marks the job as a dynamic re-optimization
-    /// run, `portfolio` as a budget race; at most one may be set.
-    pub fn admit(
-        &self,
-        mut spec: JobSpec,
-        dynamic: Option<DynamicParams>,
-        portfolio: Option<PortfolioParams>,
-        instance: Arc<Instance>,
-        cancel: CancelToken,
-    ) -> u64 {
+    /// shared copy.
+    pub fn admit(&self, mut spec: JobSpec, instance: Arc<Instance>, cancel: CancelToken) -> u64 {
         spec.instance_text = String::new();
         let events = spec
             .record_events
@@ -133,8 +119,6 @@ impl JobTable {
                 submitted: Instant::now(),
                 state: JobState::Queued,
                 events,
-                dynamic,
-                portfolio,
             },
         );
         id
@@ -259,7 +243,7 @@ mod tests {
     fn table_with_job() -> (JobTable, u64) {
         let table = JobTable::new();
         let inst = Arc::new(GeneratorConfig::new(InstanceClass::R1, 10, 1).build());
-        let id = table.admit(JobSpec::default(), None, None, inst, CancelToken::never());
+        let id = table.admit(JobSpec::default(), inst, CancelToken::never());
         (table, id)
     }
 
@@ -297,7 +281,7 @@ mod tests {
             instance_text: "X".repeat(1000),
             ..JobSpec::default()
         };
-        let id = table.admit(spec, None, None, inst, CancelToken::never());
+        let id = table.admit(spec, inst, CancelToken::never());
         let text_len = table.with_job(id, |j| j.spec.instance_text.len()).unwrap();
         assert_eq!(text_len, 0, "the parsed Arc<Instance> is the only copy");
     }

@@ -5,14 +5,19 @@
 //! share one solver host:
 //!
 //! * [`wire`] — length-prefixed JSON frames; requests
-//!   Submit / Status / Cancel / Result / Health / Metrics / Shutdown.
+//!   Submit / Status / Cancel / Result / Tail / Health / Metrics /
+//!   Shutdown. One `Submit` carries every kind of job: its
+//!   [`JobSpec::mode`] is a plain search, a dynamic re-optimization
+//!   (mutated epochs warm-started from the solution pool), or a portfolio
+//!   race.
 //! * [`queue`] — a bounded job queue with explicit `QueueFull`
 //!   backpressure (the daemon never buffers unboundedly).
 //! * [`cache`] — a content-hash-keyed instance cache, so resubmitting
 //!   the same instance shares one `Arc<Instance>` instead of reparsing.
 //! * [`job`] — the job table: lifecycle states, cancel tokens, waiters.
-//! * [`server`] — the daemon itself: accept loop, worker pool, per-job
-//!   deadlines and cooperative cancellation
+//! * [`server`] — the daemon itself: accept loop, worker pool running
+//!   each job by its mode (collaborative searches on the node mesh when
+//!   one is configured), per-job deadlines and cooperative cancellation
 //!   ([`tsmo_core::CancelToken`]), HTTP `/healthz` + `/metrics` on the
 //!   same port, and drain-then-stop shutdown.
 //! * [`client`] — a blocking client library (used by `servectl` and the
@@ -40,6 +45,6 @@ pub use job::{JobState, JobTable};
 pub use queue::{JobQueue, QueueFull};
 pub use server::{Server, ServerConfig};
 pub use wire::{
-    DynamicParams, EpochInfo, FrontPoint, JobResult, JobSpec, PortfolioParams, Request, Response,
-    RoundInfo,
+    DynamicParams, EpochInfo, FrontPoint, JobMode, JobResult, JobSpec, PortfolioParams, Request,
+    Response, RoundInfo,
 };

@@ -3,11 +3,13 @@
 //! Architecture: one accept thread spawns a handler thread per
 //! connection; handlers only touch the job table and the bounded queue,
 //! so a slow client never blocks the solvers. A fixed pool of worker
-//! threads pops job ids off the queue and runs them through
-//! [`ParallelVariant::run_opts`], which threads each job's
-//! [`CancelToken`] into the search loop — deadlines and cancel requests
-//! truncate a run at an iteration boundary and its best-so-far front
-//! comes back as a valid result.
+//! threads pops job ids off the queue and runs each by its [`JobMode`]:
+//! a search through [`ParallelVariant::run_opts`] (or the node mesh), the
+//! epochs of a dynamic job, or a portfolio race. Every mode threads the
+//! job's [`CancelToken`] into its search loops — deadlines and cancel
+//! requests truncate a run at an iteration boundary and its best-so-far
+//! front comes back as a valid result — and hands its result to one
+//! shared completion path.
 //!
 //! Two recorders split the telemetry: a **metrics-only** recorder is
 //! attached to every search run (bounded memory regardless of uptime),
@@ -23,8 +25,8 @@ use crate::cache::InstanceCache;
 use crate::job::{JobState, JobTable};
 use crate::queue::JobQueue;
 use crate::wire::{
-    self, DynamicParams, EpochInfo, FrontPoint, JobResult, JobSpec, PortfolioParams, Request,
-    Response, RoundInfo,
+    self, DynamicParams, EpochInfo, FrontPoint, JobMode, JobResult, JobSpec, PortfolioParams,
+    Request, Response, RoundInfo,
 };
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -33,7 +35,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 use tsmo_core::{
-    CancelToken, Clock, ParallelVariant, RunOptions, StopCause, TsmoConfig, TsmoOutcome,
+    CancelToken, Clock, FrontEntry, ParallelVariant, RunOptions, StopCause, TsmoConfig,
 };
 use tsmo_obs::metrics::names;
 use tsmo_obs::{MemoryRecorder, Recorder, SearchEvent};
@@ -128,21 +130,12 @@ impl Shared {
         let mut merged = self.metrics.metrics();
         merged.merge(&self.events.metrics());
         if let Some(peers) = &self.mesh {
-            for (k, peer) in peers.iter().enumerate() {
-                let node = k.to_string();
-                let fetched = tsmo_cluster::mesh::MeshClient::new(
-                    peer.clone(),
-                    tsmo_cluster::DEFAULT_NET_TIMEOUT,
-                )
-                .metrics_registry();
-                match fetched {
-                    Ok(registry) => {
-                        merged.merge(&registry.with_label("node", &node));
-                        merged.gauge_set(&names::node_up(&node), 1.0);
-                    }
-                    Err(_) => merged.gauge_set(&names::node_up(&node), 0.0),
-                }
-            }
+            // Unreachable peers are already marked down in the gauges.
+            tsmo_cluster::mesh::federate_metrics(
+                peers,
+                tsmo_cluster::DEFAULT_NET_TIMEOUT,
+                &mut merged,
+            );
         }
         merged
     }
@@ -209,165 +202,6 @@ fn parse_variant(name: &str, processors: usize) -> Result<ParallelVariant, Strin
             "unknown variant '{other}' (expected sequential|synchronous|asynchronous|collaborative)"
         )),
     }
-}
-
-/// Extracts the wire-level result payload from a finished run. The front
-/// is the full non-dominated archive: time windows are *soft* (tardiness
-/// is the third objective, not a constraint), so callers that need
-/// hard-feasible solutions filter on `objectives[2] == 0` client-side.
-fn job_result(outcome: &TsmoOutcome, cause: Option<StopCause>) -> JobResult {
-    JobResult {
-        evaluations: outcome.evaluations,
-        iterations: outcome.iterations as u64,
-        truncated: cause.is_some(),
-        stop_cause: cause.map(|c| c.as_str().to_string()),
-        front: front_points(&outcome.archive),
-        epochs: Vec::new(),
-        rounds: Vec::new(),
-    }
-}
-
-/// Shapes a dynamic job's epoch sequence as a wire result: the final
-/// epoch's front plus one [`EpochInfo`] per epoch, with the evaluation
-/// and iteration totals summed across epochs.
-fn dynamic_job_result(
-    epochs: &[tsmo_scenario::EpochOutcome],
-    cause: Option<StopCause>,
-) -> JobResult {
-    JobResult {
-        evaluations: epochs.iter().map(|e| e.outcome.evaluations).sum(),
-        iterations: epochs.iter().map(|e| e.outcome.iterations as u64).sum(),
-        truncated: cause.is_some(),
-        stop_cause: cause.map(|c| c.as_str().to_string()),
-        front: epochs
-            .last()
-            .map(|e| front_points(&e.outcome.archive))
-            .unwrap_or_default(),
-        epochs: epochs
-            .iter()
-            .map(|e| EpochInfo {
-                epoch: e.epoch as u64,
-                mutations: e.mutations as u64,
-                customers: e.customers as u64,
-                warm_seeds: e.warm_seeds as u64,
-                evaluations: e.outcome.evaluations,
-                front_size: e.outcome.archive.len() as u64,
-                best_distance: e
-                    .outcome
-                    .archive
-                    .iter()
-                    .map(|en| en.objectives.to_vector()[0])
-                    .fold(f64::INFINITY, f64::min)
-                    .min(f64::MAX), // empty archive stays JSON-finite
-            })
-            .collect(),
-        rounds: Vec::new(),
-    }
-}
-
-/// Shapes a portfolio race as a wire result: the stage-two merged front
-/// plus one [`RoundInfo`] per scored round. Portfolio jobs track no
-/// master-iteration count, so `iterations` reports completed rounds.
-fn portfolio_job_result(
-    outcome: &tsmo_portfolio::PortfolioOutcome,
-    cause: Option<StopCause>,
-) -> JobResult {
-    JobResult {
-        evaluations: outcome.evaluations,
-        iterations: outcome.ledger.len() as u64,
-        truncated: cause.is_some(),
-        stop_cause: cause.map(|c| c.as_str().to_string()),
-        front: front_points(&outcome.merged),
-        epochs: Vec::new(),
-        rounds: outcome
-            .ledger
-            .iter()
-            .map(|round| RoundInfo {
-                round: u64::from(round.round),
-                winner: u64::from(round.winner),
-                winner_algo: outcome
-                    .contenders
-                    .get(round.winner as usize)
-                    .map(|c| c.name.clone())
-                    .unwrap_or_default(),
-                allocated: round.entries.iter().map(|e| e.allocated).sum(),
-                spent: round.entries.iter().map(|e| e.spent).sum(),
-                retired: round.retired.len() as u64,
-                best_coverage: round
-                    .entries
-                    .iter()
-                    .find(|e| e.contender == round.winner)
-                    .map_or(0.0, |e| e.coverage),
-            })
-            .collect(),
-    }
-}
-
-fn front_points(front: &[tsmo_core::FrontEntry]) -> Vec<FrontPoint> {
-    front
-        .iter()
-        .map(|e| FrontPoint {
-            objectives: e.objectives.to_vector(),
-            routes: e
-                .solution
-                .routes()
-                .iter()
-                .filter(|r| !r.is_empty())
-                .map(|r| r.to_vec())
-                .collect(),
-        })
-        .collect()
-}
-
-/// Runs a `collaborative` job across the configured node mesh and shapes
-/// the merged multi-node outcome as a wire result. `processors` is split
-/// evenly over the nodes, each node getting at least one searcher. The
-/// deadline (when given) bounds the mesh wait; cancellation cannot reach
-/// remote nodes mid-run, so a cancelled mesh job fails instead of
-/// truncating.
-fn run_mesh_job(
-    peers: &[String],
-    fault_cfg: Option<(u64, f64)>,
-    spec: &JobSpec,
-    instance: &vrptw::Instance,
-    wait_cap: Duration,
-) -> Result<JobResult, String> {
-    let searchers_per_node = spec.processors.max(1).div_ceil(peers.len()).max(1);
-    let job = tsmo_cluster::MeshJob {
-        // The job table drops its instance-text copy at admission (the
-        // parsed instance is what jobs run on), so re-serialize it for
-        // the remote nodes.
-        instance_text: vrptw::solomon::write(instance),
-        node_index: 0,
-        peers: peers.to_vec(),
-        searchers_per_node,
-        seed: spec.seed,
-        max_evaluations: spec.max_evaluations,
-        neighborhood_size: spec.neighborhood_size.max(2),
-        stagnation_limit: TsmoConfig::default().stagnation_limit,
-        fault_seed: fault_cfg.map_or(0, |(seed, _)| seed),
-        fault_rate: fault_cfg.map_or(0.0, |(_, rate)| rate),
-        // Every node stamps its spans with the one id derived from the
-        // job seed, so `clusterctl trace-merge` can assemble one trace.
-        trace_id: tsmo_obs::trace_id_from_seed(spec.seed),
-        // Ring-replicate each node's archive once a second: the mesh
-        // tolerates a node dying mid-run (its front is recovered from the
-        // successor's replica at gather) at negligible steady-state cost.
-        replication_ms: 1_000,
-        ..tsmo_cluster::MeshJob::default()
-    };
-    let wait = spec.deadline_ms.map_or(wait_cap, Duration::from_millis);
-    let outcome = tsmo_cluster::run_mesh(&job, tsmo_cluster::DEFAULT_NET_TIMEOUT, wait)
-        .map_err(|e| format!("mesh dispatch failed: {e}"))?;
-    Ok(JobResult {
-        evaluations: outcome.evaluations,
-        iterations: outcome.iterations,
-        truncated: false,
-        stop_cause: None,
-        front: front_points(&outcome.front),
-        epochs: Vec::new(),
-        rounds: Vec::new(),
-    })
 }
 
 /// A running solver daemon. Dropping the handle does *not* stop it; call
@@ -646,29 +480,13 @@ fn handle_http(stream: TcpStream, shared: &Shared) {
 /// daemon after responding (wire shutdown).
 fn handle_request(shared: &Arc<Shared>, req: Request) -> (Response, bool) {
     match req {
-        Request::Submit(spec) => (handle_submit(shared, spec, None, None), false),
-        Request::SubmitDynamic { spec, dynamic } => {
-            let response = if dynamic.epochs == 0 {
-                Response::Error {
-                    message: "dynamic jobs need at least one epoch".to_string(),
-                }
-            } else if dynamic.epochs > 64 {
-                Response::Error {
-                    message: "dynamic jobs are capped at 64 epochs".to_string(),
-                }
-            } else {
-                handle_submit(shared, spec, Some(dynamic), None)
-            };
-            (response, false)
-        }
-        Request::SubmitPortfolio { spec, portfolio } => {
-            let response = if let Err(e) = validate_portfolio(&portfolio) {
-                Response::Error { message: e }
-            } else {
-                handle_submit(shared, spec, None, Some(portfolio))
-            };
-            (response, false)
-        }
+        Request::Submit(spec) => (
+            match validate_mode(&spec.mode) {
+                Ok(()) => handle_submit(shared, spec),
+                Err(message) => Response::Error { message },
+            },
+            false,
+        ),
         Request::Status { job } => (
             match shared.jobs.state_name(job) {
                 Some(state) => Response::JobStatus {
@@ -730,7 +548,21 @@ fn handle_request(shared: &Arc<Shared>, req: Request) -> (Response, bool) {
     }
 }
 
-/// Rejects a portfolio submission the worker could not run.
+/// Rejects a dynamic or portfolio submission the worker could not run.
+fn validate_mode(mode: &JobMode) -> Result<(), String> {
+    match mode {
+        JobMode::Search => Ok(()),
+        JobMode::Dynamic(dynamic) if dynamic.epochs == 0 => {
+            Err("dynamic jobs need at least one epoch".to_string())
+        }
+        JobMode::Dynamic(dynamic) if dynamic.epochs > 64 => {
+            Err("dynamic jobs are capped at 64 epochs".to_string())
+        }
+        JobMode::Dynamic(_) => Ok(()),
+        JobMode::Portfolio(portfolio) => validate_portfolio(portfolio),
+    }
+}
+
 fn validate_portfolio(portfolio: &PortfolioParams) -> Result<(), String> {
     if portfolio.algos.is_empty() {
         return Err("portfolio jobs need at least one contender".to_string());
@@ -754,12 +586,7 @@ fn validate_portfolio(portfolio: &PortfolioParams) -> Result<(), String> {
     Ok(())
 }
 
-fn handle_submit(
-    shared: &Shared,
-    spec: JobSpec,
-    dynamic: Option<DynamicParams>,
-    portfolio: Option<PortfolioParams>,
-) -> Response {
+fn handle_submit(shared: &Shared, spec: JobSpec) -> Response {
     if shared.draining.load(Ordering::Acquire) {
         return Response::Error {
             message: "daemon is draining; not accepting jobs".to_string(),
@@ -784,9 +611,7 @@ fn handle_submit(
         spec.deadline_ms.map(Duration::from_millis),
         spec.max_iterations,
     );
-    let job = shared
-        .jobs
-        .admit(spec, dynamic, portfolio, instance, cancel);
+    let job = shared.jobs.admit(spec, instance, cancel);
     match shared.queue.push(job) {
         Ok(depth) => {
             shared.metrics.counter_add(names::JOBS_ADMITTED, 1);
@@ -819,41 +644,18 @@ fn worker_loop(shared: &Arc<Shared>) {
         shared
             .metrics
             .gauge_set(names::QUEUE_DEPTH, shared.queue.len() as f64);
-        let Some((spec, dynamic, portfolio, instance, cancel, submitted, job_events)) =
-            shared.jobs.with_job(id, |j| {
-                j.state = JobState::Running;
-                (
-                    j.spec.clone(),
-                    j.dynamic.clone(),
-                    j.portfolio.clone(),
-                    Arc::clone(&j.instance),
-                    j.cancel.clone(),
-                    j.submitted,
-                    j.events.clone(),
-                )
-            })
-        else {
+        let Some((spec, instance, cancel, submitted, job_events)) = shared.jobs.with_job(id, |j| {
+            j.state = JobState::Running;
+            (
+                j.spec.clone(),
+                Arc::clone(&j.instance),
+                j.cancel.clone(),
+                j.submitted,
+                j.events.clone(),
+            )
+        }) else {
             continue; // job was removed (rejected submit); nothing to run
         };
-        let variant = match parse_variant(&spec.variant, spec.processors) {
-            Ok(v) => v,
-            Err(e) => {
-                // Validated at submit; defensive for future wire changes.
-                shared.jobs.with_job(id, |j| j.state = JobState::Failed(e));
-                continue;
-            }
-        };
-        let cfg = TsmoConfig {
-            max_evaluations: spec.max_evaluations,
-            neighborhood_size: spec.neighborhood_size.max(2),
-            // Tailing jobs also stream the convergence timeline: one
-            // front sample per ~10 iterations' worth of evaluations.
-            timeline_every: spec
-                .record_events
-                .then(|| spec.neighborhood_size.max(2) as u64 * 10),
-            ..TsmoConfig::default()
-        }
-        .with_seed(spec.seed);
         let recorder: Arc<dyn Recorder> = match &job_events {
             Some(events) => Arc::new(TeeRecorder {
                 events: Arc::clone(events),
@@ -861,151 +663,136 @@ fn worker_loop(shared: &Arc<Shared>) {
             }),
             None => Arc::clone(&shared.metrics) as Arc<dyn Recorder>,
         };
-        if let Some(pp) = &portfolio {
-            // Portfolio races run in-process; the race is about budget
-            // shares, not thread-level parallelism.
-            run_portfolio_job(
-                shared, id, pp, &spec, &instance, recorder, &cancel, submitted,
-            );
-            continue;
-        }
-        if let Some(dp) = &dynamic {
-            // Dynamic jobs run their epochs in-process (no mesh dispatch).
-            run_dynamic_job(
-                shared, id, dp, variant, cfg, &instance, recorder, &cancel, submitted,
-            );
-            continue;
-        }
-        if let (ParallelVariant::Collaborative(_), Some(peers)) = (&variant, shared.mesh.as_ref()) {
-            // Distributed dispatch: the mesh nodes run the searchers; this
-            // worker only waits, gathers, and records the outcome.
-            match run_mesh_job(
-                peers,
-                shared.fault_cfg,
-                &spec,
-                &instance,
-                shared.drain_timeout,
-            ) {
-                Ok(result) => {
-                    shared.metrics.counter_add(names::JOBS_COMPLETED, 1);
-                    shared.metrics.observe(
-                        names::JOB_LATENCY_MS,
-                        submitted.elapsed().as_secs_f64() * 1000.0,
-                    );
-                    shared.events.event(SearchEvent::JobCompleted {
-                        job: id,
-                        iterations: result.iterations,
-                        truncated: result.truncated,
-                    });
-                    shared
-                        .jobs
-                        .with_job(id, |j| j.state = JobState::Done(result));
-                }
-                Err(e) => {
-                    shared.jobs.with_job(id, |j| j.state = JobState::Failed(e));
-                }
-            }
-            continue;
-        }
-        let opts = RunOptions {
-            recorder,
-            faults: Arc::clone(&shared.faults),
-            cancel: cancel.clone(),
-            clock: Clock::Wall,
-        };
-        let outcome = variant.run_opts(&instance, &cfg, opts);
-        let cause = cancel.cause();
-        match cause {
-            Some(StopCause::Cancelled) => shared.metrics.counter_add(names::JOBS_CANCELLED, 1),
-            Some(StopCause::DeadlineExceeded) => {
-                shared.metrics.counter_add(names::JOBS_DEADLINE_EXCEEDED, 1);
-                shared
-                    .events
-                    .event(SearchEvent::JobDeadlineExceeded { job: id });
-            }
-            Some(StopCause::IterationLimit) | None => {}
-        }
-        // Deposit the front as the instance's solution pool (keyed by its
-        // canonical serialization) so a later dynamic job on the same
-        // content warm-starts from it instead of constructing cold.
-        let pool: Vec<vrptw::Solution> =
-            outcome.archive.iter().map(|e| e.solution.clone()).collect();
-        if !pool.is_empty() {
-            shared
-                .cache
-                .pool_put(&vrptw::solomon::write(&instance), pool);
-        }
-        let result = job_result(&outcome, cause);
-        shared.metrics.counter_add(names::JOBS_COMPLETED, 1);
-        shared.metrics.observe(
-            names::JOB_LATENCY_MS,
-            submitted.elapsed().as_secs_f64() * 1000.0,
-        );
-        shared.events.event(SearchEvent::JobCompleted {
-            job: id,
-            iterations: result.iterations,
-            truncated: result.truncated,
-        });
-        shared
-            .jobs
-            .with_job(id, |j| j.state = JobState::Done(result));
+        let finished = run_job(shared, &spec, &instance, recorder, &cancel);
+        finish_job(shared, id, submitted, finished);
     }
 }
 
-/// Runs one portfolio race: builds the named contenders with the spec's
-/// sizing, races them on slices of `spec.max_evaluations` under the job's
-/// cancel token, and deposits the stage-two merged front as the
-/// instance's solution pool (a later dynamic or portfolio job on the same
-/// content warm-starts from it). The race's events and counters flow
-/// through the job's recorder, so a `record_events` portfolio job can be
-/// tailed round by round.
-#[allow(clippy::too_many_arguments)]
-fn run_portfolio_job(
+/// What a job's mode hands back to [`finish_job`]: the wire result, why
+/// the run stopped early (if it did), and the fronts to deposit in the
+/// solution pool, keyed by their instance's canonical serialization.
+struct Finished {
+    result: JobResult,
+    cause: Option<StopCause>,
+    deposits: Vec<(String, Vec<vrptw::Solution>)>,
+}
+
+/// A pool deposit of `front` under `inst`'s canonical text, so a later
+/// dynamic job on the same content warm-starts from it instead of
+/// constructing cold.
+fn deposit(inst: &vrptw::Instance, front: &[FrontEntry]) -> (String, Vec<vrptw::Solution>) {
+    (
+        vrptw::solomon::write(inst),
+        front.iter().map(|e| e.solution.clone()).collect(),
+    )
+}
+
+/// A wire result with no per-epoch or per-round detail. The front is the
+/// full non-dominated archive: time windows are *soft* (tardiness is the third objective,
+/// not a constraint), so callers that need hard-feasible solutions filter
+/// on `objectives[2] == 0` client-side.
+fn job_result(
+    evaluations: u64,
+    iterations: u64,
+    cause: Option<StopCause>,
+    front: &[FrontEntry],
+) -> JobResult {
+    JobResult {
+        evaluations,
+        iterations,
+        truncated: cause.is_some(),
+        stop_cause: cause.map(|c| c.as_str().to_string()),
+        front: front.iter().map(FrontPoint::from_front).collect(),
+        epochs: Vec::new(),
+        rounds: Vec::new(),
+    }
+}
+
+/// Runs a job according to its mode. `Err` fails the job.
+fn run_job(
     shared: &Shared,
-    id: u64,
-    pp: &PortfolioParams,
     spec: &JobSpec,
     instance: &Arc<vrptw::Instance>,
     recorder: Arc<dyn Recorder>,
     cancel: &CancelToken,
-    submitted: std::time::Instant,
-) {
-    let params = tsmo_portfolio::RaceParams {
+) -> Result<Finished, String> {
+    // Validated at submit; defensive for future wire changes.
+    let variant = parse_variant(&spec.variant, spec.processors)?;
+    let cfg = TsmoConfig {
+        max_evaluations: spec.max_evaluations,
         neighborhood_size: spec.neighborhood_size.max(2),
-        processors: spec.processors.max(1),
-        ..tsmo_portfolio::RaceParams::default()
-    };
-    let contenders: Vec<_> = pp
-        .algos
-        .iter()
-        .filter_map(|name| tsmo_portfolio::contender(name, &params))
-        .collect();
-    if contenders.len() != pp.algos.len() {
-        // Validated at submit; defensive for future wire changes.
-        shared.jobs.with_job(id, |j| {
-            j.state = JobState::Failed("unknown portfolio algorithm".to_string());
-        });
-        return;
+        // Tailing jobs also stream the convergence timeline: one front
+        // sample per ~10 iterations' worth of evaluations.
+        timeline_every: spec
+            .record_events
+            .then(|| spec.neighborhood_size.max(2) as u64 * 10),
+        ..TsmoConfig::default()
     }
-    let cfg = tsmo_portfolio::PortfolioConfig {
-        rounds: pp.rounds,
-        total_evaluations: spec.max_evaluations,
-        seed: spec.seed,
-        floor: pp.floor,
-        eta: pp.eta,
-        softmax_beta: pp.softmax_beta,
-        retire_after: pp.retire_after,
-        ..tsmo_portfolio::PortfolioConfig::default()
-    };
-    let outcome =
-        tsmo_portfolio::Portfolio::new(cfg).run(instance, contenders, recorder, cancel.clone());
-    let pool: Vec<vrptw::Solution> = outcome.merged.iter().map(|e| e.solution.clone()).collect();
-    if !pool.is_empty() {
-        shared
-            .cache
-            .pool_put(&vrptw::solomon::write(instance), pool);
+    .with_seed(spec.seed);
+    match (&spec.mode, &variant, &shared.mesh) {
+        // Portfolio races and dynamic epochs run in-process: a race is
+        // about budget shares, not thread-level parallelism.
+        (JobMode::Portfolio(pp), _, _) => run_portfolio(pp, spec, instance, recorder, cancel),
+        (JobMode::Dynamic(dp), _, _) => Ok(run_dynamic(
+            shared, dp, variant, cfg, instance, recorder, cancel,
+        )),
+        // Distributed dispatch: the mesh nodes run the searchers; this
+        // worker only waits, gathers, and records the outcome.
+        (JobMode::Search, ParallelVariant::Collaborative(_), Some(peers)) => run_mesh_job(
+            peers,
+            shared.fault_cfg,
+            spec,
+            instance,
+            shared.drain_timeout,
+        ),
+        (JobMode::Search, _, _) => {
+            let opts = RunOptions {
+                recorder,
+                faults: Arc::clone(&shared.faults),
+                cancel: cancel.clone(),
+                clock: Clock::Wall,
+            };
+            let outcome = variant.run_opts(instance, &cfg, opts);
+            let cause = cancel.cause();
+            Ok(Finished {
+                result: job_result(
+                    outcome.evaluations,
+                    outcome.iterations as u64,
+                    cause,
+                    &outcome.archive,
+                ),
+                cause,
+                deposits: vec![deposit(instance, &outcome.archive)],
+            })
+        }
     }
-    let cause = cancel.cause();
+}
+
+/// Records a finished job: pool deposits, stop-cause counters, the
+/// completion counter and latency, the audit event, and the `Done` state
+/// — or `Failed` when the mode could not run.
+fn finish_job(
+    shared: &Shared,
+    id: u64,
+    submitted: std::time::Instant,
+    finished: Result<Finished, String>,
+) {
+    let Finished {
+        result,
+        cause,
+        deposits,
+    } = match finished {
+        Ok(f) => f,
+        Err(e) => {
+            shared.jobs.with_job(id, |j| j.state = JobState::Failed(e));
+            return;
+        }
+    };
+    for (key, pool) in deposits {
+        if !pool.is_empty() {
+            shared.cache.pool_put(&key, pool);
+        }
+    }
     match cause {
         Some(StopCause::Cancelled) => shared.metrics.counter_add(names::JOBS_CANCELLED, 1),
         Some(StopCause::DeadlineExceeded) => {
@@ -1016,7 +803,6 @@ fn run_portfolio_job(
         }
         Some(StopCause::IterationLimit) | None => {}
     }
-    let result = portfolio_job_result(&outcome, cause);
     shared.metrics.counter_add(names::JOBS_COMPLETED, 1);
     shared.metrics.observe(
         names::JOB_LATENCY_MS,
@@ -1032,23 +818,152 @@ fn run_portfolio_job(
         .with_job(id, |j| j.state = JobState::Done(result));
 }
 
+/// Runs a `collaborative` job across the configured node mesh and shapes
+/// the merged multi-node outcome as a wire result. `processors` is split
+/// evenly over the nodes, each node getting at least one searcher. The
+/// deadline (when given) bounds the mesh wait; cancellation cannot reach
+/// remote nodes mid-run, so a cancelled mesh job fails instead of
+/// truncating.
+fn run_mesh_job(
+    peers: &[String],
+    fault_cfg: Option<(u64, f64)>,
+    spec: &JobSpec,
+    instance: &vrptw::Instance,
+    wait_cap: Duration,
+) -> Result<Finished, String> {
+    let searchers_per_node = spec.processors.max(1).div_ceil(peers.len()).max(1);
+    let job = tsmo_cluster::MeshJob {
+        // The job table drops its instance-text copy at admission (the
+        // parsed instance is what jobs run on), so re-serialize it for
+        // the remote nodes.
+        instance_text: vrptw::solomon::write(instance),
+        node_index: 0,
+        peers: peers.to_vec(),
+        searchers_per_node,
+        seed: spec.seed,
+        max_evaluations: spec.max_evaluations,
+        neighborhood_size: spec.neighborhood_size.max(2),
+        stagnation_limit: TsmoConfig::default().stagnation_limit,
+        fault_seed: fault_cfg.map_or(0, |(seed, _)| seed),
+        fault_rate: fault_cfg.map_or(0.0, |(_, rate)| rate),
+        // Every node stamps its spans with the one id derived from the
+        // job seed, so `clusterctl trace-merge` can assemble one trace.
+        trace_id: tsmo_obs::trace_id_from_seed(spec.seed),
+        // Ring-replicate each node's archive once a second: the mesh
+        // tolerates a node dying mid-run (its front is recovered from the
+        // successor's replica at gather) at negligible steady-state cost.
+        replication_ms: 1_000,
+        ..tsmo_cluster::MeshJob::default()
+    };
+    let wait = spec.deadline_ms.map_or(wait_cap, Duration::from_millis);
+    let outcome = tsmo_cluster::run_mesh(&job, tsmo_cluster::DEFAULT_NET_TIMEOUT, wait)
+        .map_err(|e| format!("mesh dispatch failed: {e}"))?;
+    Ok(Finished {
+        result: job_result(
+            outcome.evaluations,
+            outcome.iterations,
+            None,
+            &outcome.front,
+        ),
+        cause: None,
+        deposits: Vec::new(),
+    })
+}
+
+/// Runs one portfolio race: builds the named contenders with the spec's
+/// sizing and races them on slices of `spec.max_evaluations` under the
+/// job's cancel token. The result is the stage-two merged front plus one
+/// [`RoundInfo`] per scored round (portfolio jobs track no master-iteration
+/// count, so `iterations` reports completed rounds), and the merged front
+/// is deposited as the instance's solution pool. The race's events and
+/// counters flow through the job's recorder, so a `record_events`
+/// portfolio job can be tailed round by round.
+fn run_portfolio(
+    pp: &PortfolioParams,
+    spec: &JobSpec,
+    instance: &Arc<vrptw::Instance>,
+    recorder: Arc<dyn Recorder>,
+    cancel: &CancelToken,
+) -> Result<Finished, String> {
+    let params = tsmo_portfolio::RaceParams {
+        neighborhood_size: spec.neighborhood_size.max(2),
+        processors: spec.processors.max(1),
+        ..tsmo_portfolio::RaceParams::default()
+    };
+    let contenders: Vec<_> = pp
+        .algos
+        .iter()
+        .filter_map(|name| tsmo_portfolio::contender(name, &params))
+        .collect();
+    if contenders.len() != pp.algos.len() {
+        // Validated at submit; defensive for future wire changes.
+        return Err("unknown portfolio algorithm".to_string());
+    }
+    let cfg = tsmo_portfolio::PortfolioConfig {
+        rounds: pp.rounds,
+        total_evaluations: spec.max_evaluations,
+        seed: spec.seed,
+        floor: pp.floor,
+        eta: pp.eta,
+        softmax_beta: pp.softmax_beta,
+        retire_after: pp.retire_after,
+        ..tsmo_portfolio::PortfolioConfig::default()
+    };
+    let outcome =
+        tsmo_portfolio::Portfolio::new(cfg).run(instance, contenders, recorder, cancel.clone());
+    let cause = cancel.cause();
+    let rounds = outcome
+        .ledger
+        .iter()
+        .map(|round| RoundInfo {
+            round: u64::from(round.round),
+            winner: u64::from(round.winner),
+            winner_algo: outcome
+                .contenders
+                .get(round.winner as usize)
+                .map(|c| c.name.clone())
+                .unwrap_or_default(),
+            allocated: round.entries.iter().map(|e| e.allocated).sum(),
+            spent: round.entries.iter().map(|e| e.spent).sum(),
+            retired: round.retired.len() as u64,
+            best_coverage: round
+                .entries
+                .iter()
+                .find(|e| e.contender == round.winner)
+                .map_or(0.0, |e| e.coverage),
+        })
+        .collect();
+    Ok(Finished {
+        result: JobResult {
+            rounds,
+            ..job_result(
+                outcome.evaluations,
+                outcome.ledger.len() as u64,
+                cause,
+                &outcome.merged,
+            )
+        },
+        cause,
+        deposits: vec![deposit(instance, &outcome.merged)],
+    })
+}
+
 /// Runs one dynamic re-optimization job: regenerates the scenario script
 /// from `(instance, script_seed)`, reads the cache's solution pool for
-/// the base instance (epoch 0's warm start, when warm), runs the epochs
-/// via [`tsmo_scenario::run_dynamic`], and deposits every epoch's front
-/// back into the cache under the mutated instance's canonical text.
-#[allow(clippy::too_many_arguments)]
-fn run_dynamic_job(
+/// the base instance (epoch 0's warm start, when warm), and runs the
+/// epochs via [`tsmo_scenario::run_dynamic`]. The result is the final
+/// epoch's front plus one [`EpochInfo`] per epoch, with the evaluation
+/// and iteration totals summed across epochs; every epoch's front is
+/// deposited under its mutated instance's canonical text.
+fn run_dynamic(
     shared: &Shared,
-    id: u64,
     dp: &DynamicParams,
     variant: ParallelVariant,
     cfg: TsmoConfig,
     instance: &Arc<vrptw::Instance>,
     recorder: Arc<dyn Recorder>,
     cancel: &CancelToken,
-    submitted: std::time::Instant,
-) {
+) -> Finished {
     let script = tsmo_scenario::ScenarioScript::generate(
         instance,
         dp.script_seed,
@@ -1070,40 +985,42 @@ fn run_dynamic_job(
         recorder,
         cancel.clone(),
     );
-    for (e, inst) in epochs.iter().zip(script.instances(instance).iter()) {
-        let pool: Vec<vrptw::Solution> = e
-            .outcome
-            .archive
-            .iter()
-            .map(|en| en.solution.clone())
-            .collect();
-        if !pool.is_empty() {
-            shared.cache.pool_put(&vrptw::solomon::write(inst), pool);
-        }
-    }
     let cause = cancel.cause();
-    match cause {
-        Some(StopCause::Cancelled) => shared.metrics.counter_add(names::JOBS_CANCELLED, 1),
-        Some(StopCause::DeadlineExceeded) => {
-            shared.metrics.counter_add(names::JOBS_DEADLINE_EXCEEDED, 1);
-            shared
-                .events
-                .event(SearchEvent::JobDeadlineExceeded { job: id });
-        }
-        Some(StopCause::IterationLimit) | None => {}
+    let last_front = epochs.last().map_or(&[][..], |e| &e.outcome.archive[..]);
+    let result = JobResult {
+        epochs: epochs
+            .iter()
+            .map(|e| EpochInfo {
+                epoch: e.epoch as u64,
+                mutations: e.mutations as u64,
+                customers: e.customers as u64,
+                warm_seeds: e.warm_seeds as u64,
+                evaluations: e.outcome.evaluations,
+                front_size: e.outcome.archive.len() as u64,
+                best_distance: e
+                    .outcome
+                    .archive
+                    .iter()
+                    .map(|en| en.objectives.to_vector()[0])
+                    .fold(f64::INFINITY, f64::min)
+                    .min(f64::MAX), // empty archive stays JSON-finite
+            })
+            .collect(),
+        ..job_result(
+            epochs.iter().map(|e| e.outcome.evaluations).sum(),
+            epochs.iter().map(|e| e.outcome.iterations as u64).sum(),
+            cause,
+            last_front,
+        )
+    };
+    let deposits = epochs
+        .iter()
+        .zip(script.instances(instance).iter())
+        .map(|(e, inst)| deposit(inst, &e.outcome.archive))
+        .collect();
+    Finished {
+        result,
+        cause,
+        deposits,
     }
-    let result = dynamic_job_result(&epochs, cause);
-    shared.metrics.counter_add(names::JOBS_COMPLETED, 1);
-    shared.metrics.observe(
-        names::JOB_LATENCY_MS,
-        submitted.elapsed().as_secs_f64() * 1000.0,
-    );
-    shared.events.event(SearchEvent::JobCompleted {
-        job: id,
-        iterations: result.iterations,
-        truncated: result.truncated,
-    });
-    shared
-        .jobs
-        .with_job(id, |j| j.state = JobState::Done(result));
 }

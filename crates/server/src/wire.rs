@@ -5,12 +5,21 @@
 //! bytes of UTF-8 JSON. One request frame yields exactly one response
 //! frame; a client may pipeline multiple requests on one connection.
 //! Encoding reuses the zero-dependency JSON support from `tsmo-obs`
-//! ([`tsmo_obs::json`]), so the whole service layer adds no external
+//! ([`tsmo_obs::json`]) and its typed field readers, the same ones the
+//! node protocol uses, so the whole service layer adds no external
 //! dependencies. Field order is fixed by the writers, so equal messages
 //! encode byte-identically — the same property the telemetry layer has.
+//!
+//! Every job — a plain search, a dynamic re-optimization, or a portfolio
+//! race — is one `Submit` whose [`JobSpec::mode`] says which. A plain
+//! search writes no mode field, so its frame carries only the search
+//! settings; the other modes append a `"dynamic"` or `"portfolio"` object.
 
 use std::fmt::Write as _;
-use tsmo_obs::json::{self, Json};
+use tsmo_obs::json::{
+    self, objective_vector, opt_array, opt_bool, opt_f64, opt_u64, req_array, req_bool, req_f64,
+    req_str, req_u64, routes_from, write_array, Json,
+};
 
 // Framing moved to `tsmo_obs::frame` so the cluster crate can share it
 // without depending on the service layer; re-exported here so existing
@@ -43,6 +52,28 @@ pub struct JobSpec {
     /// `Tail` can stream it. Off by default: event streams grow with run
     /// length, which is why the daemon's shared recorder is metrics-only.
     pub record_events: bool,
+    /// What the job runs with this spec: one search (the default), a
+    /// sequence of re-optimization epochs, or a portfolio race.
+    pub mode: JobMode,
+}
+
+/// The kind of job a [`JobSpec`] describes. A decision maker submits one
+/// spec and re-submits it with another mode or new parameters; the
+/// search settings (instance, variant, budget, seed) mean the same in
+/// every mode.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub enum JobMode {
+    /// One search run by `variant` (on the node mesh, for `collaborative`
+    /// jobs on a mesh-backed daemon).
+    #[default]
+    Search,
+    /// Re-optimization epochs: the instance is mutated between epochs per
+    /// a deterministic script and each epoch re-solves with the spec's
+    /// budget.
+    Dynamic(DynamicParams),
+    /// A portfolio race: the named algorithms share the spec's evaluation
+    /// budget across scored rounds with coverage-driven reallocation.
+    Portfolio(PortfolioParams),
 }
 
 impl Default for JobSpec {
@@ -57,6 +88,7 @@ impl Default for JobSpec {
             deadline_ms: None,
             max_iterations: None,
             record_events: false,
+            mode: JobMode::Search,
         }
     }
 }
@@ -104,7 +136,7 @@ impl DynamicParams {
             epochs: req_u64(doc, "epochs")? as usize,
             mutations_per_epoch: req_u64(doc, "mutations_per_epoch")? as usize,
             // Lenient: absent means the default (warm).
-            warm: doc.get("warm").and_then(Json::as_bool).unwrap_or(true),
+            warm: opt_bool(doc, "warm")?.unwrap_or(true),
         })
     }
 }
@@ -148,14 +180,9 @@ impl Default for PortfolioParams {
 
 impl PortfolioParams {
     fn write_json(&self, out: &mut String) {
-        out.push_str("{\"algos\":[");
-        for (i, a) in self.algos.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::write_str(out, a);
-        }
-        let _ = write!(out, "],\"rounds\":{},\"floor\":", self.rounds);
+        out.push_str("{\"algos\":");
+        write_array(out, &self.algos, |out, a| json::write_str(out, a));
+        let _ = write!(out, ",\"rounds\":{},\"floor\":", self.rounds);
         json::write_f64(out, self.floor);
         out.push_str(",\"eta\":");
         json::write_f64(out, self.eta);
@@ -165,38 +192,20 @@ impl PortfolioParams {
     }
 
     fn from_json(doc: &Json) -> Result<Self, String> {
-        let algos = match doc.get("algos") {
-            Some(Json::Array(items)) => items
-                .iter()
-                .map(|a| {
-                    a.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| "bad 'algos' entry".to_string())
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err("missing 'algos' array".to_string()),
-        };
+        let algos = req_array(doc, "algos", |a| {
+            a.as_str()
+                .map(str::to_string)
+                .ok_or_else(|| "bad 'algos' entry".to_string())
+        })?;
         let defaults = Self::default();
         Ok(Self {
             algos,
             rounds: req_u64(doc, "rounds")? as u32,
             // Lenient: absent scheduler knobs take the defaults.
-            floor: doc
-                .get("floor")
-                .and_then(Json::as_f64)
-                .unwrap_or(defaults.floor),
-            eta: doc
-                .get("eta")
-                .and_then(Json::as_f64)
-                .unwrap_or(defaults.eta),
-            softmax_beta: doc
-                .get("softmax_beta")
-                .and_then(Json::as_f64)
-                .unwrap_or(defaults.softmax_beta),
-            retire_after: doc
-                .get("retire_after")
-                .and_then(Json::as_u64)
-                .map_or(defaults.retire_after, |v| v as u32),
+            floor: opt_f64(doc, "floor")?.unwrap_or(defaults.floor),
+            eta: opt_f64(doc, "eta")?.unwrap_or(defaults.eta),
+            softmax_beta: opt_f64(doc, "softmax_beta")?.unwrap_or(defaults.softmax_beta),
+            retire_after: opt_u64(doc, "retire_after")?.map_or(defaults.retire_after, |v| v as u32),
         })
     }
 }
@@ -204,29 +213,9 @@ impl PortfolioParams {
 /// A request frame.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
-    /// Enqueue a job; answered with `Submitted` or `QueueFull`.
+    /// Enqueue a job of any [`JobMode`]; answered with `Submitted` or
+    /// `QueueFull`.
     Submit(JobSpec),
-    /// Enqueue a dynamic re-optimization job: the instance is mutated
-    /// between epochs per a deterministic script and each epoch re-solves
-    /// with `spec`'s budget. Answered like `Submit`.
-    SubmitDynamic {
-        /// The per-epoch search spec (the base instance rides in
-        /// `instance_text`).
-        spec: JobSpec,
-        /// The scenario: script seed, epoch count, mutation rate, warm
-        /// or cold.
-        dynamic: DynamicParams,
-    },
-    /// Enqueue a portfolio race: the named algorithms share `spec`'s
-    /// evaluation budget across scored rounds with coverage-driven
-    /// reallocation. Answered like `Submit`.
-    SubmitPortfolio {
-        /// The shared search spec (instance, total budget, seed,
-        /// neighborhood, processors).
-        spec: JobSpec,
-        /// The race: contender names and scheduler knobs.
-        portfolio: PortfolioParams,
-    },
     /// Query a job's lifecycle state.
     Status {
         /// The job to query.
@@ -264,14 +253,8 @@ pub enum Request {
 }
 
 /// One entry of a result front: the objective vector plus the routes
-/// realizing it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FrontPoint {
-    /// Minimization vector `[distance, vehicles, tardiness]`.
-    pub objectives: [f64; 3],
-    /// The deployed routes (customer ids, depot omitted).
-    pub routes: Vec<Vec<u16>>,
-}
+/// realizing it — the same type the node mesh exchanges.
+pub type FrontPoint = tsmo_cluster::ExchangeEntry;
 
 /// Summary of one epoch of a dynamic job.
 #[derive(Debug, Clone, PartialEq)]
@@ -327,7 +310,7 @@ pub struct JobResult {
     /// entries may carry tardiness (`objectives[2]`); filter on zero
     /// tardiness for hard-feasible solutions.
     pub front: Vec<FrontPoint>,
-    /// Per-epoch summaries of a dynamic job; empty for plain submissions
+    /// Per-epoch summaries of a dynamic job; empty for other modes
     /// (whose single run *is* the result). For dynamic jobs `front` is
     /// the final epoch's front.
     pub epochs: Vec<EpochInfo>,
@@ -447,6 +430,17 @@ impl JobSpec {
         out.push_str(",\"max_iterations\":");
         write_opt_u64(out, self.max_iterations);
         let _ = write!(out, ",\"record_events\":{}", self.record_events);
+        match &self.mode {
+            JobMode::Search => {}
+            JobMode::Dynamic(dynamic) => {
+                out.push_str(",\"dynamic\":");
+                dynamic.write_json(out);
+            }
+            JobMode::Portfolio(portfolio) => {
+                out.push_str(",\"portfolio\":");
+                portfolio.write_json(out);
+            }
+        }
         out.push('}');
     }
 
@@ -461,10 +455,17 @@ impl JobSpec {
             deadline_ms: opt_u64(doc, "deadline_ms")?,
             max_iterations: opt_u64(doc, "max_iterations")?,
             // Lenient for compatibility with pre-tail clients.
-            record_events: doc
-                .get("record_events")
-                .and_then(Json::as_bool)
-                .unwrap_or(false),
+            record_events: opt_bool(doc, "record_events")?.unwrap_or(false),
+            mode: match (doc.get("dynamic"), doc.get("portfolio")) {
+                (None, None) => JobMode::Search,
+                (Some(dynamic), None) => JobMode::Dynamic(DynamicParams::from_json(dynamic)?),
+                (None, Some(portfolio)) => {
+                    JobMode::Portfolio(PortfolioParams::from_json(portfolio)?)
+                }
+                (Some(_), Some(_)) => {
+                    return Err("a job is dynamic or a portfolio, not both".to_string())
+                }
+            },
         })
     }
 }
@@ -477,20 +478,6 @@ impl Request {
             Request::Submit(spec) => {
                 s.push_str("{\"type\":\"submit\",\"spec\":");
                 spec.write_json(&mut s);
-                s.push('}');
-            }
-            Request::SubmitDynamic { spec, dynamic } => {
-                s.push_str("{\"type\":\"submit_dynamic\",\"spec\":");
-                spec.write_json(&mut s);
-                s.push_str(",\"dynamic\":");
-                dynamic.write_json(&mut s);
-                s.push('}');
-            }
-            Request::SubmitPortfolio { spec, portfolio } => {
-                s.push_str("{\"type\":\"submit_portfolio\",\"spec\":");
-                spec.write_json(&mut s);
-                s.push_str(",\"portfolio\":");
-                portfolio.write_json(&mut s);
                 s.push('}');
             }
             Request::Status { job } => {
@@ -520,18 +507,6 @@ impl Request {
             "submit" => Ok(Request::Submit(JobSpec::from_json(
                 doc.get("spec").ok_or("missing 'spec' field")?,
             )?)),
-            "submit_dynamic" => Ok(Request::SubmitDynamic {
-                spec: JobSpec::from_json(doc.get("spec").ok_or("missing 'spec' field")?)?,
-                dynamic: DynamicParams::from_json(
-                    doc.get("dynamic").ok_or("missing 'dynamic' field")?,
-                )?,
-            }),
-            "submit_portfolio" => Ok(Request::SubmitPortfolio {
-                spec: JobSpec::from_json(doc.get("spec").ok_or("missing 'spec' field")?)?,
-                portfolio: PortfolioParams::from_json(
-                    doc.get("portfolio").ok_or("missing 'portfolio' field")?,
-                )?,
-            }),
             "status" => Ok(Request::Status {
                 job: req_u64(&doc, "job")?,
             }),
@@ -564,46 +539,16 @@ impl JobResult {
             Some(c) => json::write_str(out, c),
             None => out.push_str("null"),
         }
-        out.push_str(",\"front\":[");
-        for (i, p) in self.front.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('[');
-            for (j, x) in p.objectives.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                json::write_f64(out, *x);
-            }
-            out.push(']');
-        }
-        out.push_str("],\"routes\":[");
-        for (i, p) in self.front.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('[');
-            for (j, route) in p.routes.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push('[');
-                for (k, site) in route.iter().enumerate() {
-                    if k > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "{site}");
-                }
-                out.push(']');
-            }
-            out.push(']');
-        }
-        out.push_str("],\"epochs\":[");
-        for (i, e) in self.epochs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+        out.push_str(",\"front\":");
+        write_array(out, &self.front, |out, p| {
+            json::write_f64s(out, &p.objectives)
+        });
+        out.push_str(",\"routes\":");
+        write_array(out, &self.front, |out, p| {
+            json::write_routes(out, &p.routes)
+        });
+        out.push_str(",\"epochs\":");
+        write_array(out, &self.epochs, |out, e| {
             let _ = write!(
                 out,
                 "{{\"epoch\":{},\"mutations\":{},\"customers\":{},\"warm_seeds\":{},\"evaluations\":{},\"front_size\":{},\"best_distance\":",
@@ -611,12 +556,9 @@ impl JobResult {
             );
             json::write_f64(out, e.best_distance);
             out.push('}');
-        }
-        out.push_str("],\"rounds\":[");
-        for (i, r) in self.rounds.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+        });
+        out.push_str(",\"rounds\":");
+        write_array(out, &self.rounds, |out, r| {
             let _ = write!(
                 out,
                 "{{\"round\":{},\"winner\":{},\"winner_algo\":",
@@ -630,25 +572,13 @@ impl JobResult {
             );
             json::write_f64(out, r.best_coverage);
             out.push('}');
-        }
-        out.push_str("]}");
+        });
+        out.push('}');
     }
 
     fn from_json(doc: &Json) -> Result<Self, String> {
-        let front_vectors = match doc.get("front") {
-            Some(Json::Array(items)) => items
-                .iter()
-                .map(objective_vector)
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err("missing 'front' array".to_string()),
-        };
-        let routes_per_point = match doc.get("routes") {
-            Some(Json::Array(items)) => items
-                .iter()
-                .map(routes_from)
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err("missing 'routes' array".to_string()),
-        };
+        let front_vectors = req_array(doc, "front", objective_vector)?;
+        let routes_per_point = req_array(doc, "routes", routes_from)?;
         if front_vectors.len() != routes_per_point.len() {
             return Err("'front' and 'routes' lengths differ".to_string());
         }
@@ -666,21 +596,9 @@ impl JobResult {
                 .map(|(objectives, routes)| FrontPoint { objectives, routes })
                 .collect(),
             // Lenient for results written before dynamic jobs existed.
-            epochs: match doc.get("epochs") {
-                Some(Json::Array(items)) => items
-                    .iter()
-                    .map(epoch_info_from)
-                    .collect::<Result<Vec<_>, _>>()?,
-                _ => Vec::new(),
-            },
+            epochs: opt_array(doc, "epochs", epoch_info_from)?,
             // Likewise for results that predate portfolio jobs.
-            rounds: match doc.get("rounds") {
-                Some(Json::Array(items)) => items
-                    .iter()
-                    .map(round_info_from)
-                    .collect::<Result<Vec<_>, _>>()?,
-                _ => Vec::new(),
-            },
+            rounds: opt_array(doc, "rounds", round_info_from)?,
         })
     }
 }
@@ -693,10 +611,7 @@ fn round_info_from(v: &Json) -> Result<RoundInfo, String> {
         allocated: req_u64(v, "allocated")?,
         spent: req_u64(v, "spent")?,
         retired: req_u64(v, "retired")?,
-        best_coverage: v
-            .get("best_coverage")
-            .and_then(Json::as_f64)
-            .ok_or("bad 'best_coverage' field")?,
+        best_coverage: req_f64(v, "best_coverage")?,
     })
 }
 
@@ -708,10 +623,7 @@ fn epoch_info_from(v: &Json) -> Result<EpochInfo, String> {
         warm_seeds: req_u64(v, "warm_seeds")?,
         evaluations: req_u64(v, "evaluations")?,
         front_size: req_u64(v, "front_size")?,
-        best_distance: v
-            .get("best_distance")
-            .and_then(Json::as_f64)
-            .ok_or("bad 'best_distance' field")?,
+        best_distance: req_f64(v, "best_distance")?,
     })
 }
 
@@ -850,67 +762,6 @@ impl Response {
     }
 }
 
-fn req_str<'a>(doc: &'a Json, key: &str) -> Result<&'a str, String> {
-    doc.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("bad '{key}' field"))
-}
-
-fn req_u64(doc: &Json, key: &str) -> Result<u64, String> {
-    doc.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("bad '{key}' field"))
-}
-
-fn req_bool(doc: &Json, key: &str) -> Result<bool, String> {
-    doc.get(key)
-        .and_then(Json::as_bool)
-        .ok_or_else(|| format!("bad '{key}' field"))
-}
-
-fn opt_u64(doc: &Json, key: &str) -> Result<Option<u64>, String> {
-    match doc.get(key) {
-        Some(Json::Null) | None => Ok(None),
-        Some(v) => v
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| format!("bad '{key}' field")),
-    }
-}
-
-fn objective_vector(v: &Json) -> Result<[f64; 3], String> {
-    match v {
-        Json::Array(items) if items.len() == 3 => {
-            let mut out = [0.0; 3];
-            for (i, item) in items.iter().enumerate() {
-                out[i] = item.as_f64().ok_or("non-numeric objective")?;
-            }
-            Ok(out)
-        }
-        _ => Err("objective vector must be a 3-element array".to_string()),
-    }
-}
-
-fn routes_from(v: &Json) -> Result<Vec<Vec<u16>>, String> {
-    match v {
-        Json::Array(routes) => routes
-            .iter()
-            .map(|route| match route {
-                Json::Array(sites) => sites
-                    .iter()
-                    .map(|s| {
-                        s.as_u64()
-                            .and_then(|x| u16::try_from(x).ok())
-                            .ok_or_else(|| "bad site id".to_string())
-                    })
-                    .collect(),
-                _ => Err("route must be an array".to_string()),
-            })
-            .collect(),
-        _ => Err("routes entry must be an array of routes".to_string()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -936,179 +787,6 @@ mod tests {
         }
     }
 
-    fn portfolio_result() -> JobResult {
-        JobResult {
-            rounds: vec![
-                RoundInfo {
-                    round: 0,
-                    winner: 2,
-                    winner_algo: "spea2".to_string(),
-                    allocated: 2_500,
-                    spent: 2_500,
-                    retired: 0,
-                    best_coverage: 0.75,
-                },
-                RoundInfo {
-                    round: 1,
-                    winner: 0,
-                    winner_algo: "tsmo-collab".to_string(),
-                    allocated: 2_500,
-                    spent: 2_500,
-                    retired: 1,
-                    best_coverage: 0.5,
-                },
-            ],
-            ..sample_result()
-        }
-    }
-
-    fn dynamic_result() -> JobResult {
-        JobResult {
-            epochs: vec![
-                EpochInfo {
-                    epoch: 0,
-                    mutations: 0,
-                    customers: 6,
-                    warm_seeds: 0,
-                    evaluations: 2_500,
-                    front_size: 2,
-                    best_distance: 512.25,
-                },
-                EpochInfo {
-                    epoch: 1,
-                    mutations: 3,
-                    customers: 7,
-                    warm_seeds: 9,
-                    evaluations: 2_500,
-                    front_size: 1,
-                    best_distance: 498.5,
-                },
-            ],
-            ..sample_result()
-        }
-    }
-
-    #[test]
-    fn requests_round_trip() {
-        let samples = vec![
-            Request::Submit(JobSpec {
-                instance_text: "R101\nline two\t\"quoted\"".to_string(),
-                variant: "asynchronous".to_string(),
-                processors: 4,
-                max_evaluations: 20_000,
-                neighborhood_size: 80,
-                seed: 42,
-                deadline_ms: Some(250),
-                max_iterations: None,
-                record_events: true,
-            }),
-            Request::Submit(JobSpec::default()),
-            Request::SubmitDynamic {
-                spec: JobSpec {
-                    instance_text: "R101 base".to_string(),
-                    ..JobSpec::default()
-                },
-                dynamic: DynamicParams {
-                    script_seed: 11,
-                    epochs: 4,
-                    mutations_per_epoch: 2,
-                    warm: false,
-                },
-            },
-            Request::SubmitDynamic {
-                spec: JobSpec::default(),
-                dynamic: DynamicParams::default(),
-            },
-            Request::SubmitPortfolio {
-                spec: JobSpec {
-                    instance_text: "R101 base".to_string(),
-                    max_evaluations: 9_000,
-                    ..JobSpec::default()
-                },
-                portfolio: PortfolioParams {
-                    algos: vec!["tsmo-seq".to_string(), "nsga2".to_string()],
-                    rounds: 3,
-                    floor: 0.2,
-                    eta: 0.05,
-                    softmax_beta: 2.0,
-                    retire_after: 0,
-                },
-            },
-            Request::SubmitPortfolio {
-                spec: JobSpec::default(),
-                portfolio: PortfolioParams::default(),
-            },
-            Request::Status { job: 7 },
-            Request::Cancel { job: 7 },
-            Request::Result { job: 9 },
-            Request::Tail { job: 9 },
-            Request::Health,
-            Request::Metrics,
-            Request::MetricsJson,
-            Request::Shutdown,
-        ];
-        for req in samples {
-            let text = req.to_json();
-            let parsed = Request::parse(&text).expect("parse back");
-            assert_eq!(parsed, req, "mismatch for {text}");
-            assert_eq!(parsed.to_json(), text, "re-encode must be stable");
-        }
-    }
-
-    #[test]
-    fn responses_round_trip() {
-        let samples = vec![
-            Response::Submitted { job: 3, depth: 2 },
-            Response::QueueFull { capacity: 8 },
-            Response::JobStatus {
-                job: 3,
-                state: "running".to_string(),
-            },
-            Response::CancelAccepted { job: 3 },
-            Response::JobResult {
-                job: 3,
-                result: sample_result(),
-            },
-            Response::JobResult {
-                job: 4,
-                result: dynamic_result(),
-            },
-            Response::JobResult {
-                job: 5,
-                result: portfolio_result(),
-            },
-            Response::Health {
-                status: "ok".to_string(),
-                queued: 2,
-                running: 1,
-                workers: 4,
-            },
-            Response::Metrics {
-                prometheus: "# TYPE tsmo_jobs_admitted_total counter\ntsmo_jobs_admitted_total 4\n"
-                    .to_string(),
-            },
-            Response::MetricsJson {
-                registry: "{\"counters\":{\"tsmo_evaluations_total\":9}}".to_string(),
-            },
-            Response::ShutdownComplete { jobs_completed: 12 },
-            Response::TailEvent {
-                job: 3,
-                line: "{\"seq\":0,\"type\":\"span_enter\",\"name\":\"search\"}".to_string(),
-            },
-            Response::TailDone { job: 3, events: 41 },
-            Response::NotFound { job: 99 },
-            Response::Error {
-                message: "bad \"variant\"".to_string(),
-            },
-        ];
-        for resp in samples {
-            let text = resp.to_json();
-            let parsed = Response::parse(&text).expect("parse back");
-            assert_eq!(parsed, resp, "mismatch for {text}");
-            assert_eq!(parsed.to_json(), text, "re-encode must be stable");
-        }
-    }
-
     #[test]
     fn old_clients_remain_parseable() {
         // Results written before dynamic jobs carry no "epochs" array.
@@ -1120,29 +798,75 @@ mod tests {
         };
         assert!(result.epochs.is_empty());
         // Dynamic params without "warm" default to warm.
-        let req = "{\"type\":\"submit_dynamic\",\"spec\":{\"instance\":\"X\",\
-                   \"variant\":\"sequential\",\"processors\":1,\"max_evaluations\":5,\
-                   \"neighborhood_size\":2,\"seed\":0,\"deadline_ms\":null,\
-                   \"max_iterations\":null},\"dynamic\":{\"script_seed\":3,\
-                   \"epochs\":2,\"mutations_per_epoch\":1}}";
-        let Request::SubmitDynamic { dynamic, .. } = Request::parse(req).unwrap() else {
-            panic!("parsed to the wrong variant");
+        let spec = "\"instance\":\"X\",\"variant\":\"sequential\",\"processors\":1,\
+                    \"max_evaluations\":5,\"neighborhood_size\":2,\"seed\":0,\
+                    \"deadline_ms\":null,\"max_iterations\":null";
+        let req = format!(
+            "{{\"type\":\"submit\",\"spec\":{{{spec},\"dynamic\":{{\"script_seed\":3,\
+             \"epochs\":2,\"mutations_per_epoch\":1}}}}}}"
+        );
+        let Request::Submit(JobSpec {
+            mode: JobMode::Dynamic(dynamic),
+            ..
+        }) = Request::parse(&req).unwrap()
+        else {
+            panic!("parsed to the wrong mode");
         };
         assert!(dynamic.warm);
         // Portfolio params without scheduler knobs take the defaults.
-        let req = "{\"type\":\"submit_portfolio\",\"spec\":{\"instance\":\"X\",\
-                   \"variant\":\"sequential\",\"processors\":1,\"max_evaluations\":5,\
-                   \"neighborhood_size\":2,\"seed\":0,\"deadline_ms\":null,\
-                   \"max_iterations\":null},\"portfolio\":{\"algos\":[\"nsga2\",\
-                   \"paes\"],\"rounds\":2}}";
-        let Request::SubmitPortfolio { portfolio, .. } = Request::parse(req).unwrap() else {
-            panic!("parsed to the wrong variant");
+        let req = format!(
+            "{{\"type\":\"submit\",\"spec\":{{{spec},\"portfolio\":{{\"algos\":\
+             [\"nsga2\",\"paes\"],\"rounds\":2}}}}}}"
+        );
+        let Request::Submit(JobSpec {
+            mode: JobMode::Portfolio(portfolio),
+            ..
+        }) = Request::parse(&req).unwrap()
+        else {
+            panic!("parsed to the wrong mode");
         };
         assert_eq!(portfolio.algos, vec!["nsga2", "paes"]);
         assert_eq!(portfolio.rounds, 2);
         let defaults = PortfolioParams::default();
         assert_eq!(portfolio.floor, defaults.floor);
         assert_eq!(portfolio.retire_after, defaults.retire_after);
+        // A spec cannot be both.
+        let both = format!(
+            "{{\"type\":\"submit\",\"spec\":{{{spec},\"dynamic\":{{\"script_seed\":3,\
+             \"epochs\":2,\"mutations_per_epoch\":1}},\"portfolio\":{{\"algos\":[],\
+             \"rounds\":2}}}}}}"
+        );
+        assert!(Request::parse(&both).is_err());
+    }
+
+    /// A plain search and its result encode to exactly the bytes they did
+    /// before dynamic and portfolio jobs became modes of `Submit`.
+    #[test]
+    fn plain_submit_and_result_frames_are_pinned() {
+        let submit = Request::Submit(JobSpec {
+            instance_text: "R101\n".to_string(),
+            deadline_ms: Some(250),
+            record_events: true,
+            ..JobSpec::default()
+        });
+        assert_eq!(
+            submit.to_json(),
+            "{\"type\":\"submit\",\"spec\":{\"instance\":\"R101\\n\",\
+             \"variant\":\"sequential\",\"processors\":1,\"max_evaluations\":10000,\
+             \"neighborhood_size\":50,\"seed\":0,\"deadline_ms\":250,\
+             \"max_iterations\":null,\"record_events\":true}}"
+        );
+        let result = Response::JobResult {
+            job: 3,
+            result: sample_result(),
+        };
+        assert_eq!(
+            result.to_json(),
+            "{\"type\":\"job_result\",\"job\":3,\"result\":{\"evaluations\":5000,\
+             \"iterations\":100,\"truncated\":true,\"stop_cause\":\"deadline_exceeded\",\
+             \"front\":[[512.25,4,0],[600,3,0]],\"routes\":[[[1,3,2],[4],[5,6]],\
+             [[1,2,3,4],[5,6]]],\"epochs\":[],\"rounds\":[]}}"
+        );
     }
 
     #[test]

@@ -8,7 +8,8 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 use tsmo_serve::{
-    Client, DynamicParams, JobSpec, PortfolioParams, Request, Response, Server, ServerConfig,
+    Client, DynamicParams, JobMode, JobSpec, PortfolioParams, Request, Response, Server,
+    ServerConfig,
 };
 use vrptw::generator::{GeneratorConfig, InstanceClass};
 
@@ -399,7 +400,10 @@ fn dynamic_jobs_run_every_epoch_and_warm_start_between_them() {
         warm: true,
     };
     let job = client
-        .submit_dynamic(spec, dynamic)
+        .submit(JobSpec {
+            mode: JobMode::Dynamic(dynamic),
+            ..spec
+        })
         .expect("submit")
         .expect("admitted");
     let result = client.wait_result(job, Duration::from_secs(120)).unwrap();
@@ -439,7 +443,13 @@ fn a_previous_front_warm_starts_the_next_dynamic_job() {
         mutations_per_epoch: 1,
         warm: true,
     };
-    let job = client.submit_dynamic(spec, dynamic).unwrap().unwrap();
+    let job = client
+        .submit(JobSpec {
+            mode: JobMode::Dynamic(dynamic),
+            ..spec
+        })
+        .unwrap()
+        .unwrap();
     let result = client.wait_result(job, Duration::from_secs(120)).unwrap();
     assert!(
         result.epochs[0].warm_seeds > 0,
@@ -464,7 +474,10 @@ fn cold_dynamic_jobs_never_warm_start_and_bad_epochs_are_rejected() {
         warm: false,
     };
     let job = client
-        .submit_dynamic(spec.clone(), dynamic)
+        .submit(JobSpec {
+            mode: JobMode::Dynamic(dynamic),
+            ..spec.clone()
+        })
         .unwrap()
         .unwrap();
     let result = client.wait_result(job, Duration::from_secs(120)).unwrap();
@@ -474,7 +487,12 @@ fn cold_dynamic_jobs_never_warm_start_and_bad_epochs_are_rejected() {
         epochs: 0,
         ..DynamicParams::default()
     };
-    assert!(client.submit_dynamic(spec, zero).is_err());
+    assert!(client
+        .submit(JobSpec {
+            mode: JobMode::Dynamic(zero),
+            ..spec
+        })
+        .is_err());
     server.shutdown();
 }
 
@@ -498,7 +516,10 @@ fn portfolio_jobs_race_contenders_and_return_a_merged_front() {
         ..PortfolioParams::default()
     };
     let job = client
-        .submit_portfolio(spec, portfolio)
+        .submit(JobSpec {
+            mode: JobMode::Portfolio(portfolio),
+            ..spec
+        })
         .expect("submit")
         .expect("admitted");
     let result = client.wait_result(job, Duration::from_secs(120)).unwrap();
@@ -537,17 +558,32 @@ fn bad_portfolio_submissions_are_rejected_at_the_wire() {
         algos: vec!["simulated-annealing".to_string()],
         ..PortfolioParams::default()
     };
-    assert!(client.submit_portfolio(spec.clone(), unknown).is_err());
+    assert!(client
+        .submit(JobSpec {
+            mode: JobMode::Portfolio(unknown),
+            ..spec.clone()
+        })
+        .is_err());
     let empty = PortfolioParams {
         algos: Vec::new(),
         ..PortfolioParams::default()
     };
-    assert!(client.submit_portfolio(spec.clone(), empty).is_err());
+    assert!(client
+        .submit(JobSpec {
+            mode: JobMode::Portfolio(empty),
+            ..spec.clone()
+        })
+        .is_err());
     let zero_rounds = PortfolioParams {
         rounds: 0,
         ..PortfolioParams::default()
     };
-    assert!(client.submit_portfolio(spec, zero_rounds).is_err());
+    assert!(client
+        .submit(JobSpec {
+            mode: JobMode::Portfolio(zero_rounds),
+            ..spec
+        })
+        .is_err());
     server.shutdown();
 }
 
