@@ -563,9 +563,22 @@ fn broadcast_view(shared: &Arc<NodeShared>, epoch: u64, members: &[Member], exce
     }
 }
 
+/// Most searchers one `Start` frame may ask the whole mesh to run. A node
+/// allocates per searcher straight from the frame — an inbox channel per
+/// local id and an RNG stream per global id — so the count is bounded
+/// before anything is allocated.
+const MAX_MESH_SEARCHERS: usize = 1024;
+
 fn start_job(job: MeshJob, shared: &Arc<NodeShared>) -> NodeMsg {
-    if job.searchers_per_node == 0 || job.node_index >= job.peers.len() {
-        return NodeMsg::error("bad job: need searchers_per_node > 0 and node_index < peers.len()");
+    let mesh_searchers = job.peers.len().checked_mul(job.searchers_per_node);
+    if job.searchers_per_node == 0
+        || job.node_index >= job.peers.len()
+        || mesh_searchers.is_none_or(|n| n > MAX_MESH_SEARCHERS)
+    {
+        return NodeMsg::error(format!(
+            "bad job: need searchers_per_node > 0, node_index < peers.len(), \
+             and at most {MAX_MESH_SEARCHERS} searchers across the mesh"
+        ));
     }
     let instance = match vrptw::solomon::parse(&job.instance_text) {
         Ok(inst) => Arc::new(inst),

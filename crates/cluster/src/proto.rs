@@ -6,14 +6,17 @@
 //! byte-identically. The vocabulary covers the whole node lifecycle — mesh
 //! bootstrap (`Hello`), job dispatch (`Start`), the exchange hot path
 //! (`Exchange`/`ExchangeAck`), and result gathering (`Front`, `Metrics`).
+//!
+//! [`NodeMsg`] is one [`tsmo_obs::wire_enum!`] table: each row is a
+//! message with its wire `type` string and its fields in frame order, and
+//! the writer and reader are generated from it. The nested payloads
+//! ([`ExchangeEntry`], [`MeshJob`], [`Member`]) keep hand-written codecs;
+//! `MeshJob`'s carries the defaults older controllers rely on.
 
 use crate::membership::Member;
 use std::fmt::Write as _;
 use tsmo_core::FrontEntry;
-use tsmo_obs::json::{
-    self, objective_vector, opt_array, opt_u64, req_array, req_bool, req_f64, req_str, req_u64,
-    routes_from, write_array, Json,
-};
+use tsmo_obs::json::{self, field, routes_from, Field, Json};
 use vrptw::{Objectives, Solution};
 
 /// One archive entry in transit: the objective vector plus the routes
@@ -54,8 +57,10 @@ impl ExchangeEntry {
         };
         FrontEntry::new(Solution::from_routes(self.routes.clone()), objectives)
     }
+}
 
-    fn write_json(&self, out: &mut String) {
+impl Field for ExchangeEntry {
+    fn write_field(&self, out: &mut String) {
         out.push_str("{\"objectives\":");
         json::write_f64s(out, &self.objectives);
         out.push_str(",\"routes\":");
@@ -63,9 +68,9 @@ impl ExchangeEntry {
         out.push('}');
     }
 
-    fn from_json(doc: &Json) -> Result<Self, String> {
+    fn read_field(doc: &Json) -> Result<Self, String> {
         Ok(Self {
-            objectives: objective_vector(doc.get("objectives").ok_or("missing 'objectives'")?)?,
+            objectives: field(doc, "objectives")?,
             routes: routes_from(doc.get("routes").ok_or("missing 'routes'")?)?,
         })
     }
@@ -148,12 +153,14 @@ impl MeshJob {
     pub fn total_searchers(&self) -> usize {
         self.peers.len() * self.searchers_per_node
     }
+}
 
-    fn write_json(&self, out: &mut String) {
+impl Field for MeshJob {
+    fn write_field(&self, out: &mut String) {
         out.push_str("{\"instance\":");
         json::write_str(out, &self.instance_text);
         let _ = write!(out, ",\"node_index\":{},\"peers\":", self.node_index);
-        write_array(out, &self.peers, |out, p| json::write_str(out, p));
+        self.peers.write_field(out);
         let _ = write!(
             out,
             ",\"searchers_per_node\":{},\"seed\":{},\"max_evaluations\":{},\"neighborhood_size\":{},\"stagnation_limit\":{},\"fault_seed\":{},\"fault_rate\":",
@@ -170,211 +177,224 @@ impl MeshJob {
             ",\"trace_id\":{},\"exchange_interval\":{},\"replication_ms\":{},\"epoch\":{},\"warm\":",
             self.trace_id, self.exchange_interval, self.replication_ms, self.epoch
         );
-        write_entries(out, &self.warm);
+        self.warm.write_field(out);
         out.push('}');
     }
 
-    fn from_json(doc: &Json) -> Result<Self, String> {
+    fn read_field(doc: &Json) -> Result<Self, String> {
         Ok(Self {
-            instance_text: req_str(doc, "instance")?.to_string(),
-            node_index: req_u64(doc, "node_index")? as usize,
-            peers: req_array(doc, "peers", |p| {
-                p.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| "bad peer address".to_string())
-            })?,
-            searchers_per_node: req_u64(doc, "searchers_per_node")? as usize,
-            seed: req_u64(doc, "seed")?,
-            max_evaluations: req_u64(doc, "max_evaluations")?,
-            neighborhood_size: req_u64(doc, "neighborhood_size")? as usize,
-            stagnation_limit: req_u64(doc, "stagnation_limit")? as usize,
-            fault_seed: req_u64(doc, "fault_seed")?,
-            fault_rate: req_f64(doc, "fault_rate")?,
+            instance_text: field(doc, "instance")?,
+            node_index: field(doc, "node_index")?,
+            peers: field(doc, "peers")?,
+            searchers_per_node: field(doc, "searchers_per_node")?,
+            seed: field(doc, "seed")?,
+            max_evaluations: field(doc, "max_evaluations")?,
+            neighborhood_size: field(doc, "neighborhood_size")?,
+            stagnation_limit: field(doc, "stagnation_limit")?,
+            fault_seed: field(doc, "fault_seed")?,
+            fault_rate: field(doc, "fault_rate")?,
             // Lenient for compatibility with pre-trace controllers.
-            trace_id: opt_u64(doc, "trace_id")?.unwrap_or(0),
+            trace_id: field::<Option<u64>>(doc, "trace_id")?.unwrap_or(0),
             // Lenient for controllers predating the elastic mesh.
-            exchange_interval: opt_u64(doc, "exchange_interval")?.unwrap_or(1) as usize,
-            replication_ms: opt_u64(doc, "replication_ms")?.unwrap_or(0),
-            epoch: opt_u64(doc, "epoch")?.unwrap_or(0),
-            warm: opt_array(doc, "warm", ExchangeEntry::from_json)?,
+            exchange_interval: field::<Option<usize>>(doc, "exchange_interval")?.unwrap_or(1),
+            replication_ms: field::<Option<u64>>(doc, "replication_ms")?.unwrap_or(0),
+            epoch: field::<Option<u64>>(doc, "epoch")?.unwrap_or(0),
+            warm: field::<Option<_>>(doc, "warm")?.unwrap_or_default(),
         })
     }
 }
 
-/// A node-protocol message. Requests and responses share one enum: the
-/// exchange hot path and the control plane use the same framed connection,
-/// so a single parser handles everything a node can read.
-#[derive(Debug, Clone, PartialEq)]
-pub enum NodeMsg {
-    /// Liveness probe / bootstrap handshake; `node` is the sender's node
-    /// index (or `0` from a controller).
-    Hello {
-        /// Sender's node index.
-        node: u64,
-    },
-    /// Answer to `Hello`; `node` is the responder's node index
-    /// (`u64::MAX` while idle, before any job assigned an index).
-    HelloAck {
-        /// Responder's node index.
-        node: u64,
-    },
-    /// An archive improvement from global searcher `from` addressed to
-    /// global searcher `to` (hosted by the receiving node).
-    Exchange {
-        /// Sending searcher's global id.
-        from: u64,
-        /// Receiving searcher's global id.
-        to: u64,
-        /// The solution in transit.
-        entry: ExchangeEntry,
-    },
-    /// The exchange was delivered to the target searcher's inbox.
-    ExchangeAck,
-    /// Run this node's share of a distributed search.
-    Start {
-        /// The node's job.
-        job: MeshJob,
-    },
-    /// The job was admitted and its searchers are running.
-    Started,
-    /// Query the node's lifecycle state.
-    Status,
-    /// Answer to `Status`: `idle`, `running`, or `done`.
-    NodeStatus {
-        /// Current lifecycle state.
-        state: String,
-    },
-    /// Fetch the node's merged front (answered once `done`).
-    Front,
-    /// The node's merged front plus its summed counters.
-    FrontReply {
-        /// Non-dominated merge of the node's searcher archives.
-        entries: Vec<ExchangeEntry>,
-        /// Evaluations consumed across the node's searchers.
-        evaluations: u64,
-        /// Iterations performed across the node's searchers.
-        iterations: u64,
-    },
-    /// Prometheus exposition of the node's telemetry.
-    Metrics,
-    /// Answer to `Metrics`.
-    MetricsReply {
-        /// The exposition body.
-        prometheus: String,
-    },
-    /// Fetch the node's telemetry in mergeable JSON form (see
-    /// `MetricsRegistry::to_json`). Unlike `Metrics`, whose prometheus
-    /// exposition is render-only, this reply can be re-parsed and folded
-    /// into a federated registry by a controller.
-    MetricsFetch,
-    /// Answer to `MetricsFetch`.
-    MetricsFetchReply {
-        /// The node's `MetricsRegistry` serialized as JSON.
-        registry: String,
-    },
-    /// Fetch the last job's recorded trace (span/timeline JSONL).
-    Trace,
-    /// Answer to `Trace`: the node's event stream for its last job.
-    TraceReply {
-        /// JSONL event lines (empty when no job recorded a trace).
-        jsonl: String,
-    },
-    /// A node at `addr` asks the coordinator (member 0 of the original
-    /// mesh) to be admitted into the membership view.
-    Join {
-        /// The joiner's listen address.
-        addr: String,
-    },
-    /// Admission granted: the joiner's slot, the epoch it joined at, the
-    /// full member list, and the coordinator's current merged front for
-    /// warm-starting.
-    JoinAck {
-        /// Membership epoch after admission.
-        epoch: u64,
-        /// The slot the joiner occupies (its `node_index`).
-        slot: u64,
-        /// The complete membership view.
-        members: Vec<Member>,
-        /// The coordinator's current merged front (may be empty).
-        warm: Vec<ExchangeEntry>,
-    },
-    /// Announce that slot `node` left the mesh (controller- or
-    /// peer-initiated).
-    Leave {
-        /// The departing slot.
-        node: u64,
-    },
-    /// The leave was recorded.
-    LeaveAck {
-        /// Membership epoch after the departure.
-        epoch: u64,
-    },
-    /// Broadcast of a new membership view to a live member.
-    MemberUpdate {
-        /// Epoch of the view; receivers ignore stale (≤ current) epochs.
-        epoch: u64,
-        /// The complete member list in slot order.
-        members: Vec<Member>,
-    },
-    /// The view was applied (or ignored as stale).
-    MemberUpdateAck {
-        /// The receiver's epoch after processing.
-        epoch: u64,
-    },
-    /// An archive checkpoint shipped to the sender's ring successor.
-    Checkpoint {
-        /// The checkpointing node's slot.
-        from: u64,
-        /// Membership epoch the checkpoint was cut under.
-        epoch: u64,
-        /// Evaluations the node had consumed at the checkpoint.
-        evaluations: u64,
-        /// The node's merged front at the checkpoint.
-        entries: Vec<ExchangeEntry>,
-    },
-    /// The checkpoint replica was stored.
-    CheckpointAck,
-    /// Ask a node for the newest replica it holds of slot `node`.
-    ReplicaFetch {
-        /// The subject slot.
-        node: u64,
-    },
-    /// Answer to `ReplicaFetch`; `found == false` means no replica of that
-    /// slot is held and the other fields are zero/empty.
-    ReplicaReply {
-        /// The subject slot.
-        node: u64,
-        /// Epoch of the stored checkpoint.
-        epoch: u64,
-        /// Evaluations recorded in the checkpoint.
-        evaluations: u64,
-        /// The replicated front.
-        entries: Vec<ExchangeEntry>,
-        /// Whether a replica was held.
-        found: bool,
-    },
-    /// Query a node's membership view.
-    Members,
-    /// Answer to `Members`.
-    MembersReply {
-        /// The responder's membership epoch.
-        epoch: u64,
-        /// The responder's member list.
-        members: Vec<Member>,
-    },
-    /// Cooperatively cancel the running job.
-    Stop,
-    /// Cancellation was requested.
-    Stopped,
-    /// Stop the daemon after this response.
-    Shutdown,
-    /// The daemon stops now.
-    ShutdownOk,
-    /// The request could not be served.
-    Error {
-        /// Human-readable reason.
-        message: String,
-    },
+impl Field for Member {
+    fn write_field(&self, out: &mut String) {
+        out.push_str("{\"addr\":");
+        json::write_str(out, &self.addr);
+        let _ = write!(out, ",\"live\":{}}}", self.live);
+    }
+
+    fn read_field(doc: &Json) -> Result<Self, String> {
+        Ok(Member {
+            addr: field(doc, "addr")?,
+            live: field(doc, "live")?,
+        })
+    }
+}
+
+tsmo_obs::wire_enum! {
+    /// A node-protocol message. Requests and responses share one enum: the
+    /// exchange hot path and the control plane use the same framed
+    /// connection, so a single parser handles everything a node can read.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum NodeMsg {
+        /// Liveness probe / bootstrap handshake; `node` is the sender's node
+        /// index (or `0` from a controller).
+        Hello = "hello" {
+            /// Sender's node index.
+            node: u64,
+        },
+        /// Answer to `Hello`; `node` is the responder's node index
+        /// (`u64::MAX` while idle, before any job assigned an index).
+        HelloAck = "hello_ack" {
+            /// Responder's node index.
+            node: u64,
+        },
+        /// An archive improvement from global searcher `from` addressed to
+        /// global searcher `to` (hosted by the receiving node).
+        Exchange = "exchange" {
+            /// Sending searcher's global id.
+            from: u64,
+            /// Receiving searcher's global id.
+            to: u64,
+            /// The solution in transit.
+            entry: ExchangeEntry,
+        },
+        /// The exchange was delivered to the target searcher's inbox.
+        ExchangeAck = "exchange_ack",
+        /// Run this node's share of a distributed search.
+        Start = "start" {
+            /// The node's job.
+            job: MeshJob,
+        },
+        /// The job was admitted and its searchers are running.
+        Started = "started",
+        /// Query the node's lifecycle state.
+        Status = "status",
+        /// Answer to `Status`: `idle`, `running`, or `done`.
+        NodeStatus = "node_status" {
+            /// Current lifecycle state.
+            state: String,
+        },
+        /// Fetch the node's merged front (answered once `done`).
+        Front = "front",
+        /// The node's merged front plus its summed counters.
+        FrontReply = "front_reply" {
+            /// Non-dominated merge of the node's searcher archives.
+            entries: Vec<ExchangeEntry>,
+            /// Evaluations consumed across the node's searchers.
+            evaluations: u64,
+            /// Iterations performed across the node's searchers.
+            iterations: u64,
+        },
+        /// Prometheus exposition of the node's telemetry.
+        Metrics = "metrics",
+        /// Answer to `Metrics`.
+        MetricsReply = "metrics_reply" {
+            /// The exposition body.
+            prometheus: String,
+        },
+        /// Fetch the node's telemetry in mergeable JSON form (see
+        /// `MetricsRegistry::to_json`). Unlike `Metrics`, whose prometheus
+        /// exposition is render-only, this reply can be re-parsed and folded
+        /// into a federated registry by a controller.
+        MetricsFetch = "metrics_fetch",
+        /// Answer to `MetricsFetch`.
+        MetricsFetchReply = "metrics_fetch_reply" {
+            /// The node's `MetricsRegistry` serialized as JSON.
+            registry: String,
+        },
+        /// Fetch the last job's recorded trace (span/timeline JSONL).
+        Trace = "trace",
+        /// Answer to `Trace`: the node's event stream for its last job.
+        TraceReply = "trace_reply" {
+            /// JSONL event lines (empty when no job recorded a trace).
+            jsonl: String,
+        },
+        /// A node at `addr` asks the coordinator (member 0 of the original
+        /// mesh) to be admitted into the membership view.
+        Join = "join" {
+            /// The joiner's listen address.
+            addr: String,
+        },
+        /// Admission granted: the joiner's slot, the epoch it joined at, the
+        /// full member list, and the coordinator's current merged front for
+        /// warm-starting.
+        JoinAck = "join_ack" {
+            /// Membership epoch after admission.
+            epoch: u64,
+            /// The slot the joiner occupies (its `node_index`).
+            slot: u64,
+            /// The complete membership view.
+            members: Vec<Member>,
+            /// The coordinator's current merged front (may be empty).
+            warm: Vec<ExchangeEntry>,
+        },
+        /// Announce that slot `node` left the mesh (controller- or
+        /// peer-initiated).
+        Leave = "leave" {
+            /// The departing slot.
+            node: u64,
+        },
+        /// The leave was recorded.
+        LeaveAck = "leave_ack" {
+            /// Membership epoch after the departure.
+            epoch: u64,
+        },
+        /// Broadcast of a new membership view to a live member.
+        MemberUpdate = "member_update" {
+            /// Epoch of the view; receivers ignore stale (≤ current) epochs.
+            epoch: u64,
+            /// The complete member list in slot order.
+            members: Vec<Member>,
+        },
+        /// The view was applied (or ignored as stale).
+        MemberUpdateAck = "member_update_ack" {
+            /// The receiver's epoch after processing.
+            epoch: u64,
+        },
+        /// An archive checkpoint shipped to the sender's ring successor.
+        Checkpoint = "checkpoint" {
+            /// The checkpointing node's slot.
+            from: u64,
+            /// Membership epoch the checkpoint was cut under.
+            epoch: u64,
+            /// Evaluations the node had consumed at the checkpoint.
+            evaluations: u64,
+            /// The node's merged front at the checkpoint.
+            entries: Vec<ExchangeEntry>,
+        },
+        /// The checkpoint replica was stored.
+        CheckpointAck = "checkpoint_ack",
+        /// Ask a node for the newest replica it holds of slot `node`.
+        ReplicaFetch = "replica_fetch" {
+            /// The subject slot.
+            node: u64,
+        },
+        /// Answer to `ReplicaFetch`; `found == false` means no replica of that
+        /// slot is held and the other fields are zero/empty.
+        ReplicaReply = "replica_reply" {
+            /// The subject slot.
+            node: u64,
+            /// Epoch of the stored checkpoint.
+            epoch: u64,
+            /// Evaluations recorded in the checkpoint.
+            evaluations: u64,
+            /// The replicated front.
+            entries: Vec<ExchangeEntry>,
+            /// Whether a replica was held.
+            found: bool,
+        },
+        /// Query a node's membership view.
+        Members = "members",
+        /// Answer to `Members`.
+        MembersReply = "members_reply" {
+            /// The responder's membership epoch.
+            epoch: u64,
+            /// The responder's member list.
+            members: Vec<Member>,
+        },
+        /// Cooperatively cancel the running job.
+        Stop = "stop",
+        /// Cancellation was requested.
+        Stopped = "stopped",
+        /// Stop the daemon after this response.
+        Shutdown = "shutdown",
+        /// The daemon stops now.
+        ShutdownOk = "shutdown_ok",
+        /// The request could not be served.
+        Error = "error" {
+            /// Human-readable reason.
+            message: String,
+        },
+    }
 }
 
 impl NodeMsg {
@@ -384,280 +404,6 @@ impl NodeMsg {
             message: message.into(),
         }
     }
-
-    /// Encodes the message as one JSON document.
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(64);
-        match self {
-            NodeMsg::Hello { node } => {
-                let _ = write!(s, "{{\"type\":\"hello\",\"node\":{node}}}");
-            }
-            NodeMsg::HelloAck { node } => {
-                let _ = write!(s, "{{\"type\":\"hello_ack\",\"node\":{node}}}");
-            }
-            NodeMsg::Exchange { from, to, entry } => {
-                let _ = write!(
-                    s,
-                    "{{\"type\":\"exchange\",\"from\":{from},\"to\":{to},\"entry\":"
-                );
-                entry.write_json(&mut s);
-                s.push('}');
-            }
-            NodeMsg::ExchangeAck => s.push_str("{\"type\":\"exchange_ack\"}"),
-            NodeMsg::Start { job } => {
-                s.push_str("{\"type\":\"start\",\"job\":");
-                job.write_json(&mut s);
-                s.push('}');
-            }
-            NodeMsg::Started => s.push_str("{\"type\":\"started\"}"),
-            NodeMsg::Status => s.push_str("{\"type\":\"status\"}"),
-            NodeMsg::NodeStatus { state } => {
-                s.push_str("{\"type\":\"node_status\",\"state\":");
-                json::write_str(&mut s, state);
-                s.push('}');
-            }
-            NodeMsg::Front => s.push_str("{\"type\":\"front\"}"),
-            NodeMsg::FrontReply {
-                entries,
-                evaluations,
-                iterations,
-            } => {
-                s.push_str("{\"type\":\"front_reply\",\"entries\":");
-                write_entries(&mut s, entries);
-                let _ = write!(
-                    s,
-                    ",\"evaluations\":{evaluations},\"iterations\":{iterations}}}"
-                );
-            }
-            NodeMsg::Metrics => s.push_str("{\"type\":\"metrics\"}"),
-            NodeMsg::MetricsReply { prometheus } => {
-                s.push_str("{\"type\":\"metrics_reply\",\"prometheus\":");
-                json::write_str(&mut s, prometheus);
-                s.push('}');
-            }
-            NodeMsg::MetricsFetch => s.push_str("{\"type\":\"metrics_fetch\"}"),
-            NodeMsg::MetricsFetchReply { registry } => {
-                s.push_str("{\"type\":\"metrics_fetch_reply\",\"registry\":");
-                json::write_str(&mut s, registry);
-                s.push('}');
-            }
-            NodeMsg::Trace => s.push_str("{\"type\":\"trace\"}"),
-            NodeMsg::TraceReply { jsonl } => {
-                s.push_str("{\"type\":\"trace_reply\",\"jsonl\":");
-                json::write_str(&mut s, jsonl);
-                s.push('}');
-            }
-            NodeMsg::Join { addr } => {
-                s.push_str("{\"type\":\"join\",\"addr\":");
-                json::write_str(&mut s, addr);
-                s.push('}');
-            }
-            NodeMsg::JoinAck {
-                epoch,
-                slot,
-                members,
-                warm,
-            } => {
-                let _ = write!(
-                    s,
-                    "{{\"type\":\"join_ack\",\"epoch\":{epoch},\"slot\":{slot},\"members\":"
-                );
-                write_members(&mut s, members);
-                s.push_str(",\"warm\":");
-                write_entries(&mut s, warm);
-                s.push('}');
-            }
-            NodeMsg::Leave { node } => {
-                let _ = write!(s, "{{\"type\":\"leave\",\"node\":{node}}}");
-            }
-            NodeMsg::LeaveAck { epoch } => {
-                let _ = write!(s, "{{\"type\":\"leave_ack\",\"epoch\":{epoch}}}");
-            }
-            NodeMsg::MemberUpdate { epoch, members } => {
-                let _ = write!(
-                    s,
-                    "{{\"type\":\"member_update\",\"epoch\":{epoch},\"members\":"
-                );
-                write_members(&mut s, members);
-                s.push('}');
-            }
-            NodeMsg::MemberUpdateAck { epoch } => {
-                let _ = write!(s, "{{\"type\":\"member_update_ack\",\"epoch\":{epoch}}}");
-            }
-            NodeMsg::Checkpoint {
-                from,
-                epoch,
-                evaluations,
-                entries,
-            } => {
-                let _ = write!(
-                    s,
-                    "{{\"type\":\"checkpoint\",\"from\":{from},\"epoch\":{epoch},\"evaluations\":{evaluations},\"entries\":"
-                );
-                write_entries(&mut s, entries);
-                s.push('}');
-            }
-            NodeMsg::CheckpointAck => s.push_str("{\"type\":\"checkpoint_ack\"}"),
-            NodeMsg::ReplicaFetch { node } => {
-                let _ = write!(s, "{{\"type\":\"replica_fetch\",\"node\":{node}}}");
-            }
-            NodeMsg::ReplicaReply {
-                node,
-                epoch,
-                evaluations,
-                entries,
-                found,
-            } => {
-                let _ = write!(
-                    s,
-                    "{{\"type\":\"replica_reply\",\"node\":{node},\"epoch\":{epoch},\"evaluations\":{evaluations},\"entries\":"
-                );
-                write_entries(&mut s, entries);
-                let _ = write!(s, ",\"found\":{found}}}");
-            }
-            NodeMsg::Members => s.push_str("{\"type\":\"members\"}"),
-            NodeMsg::MembersReply { epoch, members } => {
-                let _ = write!(
-                    s,
-                    "{{\"type\":\"members_reply\",\"epoch\":{epoch},\"members\":"
-                );
-                write_members(&mut s, members);
-                s.push('}');
-            }
-            NodeMsg::Stop => s.push_str("{\"type\":\"stop\"}"),
-            NodeMsg::Stopped => s.push_str("{\"type\":\"stopped\"}"),
-            NodeMsg::Shutdown => s.push_str("{\"type\":\"shutdown\"}"),
-            NodeMsg::ShutdownOk => s.push_str("{\"type\":\"shutdown_ok\"}"),
-            NodeMsg::Error { message } => {
-                s.push_str("{\"type\":\"error\",\"message\":");
-                json::write_str(&mut s, message);
-                s.push('}');
-            }
-        }
-        s
-    }
-
-    /// Parses a message document.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let doc = json::parse(text).map_err(|e| e.to_string())?;
-        match req_str(&doc, "type")? {
-            "hello" => Ok(NodeMsg::Hello {
-                node: req_u64(&doc, "node")?,
-            }),
-            "hello_ack" => Ok(NodeMsg::HelloAck {
-                node: req_u64(&doc, "node")?,
-            }),
-            "exchange" => Ok(NodeMsg::Exchange {
-                from: req_u64(&doc, "from")?,
-                to: req_u64(&doc, "to")?,
-                entry: ExchangeEntry::from_json(doc.get("entry").ok_or("missing 'entry'")?)?,
-            }),
-            "exchange_ack" => Ok(NodeMsg::ExchangeAck),
-            "start" => Ok(NodeMsg::Start {
-                job: MeshJob::from_json(doc.get("job").ok_or("missing 'job'")?)?,
-            }),
-            "started" => Ok(NodeMsg::Started),
-            "status" => Ok(NodeMsg::Status),
-            "node_status" => Ok(NodeMsg::NodeStatus {
-                state: req_str(&doc, "state")?.to_string(),
-            }),
-            "front" => Ok(NodeMsg::Front),
-            "front_reply" => Ok(NodeMsg::FrontReply {
-                entries: entries_from(&doc, "entries")?,
-                evaluations: req_u64(&doc, "evaluations")?,
-                iterations: req_u64(&doc, "iterations")?,
-            }),
-            "metrics" => Ok(NodeMsg::Metrics),
-            "metrics_reply" => Ok(NodeMsg::MetricsReply {
-                prometheus: req_str(&doc, "prometheus")?.to_string(),
-            }),
-            "metrics_fetch" => Ok(NodeMsg::MetricsFetch),
-            "metrics_fetch_reply" => Ok(NodeMsg::MetricsFetchReply {
-                registry: req_str(&doc, "registry")?.to_string(),
-            }),
-            "trace" => Ok(NodeMsg::Trace),
-            "trace_reply" => Ok(NodeMsg::TraceReply {
-                jsonl: req_str(&doc, "jsonl")?.to_string(),
-            }),
-            "join" => Ok(NodeMsg::Join {
-                addr: req_str(&doc, "addr")?.to_string(),
-            }),
-            "join_ack" => Ok(NodeMsg::JoinAck {
-                epoch: req_u64(&doc, "epoch")?,
-                slot: req_u64(&doc, "slot")?,
-                members: members_from(&doc)?,
-                warm: entries_from(&doc, "warm")?,
-            }),
-            "leave" => Ok(NodeMsg::Leave {
-                node: req_u64(&doc, "node")?,
-            }),
-            "leave_ack" => Ok(NodeMsg::LeaveAck {
-                epoch: req_u64(&doc, "epoch")?,
-            }),
-            "member_update" => Ok(NodeMsg::MemberUpdate {
-                epoch: req_u64(&doc, "epoch")?,
-                members: members_from(&doc)?,
-            }),
-            "member_update_ack" => Ok(NodeMsg::MemberUpdateAck {
-                epoch: req_u64(&doc, "epoch")?,
-            }),
-            "checkpoint" => Ok(NodeMsg::Checkpoint {
-                from: req_u64(&doc, "from")?,
-                epoch: req_u64(&doc, "epoch")?,
-                evaluations: req_u64(&doc, "evaluations")?,
-                entries: entries_from(&doc, "entries")?,
-            }),
-            "checkpoint_ack" => Ok(NodeMsg::CheckpointAck),
-            "replica_fetch" => Ok(NodeMsg::ReplicaFetch {
-                node: req_u64(&doc, "node")?,
-            }),
-            "replica_reply" => Ok(NodeMsg::ReplicaReply {
-                node: req_u64(&doc, "node")?,
-                epoch: req_u64(&doc, "epoch")?,
-                evaluations: req_u64(&doc, "evaluations")?,
-                entries: entries_from(&doc, "entries")?,
-                found: req_bool(&doc, "found")?,
-            }),
-            "members" => Ok(NodeMsg::Members),
-            "members_reply" => Ok(NodeMsg::MembersReply {
-                epoch: req_u64(&doc, "epoch")?,
-                members: members_from(&doc)?,
-            }),
-            "stop" => Ok(NodeMsg::Stop),
-            "stopped" => Ok(NodeMsg::Stopped),
-            "shutdown" => Ok(NodeMsg::Shutdown),
-            "shutdown_ok" => Ok(NodeMsg::ShutdownOk),
-            "error" => Ok(NodeMsg::Error {
-                message: req_str(&doc, "message")?.to_string(),
-            }),
-            other => Err(format!("unknown node message type '{other}'")),
-        }
-    }
-}
-
-fn write_members(out: &mut String, members: &[Member]) {
-    write_array(out, members, |out, m| {
-        out.push_str("{\"addr\":");
-        json::write_str(out, &m.addr);
-        let _ = write!(out, ",\"live\":{}}}", m.live);
-    });
-}
-
-fn members_from(doc: &Json) -> Result<Vec<Member>, String> {
-    req_array(doc, "members", |m| {
-        Ok(Member {
-            addr: req_str(m, "addr")?.to_string(),
-            live: req_bool(m, "live")?,
-        })
-    })
-}
-
-fn write_entries(out: &mut String, entries: &[ExchangeEntry]) {
-    write_array(out, entries, |out, e| e.write_json(out));
-}
-
-fn entries_from(doc: &Json, key: &str) -> Result<Vec<ExchangeEntry>, String> {
-    req_array(doc, key, ExchangeEntry::from_json)
 }
 
 #[cfg(test)]

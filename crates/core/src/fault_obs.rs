@@ -12,7 +12,11 @@ use tsmo_obs::{metrics::names, FaultKind, Recorder, SearchEvent};
 pub(crate) fn record_fault(recorder: &dyn Recorder, site: u32, seq: u64, kind: FaultKind) {
     recorder.counter_add(names::FAULTS_INJECTED, 1);
     if recorder.enabled() {
-        recorder.event(SearchEvent::FaultInjected { site, seq, kind });
+        recorder.event(SearchEvent::FaultInjected {
+            site,
+            fault_seq: seq,
+            kind,
+        });
     }
 }
 

@@ -1,10 +1,13 @@
 //! A minimal JSON value, encoder, and parser.
 //!
 //! The telemetry layer is zero-dependency by design, so the JSONL event
-//! sink carries its own JSON support; the service wire (`tsmo-serve`) and
-//! the node protocol (`tsmo-cluster`) build their codecs on the same
-//! writers and the typed field readers below (`req_*`, `opt_*`,
-//! [`array_of`], [`objective_vector`], [`routes_from`]). Encoding is
+//! sink carries its own JSON support. The event stream, the service wire
+//! (`tsmo-serve`) and the node protocol (`tsmo-cluster`) declare their
+//! message enums as [`wire_enum!`](crate::wire_enum) tables, whose codecs
+//! are generated over the [`Field`] trait; nested payload structs
+//! implement [`Field`] with hand-written codecs on the same writers and
+//! readers ([`field`], [`array_of`], [`objective_vector`],
+//! [`routes_from`]). Encoding is
 //! deterministic — object keys are written in the order given, and `f64`
 //! uses Rust's shortest round-trip `Display` — so identical messages
 //! serialize byte-identically. Parsing is bounded: nesting deeper than
@@ -135,60 +138,11 @@ pub fn write_routes(out: &mut String, routes: &[Vec<u16>]) {
     });
 }
 
-fn bad_field(key: &str) -> String {
-    format!("bad '{key}' field")
-}
-
-/// The string field `key` of an object.
+/// The string field `key` of an object, borrowed.
 pub fn req_str<'a>(doc: &'a Json, key: &str) -> Result<&'a str, String> {
     doc.get(key)
         .and_then(Json::as_str)
-        .ok_or_else(|| bad_field(key))
-}
-
-/// The non-negative integer field `key` of an object.
-pub fn req_u64(doc: &Json, key: &str) -> Result<u64, String> {
-    doc.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| bad_field(key))
-}
-
-/// The number field `key` of an object.
-pub fn req_f64(doc: &Json, key: &str) -> Result<f64, String> {
-    doc.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| bad_field(key))
-}
-
-/// The boolean field `key` of an object.
-pub fn req_bool(doc: &Json, key: &str) -> Result<bool, String> {
-    doc.get(key)
-        .and_then(Json::as_bool)
-        .ok_or_else(|| bad_field(key))
-}
-
-/// The optional integer field `key`: absent or `null` is `None`.
-pub fn opt_u64(doc: &Json, key: &str) -> Result<Option<u64>, String> {
-    match doc.get(key) {
-        Some(Json::Null) | None => Ok(None),
-        Some(v) => v.as_u64().map(Some).ok_or_else(|| bad_field(key)),
-    }
-}
-
-/// The optional number field `key`: absent or `null` is `None`.
-pub fn opt_f64(doc: &Json, key: &str) -> Result<Option<f64>, String> {
-    match doc.get(key) {
-        Some(Json::Null) | None => Ok(None),
-        Some(v) => v.as_f64().map(Some).ok_or_else(|| bad_field(key)),
-    }
-}
-
-/// The optional boolean field `key`: absent or `null` is `None`.
-pub fn opt_bool(doc: &Json, key: &str) -> Result<Option<bool>, String> {
-    match doc.get(key) {
-        Some(Json::Null) | None => Ok(None),
-        Some(v) => v.as_bool().map(Some).ok_or_else(|| bad_field(key)),
-    }
+        .ok_or_else(|| format!("bad '{key}' field"))
 }
 
 /// Decodes every item of an array with `item`; the first item error, or a
@@ -215,18 +169,6 @@ pub fn req_array<T>(
     }
 }
 
-/// The optional array field `key`: absent or `null` is empty.
-pub fn opt_array<T>(
-    doc: &Json,
-    key: &str,
-    item: impl FnMut(&Json) -> Result<T, String>,
-) -> Result<Vec<T>, String> {
-    match doc.get(key) {
-        Some(Json::Null) | None => Ok(Vec::new()),
-        Some(_) => req_array(doc, key, item),
-    }
-}
-
 /// A 3-element `[distance, vehicles, tardiness]` objective vector.
 pub fn objective_vector(v: &Json) -> Result<[f64; 3], String> {
     match v {
@@ -250,6 +192,249 @@ pub fn routes_from(v: &Json) -> Result<Vec<Vec<u16>>, String> {
                 .ok_or_else(|| "bad site id".to_string())
         })
     })
+}
+
+/// A value that can be one field of a message declared with
+/// [`wire_enum!`](crate::wire_enum): it writes itself as one JSON value
+/// and reads itself back from one. Nested payload structs implement it by
+/// delegating to their own codecs.
+pub trait Field: Sized {
+    /// Appends the value's JSON encoding to `out`.
+    fn write_field(&self, out: &mut String);
+
+    /// Decodes the value from its JSON encoding.
+    fn read_field(v: &Json) -> Result<Self, String>;
+
+    /// The value of an absent key: an error for every type but `Option`.
+    fn absent() -> Result<Self, String> {
+        Err("missing".to_string())
+    }
+}
+
+/// The field `key` of an object, decoded as a `T`.
+pub fn field<T: Field>(doc: &Json, key: &str) -> Result<T, String> {
+    match doc.get(key) {
+        Some(v) => T::read_field(v),
+        None => T::absent(),
+    }
+    .map_err(|e| format!("bad '{key}' field: {e}"))
+}
+
+impl Field for u64 {
+    fn write_field(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+
+    fn read_field(v: &Json) -> Result<Self, String> {
+        v.as_u64()
+            .ok_or_else(|| "expected a non-negative integer".to_string())
+    }
+}
+
+impl Field for u32 {
+    fn write_field(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+
+    fn read_field(v: &Json) -> Result<Self, String> {
+        u64::read_field(v)?
+            .try_into()
+            .map_err(|_| "out of u32 range".to_string())
+    }
+}
+
+impl Field for usize {
+    fn write_field(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+
+    fn read_field(v: &Json) -> Result<Self, String> {
+        u64::read_field(v)?
+            .try_into()
+            .map_err(|_| "out of usize range".to_string())
+    }
+}
+
+impl Field for f64 {
+    fn write_field(&self, out: &mut String) {
+        write_f64(out, *self);
+    }
+
+    fn read_field(v: &Json) -> Result<Self, String> {
+        v.as_f64().ok_or_else(|| "expected a number".to_string())
+    }
+}
+
+impl Field for bool {
+    fn write_field(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+
+    fn read_field(v: &Json) -> Result<Self, String> {
+        v.as_bool().ok_or_else(|| "expected a boolean".to_string())
+    }
+}
+
+impl Field for String {
+    fn write_field(&self, out: &mut String) {
+        write_str(out, self);
+    }
+
+    fn read_field(v: &Json) -> Result<Self, String> {
+        v.as_str()
+            .map(str::to_string)
+            .ok_or_else(|| "expected a string".to_string())
+    }
+}
+
+impl Field for [f64; 3] {
+    fn write_field(&self, out: &mut String) {
+        write_f64s(out, self);
+    }
+
+    fn read_field(v: &Json) -> Result<Self, String> {
+        objective_vector(v)
+    }
+}
+
+/// `null` when `None`; a `null` or absent key reads as `None`.
+impl<T: Field> Field for Option<T> {
+    fn write_field(&self, out: &mut String) {
+        match self {
+            Some(x) => x.write_field(out),
+            None => out.push_str("null"),
+        }
+    }
+
+    fn read_field(v: &Json) -> Result<Self, String> {
+        match v {
+            Json::Null => Ok(None),
+            v => T::read_field(v).map(Some),
+        }
+    }
+
+    fn absent() -> Result<Self, String> {
+        Ok(None)
+    }
+}
+
+impl<T: Field> Field for Vec<T> {
+    fn write_field(&self, out: &mut String) {
+        write_array(out, self, |out, x| x.write_field(out));
+    }
+
+    fn read_field(v: &Json) -> Result<Self, String> {
+        array_of(v, T::read_field)
+    }
+}
+
+/// Declares a message enum from one table and generates its JSON codec.
+///
+/// Each row is a variant, its wire `type` string, and its named fields in
+/// wire order; the field name is the JSON key and every field type
+/// implements [`Field`]. The macro emits the enum (doc comments and
+/// attributes included) and an `impl` with
+///
+/// * `type_name()` — the row's `type` string;
+/// * `write_fields(out)` — `"type":"…"` then `,"key":value` per field,
+///   without the enclosing braces (the event stream prefixes a `seq`);
+/// * `to_json()` — `{` + `write_fields` + `}`;
+/// * `from_json(doc)` / `parse(text)` — the inverse, reading each field
+///   with [`field`]; an unknown `type` is an error.
+///
+/// ```
+/// tsmo_obs::wire_enum! {
+///     /// A tiny vocabulary.
+///     #[derive(Debug, PartialEq)]
+///     pub enum Ping {
+///         /// A probe.
+///         Probe = "probe" {
+///             /// Sender id.
+///             from: u32,
+///         },
+///         /// The answer.
+///         Pong = "pong",
+///     }
+/// }
+/// let text = Ping::Probe { from: 7 }.to_json();
+/// assert_eq!(text, r#"{"type":"probe","from":7}"#);
+/// assert_eq!(Ping::parse(&text), Ok(Ping::Probe { from: 7 }));
+/// assert_eq!(Ping::Pong.to_json(), r#"{"type":"pong"}"#);
+/// ```
+#[macro_export]
+macro_rules! wire_enum {
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident = $tag:literal $({
+                    $( $(#[$fmeta:meta])* $field:ident : $fty:ty ),* $(,)?
+                })?
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis enum $name {
+            $(
+                $(#[$vmeta])*
+                $variant $({ $( $(#[$fmeta])* $field: $fty ),* })?,
+            )*
+        }
+
+        impl $name {
+            /// The message's wire `type` string.
+            pub fn type_name(&self) -> &'static str {
+                match self {
+                    $( Self::$variant { .. } => $tag, )*
+                }
+            }
+
+            /// Appends `"type":"…"` and then each field as `,"key":value`
+            /// in declaration order, without the enclosing braces.
+            pub fn write_fields(&self, out: &mut String) {
+                match self {
+                    $(
+                        Self::$variant $({ $($field),* })? => {
+                            out.push_str(concat!("\"type\":\"", $tag, "\""));
+                            $($(
+                                out.push_str(concat!(",\"", stringify!($field), "\":"));
+                                $crate::json::Field::write_field($field, out);
+                            )*)?
+                        }
+                    )*
+                }
+            }
+
+            /// Encodes the message as one JSON object. Field order is
+            /// fixed, so equal messages encode byte-identically.
+            pub fn to_json(&self) -> String {
+                let mut out = String::with_capacity(64);
+                out.push('{');
+                self.write_fields(&mut out);
+                out.push('}');
+                out
+            }
+
+            /// Decodes a message from a parsed JSON object.
+            pub fn from_json(doc: &$crate::json::Json) -> Result<Self, String> {
+                match $crate::json::req_str(doc, "type")? {
+                    $(
+                        $tag => Ok(Self::$variant $({
+                            $( $field: $crate::json::field(doc, stringify!($field))? ),*
+                        })?),
+                    )*
+                    other => Err(format!(concat!("unknown ", stringify!($name), " type '{}'"), other)),
+                }
+            }
+
+            /// Parses one JSON document into a message.
+            pub fn parse(text: &str) -> Result<Self, String> {
+                let doc = $crate::json::parse(text).map_err(|e| e.to_string())?;
+                Self::from_json(&doc)
+            }
+        }
+    };
 }
 
 /// Parse error: byte offset plus message.
@@ -550,13 +735,13 @@ mod tests {
             routes_from(doc.get("routes").unwrap()),
             Ok(vec![vec![1, 3], vec![], vec![2]])
         );
-        assert_eq!(req_u64(&doc, "n"), Ok(7));
-        assert_eq!(opt_u64(&doc, "none"), Ok(None));
-        assert_eq!(opt_u64(&doc, "absent"), Ok(None));
+        assert_eq!(field::<u64>(&doc, "n"), Ok(7));
+        assert_eq!(field::<Option<u64>>(&doc, "none"), Ok(None));
+        assert_eq!(field::<Option<u64>>(&doc, "absent"), Ok(None));
         assert!(req_str(&doc, "n").is_err());
         assert!(req_array(&doc, "absent", routes_from).is_err());
-        assert_eq!(opt_array(&doc, "none", routes_from), Ok(Vec::new()));
-        assert!(opt_array(&doc, "n", routes_from).is_err());
+        assert_eq!(field::<Option<Vec<[f64; 3]>>>(&doc, "none"), Ok(None));
+        assert!(field::<Option<Vec<[f64; 3]>>>(&doc, "n").is_err());
         assert!(routes_from(&parse("[[70000]]").unwrap()).is_err());
         assert!(objective_vector(&parse("[1,2]").unwrap()).is_err());
     }

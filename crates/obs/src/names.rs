@@ -1,18 +1,19 @@
-//! Central registry of metric and event-type names.
+//! Central registry of metric names.
 //!
-//! Every metric sample name and every event `type` string used anywhere
-//! in the suite is declared here, so emitters (the search core, the
-//! parallel runtimes, the cluster, the solver service) and consumers
-//! (`benchdiff`, `clusterctl`, `servectl top`, dashboards) agree by
-//! construction instead of by convention. Adding a metric means adding a
-//! constant (or labeled-name helper) here first; grepping for a name
-//! string outside this module is a bug.
+//! Every metric sample name used anywhere in the suite is declared here,
+//! so emitters (the search core, the parallel runtimes, the cluster, the
+//! solver service) and consumers (`benchdiff`, `clusterctl`,
+//! `servectl top`, dashboards) agree by construction instead of by
+//! convention. Adding a metric means adding a constant (or labeled-name
+//! helper) here first; grepping for a name string outside this module is
+//! a bug.
 //!
 //! Metric names follow Prometheus conventions (`tsmo_` prefix, `_total`
 //! suffix on counters); labeled samples inline the label block, e.g.
-//! `tsmo_operator_proposed_total{operator="relocate"}`. Event-type
-//! strings live in the [`events`] submodule and match the `"type"` field
-//! of the JSONL stream byte-for-byte.
+//! `tsmo_operator_proposed_total{operator="relocate"}`. Event `type`
+//! strings are not here: each lives once, next to its variant, in the
+//! [`SearchEvent`](crate::SearchEvent) table, which generates the JSONL
+//! writer and parser.
 
 /// Selection steps completed (counter).
 pub const ITERATIONS: &str = "tsmo_iterations_total";
@@ -210,73 +211,4 @@ pub fn worker_busy_fraction(worker: usize) -> String {
 /// Per-worker completed task count (counter).
 pub fn worker_tasks(worker: usize) -> String {
     format!("tsmo_worker_tasks_total{{worker=\"{worker}\"}}")
-}
-
-/// Event-type strings of the JSONL stream. Each constant is the exact
-/// value of the `"type"` field written by
-/// [`TimedEvent::to_json_line`](crate::TimedEvent::to_json_line) and
-/// matched by the parser.
-pub mod events {
-    /// One selection step completed.
-    pub const ITERATION: &str = "iteration";
-    /// The search restarted from memory.
-    pub const RESTART: &str = "restart";
-    /// A solution entered `M_archive`.
-    pub const ARCHIVE_INSERT: &str = "archive_insert";
-    /// A neighbor was rejected (or rescued) by the tabu list.
-    pub const TABU_HIT: &str = "tabu_hit";
-    /// A collaborative exchange on the communication lists.
-    pub const EXCHANGE: &str = "exchange";
-    /// The master dispatched a neighborhood task to a worker.
-    pub const WORKER_TASK: &str = "worker_task";
-    /// A worker returned an evaluated chunk to the master.
-    pub const WORKER_RESULT: &str = "worker_result";
-    /// Stale neighbors were consumed by a step.
-    pub const STALENESS: &str = "staleness";
-    /// The fault layer injected a fault.
-    pub const FAULT_INJECTED: &str = "fault_injected";
-    /// The supervisor resent a panicked or lost task.
-    pub const TASK_RESENT: &str = "task_resent";
-    /// A worker was taken out of the dispatch rotation.
-    pub const WORKER_QUARANTINED: &str = "worker_quarantined";
-    /// A quarantined worker was replaced and re-admitted.
-    pub const WORKER_RESPAWNED: &str = "worker_respawned";
-    /// The live worker pool fell below the quorum.
-    pub const DEGRADED_MODE: &str = "degraded_mode";
-    /// A communication-list peer was declared dead.
-    pub const PEER_DEAD: &str = "peer_dead";
-    /// A dead peer answered a probe and re-entered the rotation.
-    pub const PEER_READMITTED: &str = "peer_readmitted";
-    /// A node was admitted into the cluster membership.
-    pub const MEMBER_JOINED: &str = "member_joined";
-    /// A node left the cluster membership.
-    pub const MEMBER_LEFT: &str = "member_left";
-    /// The rebalancer assigned a node its searcher-id slice.
-    pub const SLICE_REBALANCED: &str = "slice_rebalanced";
-    /// A node checkpointed its archive to its ring successor.
-    pub const ARCHIVE_REPLICATED: &str = "archive_replicated";
-    /// The solver service admitted a job to its queue.
-    pub const JOB_ADMITTED: &str = "job_admitted";
-    /// The solver service rejected a submission with `QueueFull`.
-    pub const JOB_REJECTED: &str = "job_rejected";
-    /// A job's run was truncated by an explicit cancel request.
-    pub const JOB_CANCELLED: &str = "job_cancelled";
-    /// A job's run was truncated by its deadline.
-    pub const JOB_DEADLINE_EXCEEDED: &str = "job_deadline_exceeded";
-    /// A job reached a terminal state with a result front available.
-    pub const JOB_COMPLETED: &str = "job_completed";
-    /// A profiling span opened.
-    pub const SPAN_ENTER: &str = "span_enter";
-    /// A profiling span closed.
-    pub const SPAN_EXIT: &str = "span_exit";
-    /// Periodic convergence sample of the live archive's front quality.
-    pub const FRONT_SAMPLE: &str = "front_sample";
-    /// The archive stagnation streak reached the configured limit.
-    pub const SEARCH_STAGNATED: &str = "search_stagnated";
-    /// A portfolio round finished and a contender was scored.
-    pub const ROUND_SCORED: &str = "round_scored";
-    /// The portfolio scheduler granted a contender a budget slice.
-    pub const BUDGET_REALLOCATED: &str = "budget_reallocated";
-    /// A contender pinned at the budget floor was retired.
-    pub const CONTENDER_RETIRED: &str = "contender_retired";
 }

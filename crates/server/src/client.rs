@@ -64,7 +64,7 @@ impl Client {
     /// dynamic re-optimization, or a portfolio race. `Ok(Ok(id))` on
     /// admission, `Ok(Err(capacity))` on `QueueFull` backpressure.
     pub fn submit(&mut self, spec: JobSpec) -> io::Result<Result<u64, u32>> {
-        match self.request(&Request::Submit(spec))? {
+        match self.request(&Request::Submit { spec })? {
             Response::Submitted { job, .. } => Ok(Ok(job)),
             Response::QueueFull { capacity } => Ok(Err(capacity)),
             other => Err(unexpected(other)),

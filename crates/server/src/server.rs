@@ -442,24 +442,11 @@ fn handle_http(stream: TcpStream, shared: &Shared) {
     }
     let path = request_line.split_whitespace().nth(1).unwrap_or("/");
     let (status, content_type, body) = match path {
-        "/healthz" => {
-            let Response::Health {
-                status,
-                queued,
-                running,
-                workers,
-            } = shared.health()
-            else {
-                unreachable!("health() returns Response::Health");
-            };
-            (
-                "200 OK",
-                "application/json",
-                format!(
-                    "{{\"status\":\"{status}\",\"queued\":{queued},\"running\":{running},\"workers\":{workers}}}\n"
-                ),
-            )
-        }
+        "/healthz" => (
+            "200 OK",
+            "application/json",
+            shared.health().to_json() + "\n",
+        ),
         "/metrics" => ("200 OK", "text/plain; version=0.0.4", shared.prometheus()),
         _ => (
             "404 Not Found",
@@ -480,7 +467,7 @@ fn handle_http(stream: TcpStream, shared: &Shared) {
 /// daemon after responding (wire shutdown).
 fn handle_request(shared: &Arc<Shared>, req: Request) -> (Response, bool) {
     match req {
-        Request::Submit(spec) => (
+        Request::Submit { spec } => (
             match validate_mode(&spec.mode) {
                 Ok(()) => handle_submit(shared, spec),
                 Err(message) => Response::Error { message },

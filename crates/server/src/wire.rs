@@ -14,12 +14,16 @@
 //! race — is one `Submit` whose [`JobSpec::mode`] says which. A plain
 //! search writes no mode field, so its frame carries only the search
 //! settings; the other modes append a `"dynamic"` or `"portfolio"` object.
+//!
+//! [`Request`] and [`Response`] are [`tsmo_obs::wire_enum!`] tables: each
+//! row is a message with its wire `type` string and its fields in frame
+//! order, and the writers and readers are generated from them. The nested
+//! payloads ([`JobSpec`], [`JobResult`], [`DynamicParams`],
+//! [`PortfolioParams`]) keep hand-written codecs, which carry the defaults
+//! older clients rely on.
 
 use std::fmt::Write as _;
-use tsmo_obs::json::{
-    self, objective_vector, opt_array, opt_bool, opt_f64, opt_u64, req_array, req_bool, req_f64,
-    req_str, req_u64, routes_from, write_array, Json,
-};
+use tsmo_obs::json::{self, field, req_array, routes_from, write_array, Field, Json};
 
 // Framing moved to `tsmo_obs::frame` so the cluster crate can share it
 // without depending on the service layer; re-exported here so existing
@@ -121,8 +125,8 @@ impl Default for DynamicParams {
     }
 }
 
-impl DynamicParams {
-    fn write_json(&self, out: &mut String) {
+impl Field for DynamicParams {
+    fn write_field(&self, out: &mut String) {
         let _ = write!(
             out,
             "{{\"script_seed\":{},\"epochs\":{},\"mutations_per_epoch\":{},\"warm\":{}}}",
@@ -130,13 +134,13 @@ impl DynamicParams {
         );
     }
 
-    fn from_json(doc: &Json) -> Result<Self, String> {
+    fn read_field(doc: &Json) -> Result<Self, String> {
         Ok(Self {
-            script_seed: req_u64(doc, "script_seed")?,
-            epochs: req_u64(doc, "epochs")? as usize,
-            mutations_per_epoch: req_u64(doc, "mutations_per_epoch")? as usize,
+            script_seed: field(doc, "script_seed")?,
+            epochs: field(doc, "epochs")?,
+            mutations_per_epoch: field(doc, "mutations_per_epoch")?,
             // Lenient: absent means the default (warm).
-            warm: opt_bool(doc, "warm")?.unwrap_or(true),
+            warm: field::<Option<bool>>(doc, "warm")?.unwrap_or(true),
         })
     }
 }
@@ -178,10 +182,10 @@ impl Default for PortfolioParams {
     }
 }
 
-impl PortfolioParams {
-    fn write_json(&self, out: &mut String) {
+impl Field for PortfolioParams {
+    fn write_field(&self, out: &mut String) {
         out.push_str("{\"algos\":");
-        write_array(out, &self.algos, |out, a| json::write_str(out, a));
+        self.algos.write_field(out);
         let _ = write!(out, ",\"rounds\":{},\"floor\":", self.rounds);
         json::write_f64(out, self.floor);
         out.push_str(",\"eta\":");
@@ -191,65 +195,67 @@ impl PortfolioParams {
         let _ = write!(out, ",\"retire_after\":{}}}", self.retire_after);
     }
 
-    fn from_json(doc: &Json) -> Result<Self, String> {
-        let algos = req_array(doc, "algos", |a| {
-            a.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| "bad 'algos' entry".to_string())
-        })?;
+    fn read_field(doc: &Json) -> Result<Self, String> {
         let defaults = Self::default();
         Ok(Self {
-            algos,
-            rounds: req_u64(doc, "rounds")? as u32,
+            algos: field(doc, "algos")?,
+            rounds: field(doc, "rounds")?,
             // Lenient: absent scheduler knobs take the defaults.
-            floor: opt_f64(doc, "floor")?.unwrap_or(defaults.floor),
-            eta: opt_f64(doc, "eta")?.unwrap_or(defaults.eta),
-            softmax_beta: opt_f64(doc, "softmax_beta")?.unwrap_or(defaults.softmax_beta),
-            retire_after: opt_u64(doc, "retire_after")?.map_or(defaults.retire_after, |v| v as u32),
+            floor: field::<Option<f64>>(doc, "floor")?.unwrap_or(defaults.floor),
+            eta: field::<Option<f64>>(doc, "eta")?.unwrap_or(defaults.eta),
+            softmax_beta: field::<Option<f64>>(doc, "softmax_beta")?
+                .unwrap_or(defaults.softmax_beta),
+            retire_after: field::<Option<u32>>(doc, "retire_after")?
+                .unwrap_or(defaults.retire_after),
         })
     }
 }
 
-/// A request frame.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Request {
-    /// Enqueue a job of any [`JobMode`]; answered with `Submitted` or
-    /// `QueueFull`.
-    Submit(JobSpec),
-    /// Query a job's lifecycle state.
-    Status {
-        /// The job to query.
-        job: u64,
-    },
-    /// Cooperatively cancel a job (queued or running).
-    Cancel {
-        /// The job to cancel.
-        job: u64,
-    },
-    /// Fetch a terminal job's result front.
-    Result {
-        /// The job whose result to fetch.
-        job: u64,
-    },
-    /// Stream a job's recorded events (submitted with `record_events`).
-    /// Unlike every other request, the answer is a *sequence* of frames:
-    /// `TailEvent` per JSONL line as the job runs, then one `TailDone`.
-    Tail {
-        /// The job to tail.
-        job: u64,
-    },
-    /// Liveness / readiness probe.
-    Health,
-    /// Prometheus text exposition of the daemon's metrics.
-    Metrics,
-    /// The daemon's metrics as a mergeable JSON registry. Unlike
-    /// `Metrics`, whose prometheus text is render-only, this answer can
-    /// be re-parsed with [`tsmo_obs::MetricsRegistry::from_json`] and
-    /// folded into a federated view.
-    MetricsJson,
-    /// Drain the queue, finish running jobs, then stop accepting work.
-    /// Answered with `ShutdownComplete` *after* the drain finishes.
-    Shutdown,
+tsmo_obs::wire_enum! {
+    /// A request frame.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Request {
+        /// Enqueue a job of any [`JobMode`]; answered with `Submitted` or
+        /// `QueueFull`.
+        Submit = "submit" {
+            /// What to run.
+            spec: JobSpec,
+        },
+        /// Query a job's lifecycle state.
+        Status = "status" {
+            /// The job to query.
+            job: u64,
+        },
+        /// Cooperatively cancel a job (queued or running).
+        Cancel = "cancel" {
+            /// The job to cancel.
+            job: u64,
+        },
+        /// Fetch a terminal job's result front.
+        Result = "result" {
+            /// The job whose result to fetch.
+            job: u64,
+        },
+        /// Stream a job's recorded events (submitted with `record_events`).
+        /// Unlike every other request, the answer is a *sequence* of frames:
+        /// `TailEvent` per JSONL line as the job runs, then one `TailDone`.
+        Tail = "tail" {
+            /// The job to tail.
+            job: u64,
+        },
+        /// Liveness / readiness probe.
+        Health = "health",
+        /// Prometheus text exposition of the daemon's metrics.
+        Metrics = "metrics",
+        /// The daemon's metrics as a mergeable JSON registry. Unlike
+        /// `Metrics`, whose prometheus text is render-only, this answer can
+        /// be re-parsed with [`tsmo_obs::MetricsRegistry::from_json`] and
+        /// folded into a federated view.
+        MetricsJson = "metrics_json",
+        /// Drain the queue, finish running jobs, then stop accepting work.
+        /// Answered with `ShutdownComplete` *after* the drain finishes.
+        Shutdown = "shutdown",
+    }
 }
 
 /// One entry of a result front: the objective vector plus the routes
@@ -319,104 +325,97 @@ pub struct JobResult {
     pub rounds: Vec<RoundInfo>,
 }
 
-/// A response frame.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Response {
-    /// The job was admitted at the reported queue depth.
-    Submitted {
-        /// Assigned job id.
-        job: u64,
-        /// Queue depth right after admission.
-        depth: u32,
-    },
-    /// Backpressure: the queue is at capacity; retry later.
-    QueueFull {
-        /// The configured queue capacity.
-        capacity: u32,
-    },
-    /// A job's current lifecycle state.
-    JobStatus {
-        /// The queried job.
-        job: u64,
-        /// `queued`, `running`, `done`, or `failed`.
-        state: String,
-    },
-    /// Cancellation was requested (the job stops at its next iteration).
-    CancelAccepted {
-        /// The cancelled job.
-        job: u64,
-    },
-    /// A terminal job's result.
-    JobResult {
-        /// The job the result belongs to.
-        job: u64,
-        /// The result payload.
-        result: JobResult,
-    },
-    /// The daemon's health snapshot.
-    Health {
-        /// `ok` or `draining`.
-        status: String,
-        /// Jobs waiting in the queue.
-        queued: u32,
-        /// Jobs currently on a worker.
-        running: u32,
-        /// Worker threads serving the queue.
-        workers: u32,
-    },
-    /// Prometheus text exposition.
-    Metrics {
-        /// The exposition body.
-        prometheus: String,
-    },
-    /// The metrics registry as mergeable JSON.
-    MetricsJson {
-        /// `MetricsRegistry::to_json` output; parse back with
-        /// `MetricsRegistry::from_json`.
-        registry: String,
-    },
-    /// Drain finished; the daemon stops after this response.
-    ShutdownComplete {
-        /// Jobs that reached a terminal state over the daemon's lifetime.
-        jobs_completed: u64,
-    },
-    /// One live event line of a tailed job (JSONL without the newline).
-    TailEvent {
-        /// The tailed job.
-        job: u64,
-        /// One event, JSON-encoded.
-        line: String,
-    },
-    /// End of a tail stream: the job is terminal and the stream drained.
-    TailDone {
-        /// The tailed job.
-        job: u64,
-        /// Total events streamed.
-        events: u64,
-    },
-    /// The request referenced an unknown job id.
-    NotFound {
-        /// The unknown id.
-        job: u64,
-    },
-    /// The request could not be served.
-    Error {
-        /// Human-readable reason.
-        message: String,
-    },
-}
-
-fn write_opt_u64(out: &mut String, v: Option<u64>) {
-    match v {
-        Some(x) => {
-            let _ = write!(out, "{x}");
-        }
-        None => out.push_str("null"),
+tsmo_obs::wire_enum! {
+    /// A response frame.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Response {
+        /// The job was admitted at the reported queue depth.
+        Submitted = "submitted" {
+            /// Assigned job id.
+            job: u64,
+            /// Queue depth right after admission.
+            depth: u32,
+        },
+        /// Backpressure: the queue is at capacity; retry later.
+        QueueFull = "queue_full" {
+            /// The configured queue capacity.
+            capacity: u32,
+        },
+        /// A job's current lifecycle state.
+        JobStatus = "job_status" {
+            /// The queried job.
+            job: u64,
+            /// `queued`, `running`, `done`, or `failed`.
+            state: String,
+        },
+        /// Cancellation was requested (the job stops at its next iteration).
+        CancelAccepted = "cancel_accepted" {
+            /// The cancelled job.
+            job: u64,
+        },
+        /// A terminal job's result.
+        JobResult = "job_result" {
+            /// The job the result belongs to.
+            job: u64,
+            /// The result payload.
+            result: JobResult,
+        },
+        /// The daemon's health snapshot; also the body of HTTP `/healthz`.
+        Health = "health" {
+            /// `ok` or `draining`.
+            status: String,
+            /// Jobs waiting in the queue.
+            queued: u32,
+            /// Jobs currently on a worker.
+            running: u32,
+            /// Worker threads serving the queue.
+            workers: u32,
+        },
+        /// Prometheus text exposition.
+        Metrics = "metrics" {
+            /// The exposition body.
+            prometheus: String,
+        },
+        /// The metrics registry as mergeable JSON.
+        MetricsJson = "metrics_json" {
+            /// `MetricsRegistry::to_json` output; parse back with
+            /// `MetricsRegistry::from_json`.
+            registry: String,
+        },
+        /// Drain finished; the daemon stops after this response.
+        ShutdownComplete = "shutdown_complete" {
+            /// Jobs that reached a terminal state over the daemon's lifetime.
+            jobs_completed: u64,
+        },
+        /// One live event line of a tailed job (JSONL without the newline).
+        TailEvent = "tail_event" {
+            /// The tailed job.
+            job: u64,
+            /// One event, JSON-encoded.
+            line: String,
+        },
+        /// End of a tail stream: the job is terminal and the stream drained.
+        TailDone = "tail_done" {
+            /// The tailed job.
+            job: u64,
+            /// Total events streamed.
+            events: u64,
+        },
+        /// The request referenced an unknown job id.
+        NotFound = "not_found" {
+            /// The unknown id.
+            job: u64,
+        },
+        /// The request could not be served.
+        Error = "error" {
+            /// Human-readable reason.
+            message: String,
+        },
     }
 }
 
-impl JobSpec {
-    fn write_json(&self, out: &mut String) {
+impl Field for JobSpec {
+    fn write_field(&self, out: &mut String) {
         out.push_str("{\"instance\":");
         json::write_str(out, &self.instance_text);
         out.push_str(",\"variant\":");
@@ -426,42 +425,40 @@ impl JobSpec {
             ",\"processors\":{},\"max_evaluations\":{},\"neighborhood_size\":{},\"seed\":{},\"deadline_ms\":",
             self.processors, self.max_evaluations, self.neighborhood_size, self.seed
         );
-        write_opt_u64(out, self.deadline_ms);
+        self.deadline_ms.write_field(out);
         out.push_str(",\"max_iterations\":");
-        write_opt_u64(out, self.max_iterations);
+        self.max_iterations.write_field(out);
         let _ = write!(out, ",\"record_events\":{}", self.record_events);
         match &self.mode {
             JobMode::Search => {}
             JobMode::Dynamic(dynamic) => {
                 out.push_str(",\"dynamic\":");
-                dynamic.write_json(out);
+                dynamic.write_field(out);
             }
             JobMode::Portfolio(portfolio) => {
                 out.push_str(",\"portfolio\":");
-                portfolio.write_json(out);
+                portfolio.write_field(out);
             }
         }
         out.push('}');
     }
 
-    fn from_json(doc: &Json) -> Result<Self, String> {
+    fn read_field(doc: &Json) -> Result<Self, String> {
         Ok(Self {
-            instance_text: req_str(doc, "instance")?.to_string(),
-            variant: req_str(doc, "variant")?.to_string(),
-            processors: req_u64(doc, "processors")? as usize,
-            max_evaluations: req_u64(doc, "max_evaluations")?,
-            neighborhood_size: req_u64(doc, "neighborhood_size")? as usize,
-            seed: req_u64(doc, "seed")?,
-            deadline_ms: opt_u64(doc, "deadline_ms")?,
-            max_iterations: opt_u64(doc, "max_iterations")?,
+            instance_text: field(doc, "instance")?,
+            variant: field(doc, "variant")?,
+            processors: field(doc, "processors")?,
+            max_evaluations: field(doc, "max_evaluations")?,
+            neighborhood_size: field(doc, "neighborhood_size")?,
+            seed: field(doc, "seed")?,
+            deadline_ms: field(doc, "deadline_ms")?,
+            max_iterations: field(doc, "max_iterations")?,
             // Lenient for compatibility with pre-tail clients.
-            record_events: opt_bool(doc, "record_events")?.unwrap_or(false),
-            mode: match (doc.get("dynamic"), doc.get("portfolio")) {
+            record_events: field::<Option<bool>>(doc, "record_events")?.unwrap_or(false),
+            mode: match (field(doc, "dynamic")?, field(doc, "portfolio")?) {
                 (None, None) => JobMode::Search,
-                (Some(dynamic), None) => JobMode::Dynamic(DynamicParams::from_json(dynamic)?),
-                (None, Some(portfolio)) => {
-                    JobMode::Portfolio(PortfolioParams::from_json(portfolio)?)
-                }
+                (Some(dynamic), None) => JobMode::Dynamic(dynamic),
+                (None, Some(portfolio)) => JobMode::Portfolio(portfolio),
                 (Some(_), Some(_)) => {
                     return Err("a job is dynamic or a portfolio, not both".to_string())
                 }
@@ -470,295 +467,102 @@ impl JobSpec {
     }
 }
 
-impl Request {
-    /// Encodes the request as one JSON document.
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(64);
-        match self {
-            Request::Submit(spec) => {
-                s.push_str("{\"type\":\"submit\",\"spec\":");
-                spec.write_json(&mut s);
-                s.push('}');
-            }
-            Request::Status { job } => {
-                let _ = write!(s, "{{\"type\":\"status\",\"job\":{job}}}");
-            }
-            Request::Cancel { job } => {
-                let _ = write!(s, "{{\"type\":\"cancel\",\"job\":{job}}}");
-            }
-            Request::Result { job } => {
-                let _ = write!(s, "{{\"type\":\"result\",\"job\":{job}}}");
-            }
-            Request::Tail { job } => {
-                let _ = write!(s, "{{\"type\":\"tail\",\"job\":{job}}}");
-            }
-            Request::Health => s.push_str("{\"type\":\"health\"}"),
-            Request::Metrics => s.push_str("{\"type\":\"metrics\"}"),
-            Request::MetricsJson => s.push_str("{\"type\":\"metrics_json\"}"),
-            Request::Shutdown => s.push_str("{\"type\":\"shutdown\"}"),
-        }
-        s
-    }
-
-    /// Parses a request document.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let doc = json::parse(text).map_err(|e| e.to_string())?;
-        match req_str(&doc, "type")? {
-            "submit" => Ok(Request::Submit(JobSpec::from_json(
-                doc.get("spec").ok_or("missing 'spec' field")?,
-            )?)),
-            "status" => Ok(Request::Status {
-                job: req_u64(&doc, "job")?,
-            }),
-            "cancel" => Ok(Request::Cancel {
-                job: req_u64(&doc, "job")?,
-            }),
-            "result" => Ok(Request::Result {
-                job: req_u64(&doc, "job")?,
-            }),
-            "tail" => Ok(Request::Tail {
-                job: req_u64(&doc, "job")?,
-            }),
-            "health" => Ok(Request::Health),
-            "metrics" => Ok(Request::Metrics),
-            "metrics_json" => Ok(Request::MetricsJson),
-            "shutdown" => Ok(Request::Shutdown),
-            other => Err(format!("unknown request type '{other}'")),
-        }
-    }
-}
-
-impl JobResult {
-    fn write_json(&self, out: &mut String) {
+impl Field for JobResult {
+    fn write_field(&self, out: &mut String) {
         let _ = write!(
             out,
             "{{\"evaluations\":{},\"iterations\":{},\"truncated\":{},\"stop_cause\":",
             self.evaluations, self.iterations, self.truncated
         );
-        match &self.stop_cause {
-            Some(c) => json::write_str(out, c),
-            None => out.push_str("null"),
-        }
+        self.stop_cause.write_field(out);
         out.push_str(",\"front\":");
-        write_array(out, &self.front, |out, p| {
-            json::write_f64s(out, &p.objectives)
-        });
+        write_array(out, &self.front, |out, p| p.objectives.write_field(out));
         out.push_str(",\"routes\":");
         write_array(out, &self.front, |out, p| {
             json::write_routes(out, &p.routes)
         });
         out.push_str(",\"epochs\":");
-        write_array(out, &self.epochs, |out, e| {
-            let _ = write!(
-                out,
-                "{{\"epoch\":{},\"mutations\":{},\"customers\":{},\"warm_seeds\":{},\"evaluations\":{},\"front_size\":{},\"best_distance\":",
-                e.epoch, e.mutations, e.customers, e.warm_seeds, e.evaluations, e.front_size
-            );
-            json::write_f64(out, e.best_distance);
-            out.push('}');
-        });
+        self.epochs.write_field(out);
         out.push_str(",\"rounds\":");
-        write_array(out, &self.rounds, |out, r| {
-            let _ = write!(
-                out,
-                "{{\"round\":{},\"winner\":{},\"winner_algo\":",
-                r.round, r.winner
-            );
-            json::write_str(out, &r.winner_algo);
-            let _ = write!(
-                out,
-                ",\"allocated\":{},\"spent\":{},\"retired\":{},\"best_coverage\":",
-                r.allocated, r.spent, r.retired
-            );
-            json::write_f64(out, r.best_coverage);
-            out.push('}');
-        });
+        self.rounds.write_field(out);
         out.push('}');
     }
 
-    fn from_json(doc: &Json) -> Result<Self, String> {
-        let front_vectors = req_array(doc, "front", objective_vector)?;
+    fn read_field(doc: &Json) -> Result<Self, String> {
+        let front_vectors: Vec<[f64; 3]> = field(doc, "front")?;
         let routes_per_point = req_array(doc, "routes", routes_from)?;
         if front_vectors.len() != routes_per_point.len() {
             return Err("'front' and 'routes' lengths differ".to_string());
         }
         Ok(Self {
-            evaluations: req_u64(doc, "evaluations")?,
-            iterations: req_u64(doc, "iterations")?,
-            truncated: req_bool(doc, "truncated")?,
-            stop_cause: match doc.get("stop_cause") {
-                Some(Json::Null) | None => None,
-                Some(v) => Some(v.as_str().ok_or("bad 'stop_cause' field")?.to_string()),
-            },
+            evaluations: field(doc, "evaluations")?,
+            iterations: field(doc, "iterations")?,
+            truncated: field(doc, "truncated")?,
+            stop_cause: field(doc, "stop_cause")?,
             front: front_vectors
                 .into_iter()
                 .zip(routes_per_point)
                 .map(|(objectives, routes)| FrontPoint { objectives, routes })
                 .collect(),
             // Lenient for results written before dynamic jobs existed.
-            epochs: opt_array(doc, "epochs", epoch_info_from)?,
+            epochs: field::<Option<_>>(doc, "epochs")?.unwrap_or_default(),
             // Likewise for results that predate portfolio jobs.
-            rounds: opt_array(doc, "rounds", round_info_from)?,
+            rounds: field::<Option<_>>(doc, "rounds")?.unwrap_or_default(),
         })
     }
 }
 
-fn round_info_from(v: &Json) -> Result<RoundInfo, String> {
-    Ok(RoundInfo {
-        round: req_u64(v, "round")?,
-        winner: req_u64(v, "winner")?,
-        winner_algo: req_str(v, "winner_algo")?.to_string(),
-        allocated: req_u64(v, "allocated")?,
-        spent: req_u64(v, "spent")?,
-        retired: req_u64(v, "retired")?,
-        best_coverage: req_f64(v, "best_coverage")?,
-    })
-}
-
-fn epoch_info_from(v: &Json) -> Result<EpochInfo, String> {
-    Ok(EpochInfo {
-        epoch: req_u64(v, "epoch")?,
-        mutations: req_u64(v, "mutations")?,
-        customers: req_u64(v, "customers")?,
-        warm_seeds: req_u64(v, "warm_seeds")?,
-        evaluations: req_u64(v, "evaluations")?,
-        front_size: req_u64(v, "front_size")?,
-        best_distance: req_f64(v, "best_distance")?,
-    })
-}
-
-impl Response {
-    /// Encodes the response as one JSON document.
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(64);
-        match self {
-            Response::Submitted { job, depth } => {
-                let _ = write!(
-                    s,
-                    "{{\"type\":\"submitted\",\"job\":{job},\"depth\":{depth}}}"
-                );
-            }
-            Response::QueueFull { capacity } => {
-                let _ = write!(s, "{{\"type\":\"queue_full\",\"capacity\":{capacity}}}");
-            }
-            Response::JobStatus { job, state } => {
-                let _ = write!(s, "{{\"type\":\"job_status\",\"job\":{job},\"state\":");
-                json::write_str(&mut s, state);
-                s.push('}');
-            }
-            Response::CancelAccepted { job } => {
-                let _ = write!(s, "{{\"type\":\"cancel_accepted\",\"job\":{job}}}");
-            }
-            Response::JobResult { job, result } => {
-                let _ = write!(s, "{{\"type\":\"job_result\",\"job\":{job},\"result\":");
-                result.write_json(&mut s);
-                s.push('}');
-            }
-            Response::Health {
-                status,
-                queued,
-                running,
-                workers,
-            } => {
-                s.push_str("{\"type\":\"health\",\"status\":");
-                json::write_str(&mut s, status);
-                let _ = write!(
-                    s,
-                    ",\"queued\":{queued},\"running\":{running},\"workers\":{workers}}}"
-                );
-            }
-            Response::Metrics { prometheus } => {
-                s.push_str("{\"type\":\"metrics\",\"prometheus\":");
-                json::write_str(&mut s, prometheus);
-                s.push('}');
-            }
-            Response::MetricsJson { registry } => {
-                s.push_str("{\"type\":\"metrics_json\",\"registry\":");
-                json::write_str(&mut s, registry);
-                s.push('}');
-            }
-            Response::ShutdownComplete { jobs_completed } => {
-                let _ = write!(
-                    s,
-                    "{{\"type\":\"shutdown_complete\",\"jobs_completed\":{jobs_completed}}}"
-                );
-            }
-            Response::TailEvent { job, line } => {
-                let _ = write!(s, "{{\"type\":\"tail_event\",\"job\":{job},\"line\":");
-                json::write_str(&mut s, line);
-                s.push('}');
-            }
-            Response::TailDone { job, events } => {
-                let _ = write!(
-                    s,
-                    "{{\"type\":\"tail_done\",\"job\":{job},\"events\":{events}}}"
-                );
-            }
-            Response::NotFound { job } => {
-                let _ = write!(s, "{{\"type\":\"not_found\",\"job\":{job}}}");
-            }
-            Response::Error { message } => {
-                s.push_str("{\"type\":\"error\",\"message\":");
-                json::write_str(&mut s, message);
-                s.push('}');
-            }
-        }
-        s
+impl Field for EpochInfo {
+    fn write_field(&self, out: &mut String) {
+        let _ = write!(
+            out,
+            "{{\"epoch\":{},\"mutations\":{},\"customers\":{},\"warm_seeds\":{},\"evaluations\":{},\"front_size\":{},\"best_distance\":",
+            self.epoch, self.mutations, self.customers, self.warm_seeds, self.evaluations, self.front_size
+        );
+        json::write_f64(out, self.best_distance);
+        out.push('}');
     }
 
-    /// Parses a response document.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let doc = json::parse(text).map_err(|e| e.to_string())?;
-        match req_str(&doc, "type")? {
-            "submitted" => Ok(Response::Submitted {
-                job: req_u64(&doc, "job")?,
-                depth: req_u64(&doc, "depth")? as u32,
-            }),
-            "queue_full" => Ok(Response::QueueFull {
-                capacity: req_u64(&doc, "capacity")? as u32,
-            }),
-            "job_status" => Ok(Response::JobStatus {
-                job: req_u64(&doc, "job")?,
-                state: req_str(&doc, "state")?.to_string(),
-            }),
-            "cancel_accepted" => Ok(Response::CancelAccepted {
-                job: req_u64(&doc, "job")?,
-            }),
-            "job_result" => Ok(Response::JobResult {
-                job: req_u64(&doc, "job")?,
-                result: JobResult::from_json(doc.get("result").ok_or("missing 'result' field")?)?,
-            }),
-            "health" => Ok(Response::Health {
-                status: req_str(&doc, "status")?.to_string(),
-                queued: req_u64(&doc, "queued")? as u32,
-                running: req_u64(&doc, "running")? as u32,
-                workers: req_u64(&doc, "workers")? as u32,
-            }),
-            "metrics" => Ok(Response::Metrics {
-                prometheus: req_str(&doc, "prometheus")?.to_string(),
-            }),
-            "metrics_json" => Ok(Response::MetricsJson {
-                registry: req_str(&doc, "registry")?.to_string(),
-            }),
-            "shutdown_complete" => Ok(Response::ShutdownComplete {
-                jobs_completed: req_u64(&doc, "jobs_completed")?,
-            }),
-            "tail_event" => Ok(Response::TailEvent {
-                job: req_u64(&doc, "job")?,
-                line: req_str(&doc, "line")?.to_string(),
-            }),
-            "tail_done" => Ok(Response::TailDone {
-                job: req_u64(&doc, "job")?,
-                events: req_u64(&doc, "events")?,
-            }),
-            "not_found" => Ok(Response::NotFound {
-                job: req_u64(&doc, "job")?,
-            }),
-            "error" => Ok(Response::Error {
-                message: req_str(&doc, "message")?.to_string(),
-            }),
-            other => Err(format!("unknown response type '{other}'")),
-        }
+    fn read_field(v: &Json) -> Result<Self, String> {
+        Ok(EpochInfo {
+            epoch: field(v, "epoch")?,
+            mutations: field(v, "mutations")?,
+            customers: field(v, "customers")?,
+            warm_seeds: field(v, "warm_seeds")?,
+            evaluations: field(v, "evaluations")?,
+            front_size: field(v, "front_size")?,
+            best_distance: field(v, "best_distance")?,
+        })
+    }
+}
+
+impl Field for RoundInfo {
+    fn write_field(&self, out: &mut String) {
+        let _ = write!(
+            out,
+            "{{\"round\":{},\"winner\":{},\"winner_algo\":",
+            self.round, self.winner
+        );
+        json::write_str(out, &self.winner_algo);
+        let _ = write!(
+            out,
+            ",\"allocated\":{},\"spent\":{},\"retired\":{},\"best_coverage\":",
+            self.allocated, self.spent, self.retired
+        );
+        json::write_f64(out, self.best_coverage);
+        out.push('}');
+    }
+
+    fn read_field(v: &Json) -> Result<Self, String> {
+        Ok(RoundInfo {
+            round: field(v, "round")?,
+            winner: field(v, "winner")?,
+            winner_algo: field(v, "winner_algo")?,
+            allocated: field(v, "allocated")?,
+            spent: field(v, "spent")?,
+            retired: field(v, "retired")?,
+            best_coverage: field(v, "best_coverage")?,
+        })
     }
 }
 
@@ -805,10 +609,13 @@ mod tests {
             "{{\"type\":\"submit\",\"spec\":{{{spec},\"dynamic\":{{\"script_seed\":3,\
              \"epochs\":2,\"mutations_per_epoch\":1}}}}}}"
         );
-        let Request::Submit(JobSpec {
-            mode: JobMode::Dynamic(dynamic),
-            ..
-        }) = Request::parse(&req).unwrap()
+        let Request::Submit {
+            spec:
+                JobSpec {
+                    mode: JobMode::Dynamic(dynamic),
+                    ..
+                },
+        } = Request::parse(&req).unwrap()
         else {
             panic!("parsed to the wrong mode");
         };
@@ -818,10 +625,13 @@ mod tests {
             "{{\"type\":\"submit\",\"spec\":{{{spec},\"portfolio\":{{\"algos\":\
              [\"nsga2\",\"paes\"],\"rounds\":2}}}}}}"
         );
-        let Request::Submit(JobSpec {
-            mode: JobMode::Portfolio(portfolio),
-            ..
-        }) = Request::parse(&req).unwrap()
+        let Request::Submit {
+            spec:
+                JobSpec {
+                    mode: JobMode::Portfolio(portfolio),
+                    ..
+                },
+        } = Request::parse(&req).unwrap()
         else {
             panic!("parsed to the wrong mode");
         };
@@ -843,12 +653,14 @@ mod tests {
     /// before dynamic and portfolio jobs became modes of `Submit`.
     #[test]
     fn plain_submit_and_result_frames_are_pinned() {
-        let submit = Request::Submit(JobSpec {
-            instance_text: "R101\n".to_string(),
-            deadline_ms: Some(250),
-            record_events: true,
-            ..JobSpec::default()
-        });
+        let submit = Request::Submit {
+            spec: JobSpec {
+                instance_text: "R101\n".to_string(),
+                deadline_ms: Some(250),
+                record_events: true,
+                ..JobSpec::default()
+            },
+        };
         assert_eq!(
             submit.to_json(),
             "{\"type\":\"submit\",\"spec\":{\"instance\":\"R101\\n\",\
