@@ -29,7 +29,10 @@
 //! or on re-admission (the entries are banked for its node front and the
 //! budgets prevent re-doing paid-for evaluations). Checkpoint traffic
 //! passes the same fault hook as exchanges (site `n_total + node`), so
-//! drops and delays are part of the recorded behavior.
+//! drops and delays are part of the recorded behavior. Which replica is
+//! newest, and whether a late checkpoint may replace the copy a holder
+//! has, follow the replica rule the TCP mesh applies too
+//! ([`newest_replica`], [`supersedes`]).
 //!
 //! Everything the network does — exchanges, checkpoints, leaves, joins,
 //! rebalances — lands in one ordered [`NetRecord`] log. Replaying a run
@@ -37,7 +40,11 @@
 //! the first divergence; matching logs plus matching merged fronts are the
 //! reproducibility proof `clusterctl --virtual-net` and the tests rely on.
 
-use crate::membership::{assign_slices, owner_of, ChurnEvent, ChurnKind, Membership};
+use crate::lock;
+use crate::membership::{
+    assign_slices, merge_warm, newest_replica, owner_of, supersedes, ChurnEvent, ChurnKind,
+    Membership, ReplicaStamp,
+};
 use crate::mesh::merge_node_fronts;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use deme::multisearch::{comm_order, Endpoint, Transport};
@@ -239,10 +246,7 @@ struct ElasticTransport {
 
 impl Transport<FrontEntry> for ElasticTransport {
     fn send(&self, msg: FrontEntry) -> Result<(), FrontEntry> {
-        let mut net = self
-            .net
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut net = lock(&self.net);
         if !net.live[self.to] {
             return Err(msg);
         }
@@ -264,7 +268,7 @@ impl Transport<FrontEntry> for ElasticTransport {
 /// A stored archive checkpoint.
 #[derive(Debug, Clone)]
 struct Replica {
-    round: u64,
+    stamp: ReplicaStamp,
     entries: Vec<FrontEntry>,
     /// `(searcher id, evaluations consumed)` at the checkpoint.
     evals: Vec<(usize, u64)>,
@@ -387,18 +391,18 @@ impl Run<'_> {
             .unwrap_or(0..0)
     }
 
-    /// The newest replica of `subject` held by any live node (oldest slot
-    /// wins ties, deterministically).
-    fn newest_replica(&self, subject: usize) -> Option<&Replica> {
-        let mut best: Option<&Replica> = None;
-        for holder in self.membership.live_indices() {
-            if let Some(rep) = self.replicas[holder].get(&subject) {
-                if best.is_none_or(|b| rep.round > b.round) {
-                    best = Some(rep);
-                }
-            }
-        }
-        best
+    /// The newest replica of `subject` held by any live node (see
+    /// [`newest_replica`]).
+    fn replica_of(&self, subject: usize) -> Option<&Replica> {
+        newest_replica(
+            self.membership
+                .live_indices()
+                .into_iter()
+                .filter_map(|holder| {
+                    let rep = self.replicas[holder].get(&subject)?;
+                    Some((holder, rep.stamp, rep))
+                }),
+        )
     }
 
     /// Budget known (from surviving replicas) to have been consumed by
@@ -423,7 +427,7 @@ impl Run<'_> {
     fn replica_front(&self) -> Vec<FrontEntry> {
         let mut merged = Archive::new(self.em.cfg.archive_capacity);
         for subject in 0..self.em.nodes {
-            if let Some(rep) = self.newest_replica(subject) {
+            if let Some(rep) = self.replica_of(subject) {
                 merged.absorb(rep.entries.iter().cloned());
             }
         }
@@ -565,17 +569,11 @@ impl Run<'_> {
     }
 
     fn set_live(&mut self, id: usize, live: bool) {
-        self.net
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .live[id] = live;
+        lock(&self.net).live[id] = live;
     }
 
     fn observe(&self, rec: NetRecord) {
-        self.net
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .observe(rec);
+        lock(&self.net).observe(rec);
     }
 
     /// Cuts node `h`'s checkpoint — the merged front of its hosted slice
@@ -598,8 +596,12 @@ impl Run<'_> {
             }
             evals.push((id, consumed));
         }
+        let stamp = ReplicaStamp {
+            epoch: self.membership.epoch,
+            evaluations: evals.iter().map(|&(_, e)| e).sum(),
+        };
         let rep = Replica {
-            round,
+            stamp,
             entries: front.into_items(),
             evals,
         };
@@ -623,6 +625,10 @@ impl Run<'_> {
     fn deliver_checkpoint(&mut self, subject: usize, holder: usize, round: u64, rep: Replica) {
         if !self.membership.members[holder].live {
             return; // The successor died while the checkpoint was in flight.
+        }
+        let held = self.replicas[holder].get(&subject).map(|r| r.stamp);
+        if !supersedes(rep.stamp, held) {
+            return; // A delayed cut older than the copy already held.
         }
         let entries = rep.entries.len();
         let fp = fingerprint_hash(&rep.entries);
@@ -694,7 +700,7 @@ impl Run<'_> {
         // the entries are banked straight into its node front (warm-start
         // inbox deliveries feed `M_nondom`, which never reaches the final
         // merge on its own).
-        if let Some(rep) = self.newest_replica(node).cloned() {
+        if let Some(rep) = self.replica_of(node).cloned() {
             self.recovered[node].extend(rep.entries);
             self.recorder.counter_add(names::ARCHIVES_RECOVERED, 1);
             if !self.recovered_nodes.contains(&node) {
@@ -832,8 +838,9 @@ fn run(
         r.finish_incarnation(id);
     }
     // Two-stage merge on the slot grid: each slot's front is its searcher
-    // slice's banked archives (id order), anything recovered on rejoin,
-    // and — for a slot dead at the end — the newest surviving replica.
+    // slice's banked archives (id order), plus — folded in by
+    // `merge_warm`, so crowding cannot drop them — anything recovered on
+    // rejoin and, for a slot dead at the end, the newest surviving replica.
     let mut recovered_entries: Vec<[f64; 3]> = Vec::new();
     let mut node_fronts = Vec::with_capacity(em.nodes);
     for node in 0..em.nodes {
@@ -841,23 +848,17 @@ fn run(
         for id in node * em.searchers_per_node..(node + 1) * em.searchers_per_node {
             archive.absorb(r.slice_results[id].iter().cloned());
         }
-        for entry in &r.recovered[node] {
-            recovered_entries.push(entry.objectives.to_vector());
-            archive.insert(entry.clone());
-        }
+        let mut warm = std::mem::take(&mut r.recovered[node]);
         if !r.membership.members[node].live {
-            if let Some(rep) = r.newest_replica(node) {
-                let entries = rep.entries.clone();
+            if let Some(entries) = r.replica_of(node).map(|rep| rep.entries.clone()) {
                 if !entries.is_empty() && !r.recovered_nodes.contains(&node) {
                     r.recovered_nodes.push(node);
                 }
-                for entry in entries {
-                    recovered_entries.push(entry.objectives.to_vector());
-                    archive.insert(entry);
-                }
+                warm.extend(entries);
             }
         }
-        node_fronts.push(archive.into_items());
+        recovered_entries.extend(warm.iter().map(|e| e.objectives.to_vector()));
+        node_fronts.push(merge_warm(archive, warm));
     }
     let front = merge_node_fronts(&node_fronts, em.cfg.archive_capacity);
     let recovered_in_front = front

@@ -44,3 +44,11 @@ pub use mesh::{run_mesh, MeshClient, MeshOutcome};
 pub use node::{NodeConfig, NodeReport, Noded, DEFAULT_PEER_TIMEOUT};
 pub use proto::{ExchangeEntry, MeshJob, NodeMsg};
 pub use transport::{PeerConn, RouteTable, TcpTransport, DEFAULT_NET_TIMEOUT};
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks `m` even if a thread panicked while holding it: every lock here
+/// guards state a panic leaves consistent, and a daemon keeps serving.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}

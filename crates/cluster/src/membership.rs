@@ -13,8 +13,16 @@
 //! slots. At fixed membership every id keeps its owner, so RNG streams,
 //! communication lists, and parameter perturbations — all derived from the
 //! global id — are untouched, preserving the determinism contract.
+//!
+//! The recovery rules both meshes share live here too, as pure functions:
+//! which replica of a dead node is newest ([`newest_replica`], and
+//! [`supersedes`] on the holder's side), and how replicated or warm-start
+//! entries fold into a node front ([`merge_warm`]).
 
+use pareto::Archive;
+use std::cmp::Reverse;
 use std::ops::Range;
+use tsmo_core::FrontEntry;
 
 /// One membership slot: a node's address and whether it is currently live.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -166,6 +174,57 @@ pub fn owner_of(assignment: &[(usize, Range<usize>)], id: usize) -> Option<usize
         .map(|(slot, _)| *slot)
 }
 
+/// How new an archive replica is: the membership epoch its checkpoint was
+/// cut at, then the evaluations it covers. For one subject both only grow,
+/// so a higher stamp is a later cut; fields compare in declaration order.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub struct ReplicaStamp {
+    /// Membership epoch when the checkpoint was cut.
+    pub epoch: u64,
+    /// Evaluations the checkpointed front covers.
+    pub evaluations: u64,
+}
+
+/// The replica rule: among one subject's `(holder slot, stamp, replica)`
+/// candidates the highest stamp wins, ties going to the lowest holder slot.
+pub fn newest_replica<T>(
+    candidates: impl IntoIterator<Item = (usize, ReplicaStamp, T)>,
+) -> Option<T> {
+    candidates
+        .into_iter()
+        .max_by_key(|(holder, stamp, _)| (*stamp, Reverse(*holder)))
+        .map(|(_, _, replica)| replica)
+}
+
+/// The holder's side of the rule: whether an `incoming` checkpoint replaces
+/// the copy stamped `held` (keep the newer; the incoming one on a tie).
+pub fn supersedes(incoming: ReplicaStamp, held: Option<ReplicaStamp>) -> bool {
+    held.is_none_or(|held| incoming >= held)
+}
+
+/// Folds recovered or warm-start entries into a node's merged front. They
+/// survive the handover even when every searcher replaced them: a node
+/// front must never lose elites the mesh had already found. So crowding
+/// may drop a warm entry only when a front member dominates (or equals)
+/// it; one that merely lost the crowding comparison on a full archive is
+/// put back, past the capacity if need be.
+pub fn merge_warm(mut front: Archive<FrontEntry>, warm: Vec<FrontEntry>) -> Vec<FrontEntry> {
+    front.absorb(warm.iter().cloned());
+    let mut items = front.into_items();
+    for entry in warm {
+        let w = entry.objectives.to_vector();
+        let held = items.iter().any(|f| {
+            let v = f.objectives.to_vector();
+            v == w || pareto::dominates(&v, &w)
+        });
+        if !held {
+            items.retain(|f| !pareto::dominates(&w, &f.objectives.to_vector()));
+            items.push(entry);
+        }
+    }
+    items
+}
+
 /// What happens to a node at a scheduled round of an elastic run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChurnKind {
@@ -221,6 +280,94 @@ pub fn parse_churn(spec: &str) -> Result<Vec<ChurnEvent>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vrptw::{Objectives, Solution};
+
+    fn entry(distance: f64, vehicles: usize) -> FrontEntry {
+        FrontEntry::new(
+            Solution::from_routes(vec![vec![1]]),
+            Objectives {
+                distance,
+                vehicles,
+                tardiness: 0.0,
+            },
+        )
+    }
+
+    fn stamp(epoch: u64, evaluations: u64) -> ReplicaStamp {
+        ReplicaStamp { epoch, evaluations }
+    }
+
+    #[test]
+    fn newest_replica_orders_by_epoch_then_evaluations() {
+        // A later epoch beats more evaluations at an earlier one.
+        let pick = newest_replica([(0, stamp(1, 900), "a"), (2, stamp(2, 100), "b")]);
+        assert_eq!(pick, Some("b"));
+        // Within an epoch, more evaluations win, whatever the holder.
+        let pick = newest_replica([(0, stamp(2, 100), "a"), (3, stamp(2, 300), "b")]);
+        assert_eq!(pick, Some("b"));
+        assert_eq!(newest_replica::<&str>([]), None);
+    }
+
+    #[test]
+    fn newest_replica_ties_go_to_the_lowest_holder() {
+        let pick = newest_replica([
+            (3, stamp(1, 50), "c"),
+            (1, stamp(1, 50), "a"),
+            (2, stamp(1, 50), "b"),
+        ]);
+        assert_eq!(pick, Some("a"));
+    }
+
+    #[test]
+    fn a_holder_keeps_the_newer_copy_on_insert() {
+        assert!(supersedes(stamp(0, 10), None), "first copy is stored");
+        assert!(supersedes(stamp(1, 5), Some(stamp(0, 10))), "newer epoch");
+        assert!(
+            supersedes(stamp(1, 20), Some(stamp(1, 10))),
+            "more evaluations"
+        );
+        assert!(
+            supersedes(stamp(1, 10), Some(stamp(1, 10))),
+            "a tie refreshes"
+        );
+        // A delayed, older checkpoint must not replace the newer copy.
+        assert!(!supersedes(stamp(1, 5), Some(stamp(1, 10))));
+        assert!(!supersedes(stamp(0, 99), Some(stamp(1, 10))));
+    }
+
+    #[test]
+    fn crowding_never_evicts_an_undominated_warm_entry() {
+        // A full archive of three spread points, and a warm entry squeezed
+        // next to the middle one: the most crowded point, so the capped
+        // archive alone would drop it.
+        let mut front = Archive::new(3);
+        for (d, v) in [(0.0, 10), (5.0, 5), (10.0, 0)] {
+            front.insert(entry(d, v));
+        }
+        let crowded = entry(5.1, 4);
+        let mut capped = front.clone();
+        capped.insert(crowded.clone());
+        assert!(
+            !capped
+                .items()
+                .iter()
+                .any(|f| f.objectives == crowded.objectives),
+            "the capped archive alone drops the crowded entry"
+        );
+        let dominated = entry(11.0, 11);
+        let merged = merge_warm(front, vec![crowded.clone(), dominated.clone()]);
+        assert!(merged.iter().any(|f| f.objectives == crowded.objectives));
+        assert!(
+            !merged.iter().any(|f| f.objectives == dominated.objectives),
+            "a dominated warm entry may still go"
+        );
+        for a in &merged {
+            for b in &merged {
+                let (va, vb) = (a.objectives.to_vector(), b.objectives.to_vector());
+                assert!(!pareto::dominates(&va, &vb), "front stays non-dominated");
+            }
+        }
+    }
 
     fn addrs(n: usize) -> Vec<String> {
         (0..n).map(|i| format!("127.0.0.1:{}", 4000 + i)).collect()

@@ -8,6 +8,7 @@
 //! absent from the gather: the merged front is built from the survivors,
 //! mirroring how a searcher's rotation routes around dead peers.
 
+use crate::membership::{newest_replica, ReplicaStamp};
 use crate::node::NodeReport;
 use crate::proto::{ExchangeEntry, MeshJob, NodeMsg};
 use crate::transport::PeerConn;
@@ -179,13 +180,24 @@ impl MeshClient {
     /// Fetches the replica this node holds of slot `node`, if any, as
     /// `(evaluations, entries)`.
     pub fn replica(&self, node: usize) -> io::Result<Option<(u64, Vec<ExchangeEntry>)>> {
+        Ok(self
+            .stamped_replica(node)?
+            .map(|(stamp, entries)| (stamp.evaluations, entries)))
+    }
+
+    /// [`Self::replica`] with the replica's full stamp.
+    fn stamped_replica(
+        &self,
+        node: usize,
+    ) -> io::Result<Option<(ReplicaStamp, Vec<ExchangeEntry>)>> {
         match self.call(&NodeMsg::ReplicaFetch { node: node as u64 })? {
             NodeMsg::ReplicaReply {
                 found: true,
+                epoch,
                 evaluations,
                 entries,
                 ..
-            } => Ok(Some((evaluations, entries))),
+            } => Ok(Some((ReplicaStamp { epoch, evaluations }, entries))),
             NodeMsg::ReplicaReply { .. } => Ok(None),
             other => Err(unexpected(other)),
         }
@@ -341,9 +353,14 @@ pub fn run_mesh(job: &MeshJob, timeout: Duration, wait: Duration) -> io::Result<
         let mut recovered = false;
         // A dead node's front is not gone: its ring successor holds a
         // replicated checkpoint (when the job enabled replication). Ask
-        // the survivors and keep the most advanced replica.
+        // the survivors and keep the newest replica.
         if report.is_none() {
-            if let Some((evals, entries)) = best_replica(&clients, k) {
+            let held = clients.iter().enumerate().filter(|&(j, _)| j != k);
+            let replicas = held.filter_map(|(j, client)| {
+                let (stamp, entries) = client.stamped_replica(k).ok()??;
+                Some((j, stamp, (stamp.evaluations, entries)))
+            });
+            if let Some((evals, entries)) = newest_replica(replicas) {
                 report = Some(NodeReport {
                     front: entries,
                     evaluations: evals,
@@ -378,24 +395,6 @@ pub fn run_mesh(job: &MeshJob, timeout: Duration, wait: Duration) -> io::Result<
         nodes,
         recovered_nodes,
     })
-}
-
-/// The most advanced replica of slot `subject` held by any *other*
-/// reachable node — highest replicated evaluation count wins, ties to the
-/// earliest holder so the choice is deterministic.
-fn best_replica(clients: &[MeshClient], subject: usize) -> Option<(u64, Vec<ExchangeEntry>)> {
-    let mut best: Option<(u64, Vec<ExchangeEntry>)> = None;
-    for (j, client) in clients.iter().enumerate() {
-        if j == subject {
-            continue;
-        }
-        if let Ok(Some((evals, entries))) = client.replica(subject) {
-            if best.as_ref().is_none_or(|(b, _)| evals > *b) {
-                best = Some((evals, entries));
-            }
-        }
-    }
-    best
 }
 
 /// Reads an unlabeled counter out of a Prometheus exposition (`name value`

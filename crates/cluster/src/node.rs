@@ -8,6 +8,11 @@
 //! in-process channel, a remote peer a [`TcpTransport`] over the node's
 //! shared per-peer connection — the rotation cannot tell the difference.
 //!
+//! Every front entry a peer hands over — an exchange, a checkpoint, a
+//! job's warm start — is checked against the job's instance once, at this
+//! boundary ([`vrptw::Solution::verify`]); a frame carrying an invalid
+//! entry is answered with [`NodeMsg::Error`].
+//!
 //! # Determinism contract
 //!
 //! Node `k` of an `n`-node mesh with `s` searchers per node hosts the
@@ -18,7 +23,8 @@
 //! clock) and the virtual mesh use, so all builds agree on every list and
 //! every parameter.
 
-use crate::membership::{Member, Membership};
+use crate::lock;
+use crate::membership::{merge_warm, supersedes, Member, Membership, ReplicaStamp};
 use crate::proto::{ExchangeEntry, MeshJob, NodeMsg};
 use crate::transport::{PeerConn, RouteTable, TcpTransport, DEFAULT_NET_TIMEOUT};
 use crossbeam::channel::{unbounded, Sender};
@@ -29,7 +35,7 @@ use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use tsmo_core::{searcher_cfg, CancelToken, CollabSearcher, FrontEntry, TsmoConfig};
@@ -88,6 +94,9 @@ struct NodeState {
     /// Inboxes of the locally hosted searchers, by global searcher id.
     inboxes: HashMap<usize, Sender<FrontEntry>>,
     cancel: Option<CancelToken>,
+    /// The instance of the current (or last) job; peer entries are checked
+    /// against it.
+    instance: Option<Arc<vrptw::Instance>>,
     runner: Option<JoinHandle<()>>,
     report: Option<NodeReport>,
     /// JSONL span/timeline trace of the last finished job, served to
@@ -99,8 +108,7 @@ struct NodeState {
 /// predecessor ships them here). Served to `ReplicaFetch` so a controller
 /// can recover a dead node's front.
 struct ReplicaHeld {
-    epoch: u64,
-    evaluations: u64,
+    stamp: ReplicaStamp,
     entries: Vec<ExchangeEntry>,
 }
 
@@ -130,41 +138,16 @@ struct NodeShared {
 }
 
 impl NodeShared {
-    fn state(&self) -> MutexGuard<'_, NodeState> {
-        self.state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn membership(&self) -> MutexGuard<'_, Option<Membership>> {
-        self.membership
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn routes(&self) -> Option<Arc<RouteTable>> {
-        self.routes
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone()
-    }
-
-    fn replicas(&self) -> MutexGuard<'_, HashMap<usize, ReplicaHeld>> {
-        self.replicas
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn live(&self) -> MutexGuard<'_, Archive<FrontEntry>> {
-        self.live
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    /// The live front, as wire entries.
+    fn live_entries(&self) -> Vec<ExchangeEntry> {
+        let live = lock(&self.live);
+        live.items().iter().map(ExchangeEntry::from_front).collect()
     }
 
     /// Publishes a searcher's current archive into the live front and
     /// accounts `delta` newly consumed evaluations.
     fn publish_live(&self, snapshot: Vec<FrontEntry>, delta: u64) {
-        self.live().absorb(snapshot);
+        lock(&self.live).absorb(snapshot);
         self.live_evals.fetch_add(delta, Ordering::Relaxed);
     }
 }
@@ -191,6 +174,7 @@ impl Noded {
                 node_index: None,
                 inboxes: HashMap::new(),
                 cancel: None,
+                instance: None,
                 runner: None,
                 report: None,
                 last_trace: None,
@@ -229,7 +213,7 @@ impl Noded {
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
-        let runner = self.shared.state().runner.take();
+        let runner = lock(&self.shared.state).runner.take();
         if let Some(runner) = runner {
             let _ = runner.join();
         }
@@ -238,15 +222,9 @@ impl Noded {
     /// Stops the daemon: cancels a running job, closes the listener, and
     /// joins the acceptor. Searcher threads of a cancelled job finish
     /// their current iteration and are joined by the runner thread.
-    pub fn halt(mut self) {
+    pub fn halt(self) {
         request_stop(&self.shared);
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        let runner = self.shared.state().runner.take();
-        if let Some(runner) = runner {
-            let _ = runner.join();
-        }
+        self.wait();
     }
 }
 
@@ -254,17 +232,12 @@ impl Noded {
 /// so its blocking `accept` returns.
 fn request_stop(shared: &Arc<NodeShared>) {
     shared.stopping.store(true, Ordering::Release);
-    if let Some(cancel) = shared.state().cancel.clone() {
+    if let Some(cancel) = lock(&shared.state).cancel.clone() {
         cancel.cancel();
     }
     // Unblock connection threads parked in `read_frame`, then poke the
     // listener so its blocking `accept` returns and sees the flag.
-    let conns = std::mem::take(
-        &mut *shared
-            .conns
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner),
-    );
+    let conns = std::mem::take(&mut *lock(&shared.conns));
     for conn in conns {
         let _ = conn.shutdown(std::net::Shutdown::Both);
     }
@@ -289,11 +262,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<NodeShared>) {
 fn serve_conn(stream: TcpStream, shared: &Arc<NodeShared>) {
     let _ = stream.set_nodelay(true);
     if let Ok(clone) = stream.try_clone() {
-        shared
-            .conns
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push(clone);
+        lock(&shared.conns).push(clone);
     }
     serve_frames(&stream, shared);
     // A clone of this socket lives in `conns` for halt(); dropping our
@@ -334,15 +303,20 @@ fn serve_frames(mut stream: &TcpStream, shared: &Arc<NodeShared>) {
 fn handle(msg: NodeMsg, shared: &Arc<NodeShared>) -> NodeMsg {
     match msg {
         NodeMsg::Hello { .. } => {
-            let index = shared.state().node_index;
+            let index = lock(&shared.state).node_index;
             NodeMsg::HelloAck {
                 node: index.map_or(u64::MAX, |i| i as u64),
             }
         }
         NodeMsg::Exchange { from, to, entry } => {
-            let state = shared.state();
+            let instance = lock(&shared.state).instance.clone();
+            let entry = match checked(instance.as_deref(), &entry) {
+                Ok(entry) => entry,
+                Err(e) => return NodeMsg::error(e),
+            };
+            let state = lock(&shared.state);
             match state.inboxes.get(&(to as usize)) {
-                Some(tx) if tx.send(entry.to_front()).is_ok() => {
+                Some(tx) if tx.send(entry).is_ok() => {
                     drop(state);
                     // Per-peer attribution happens here, where the sender
                     // id is known; the receiving searcher's drain counts
@@ -358,7 +332,7 @@ fn handle(msg: NodeMsg, shared: &Arc<NodeShared>) -> NodeMsg {
         }
         NodeMsg::Start { job } => start_job(job, shared),
         NodeMsg::Status => {
-            let phase = shared.state().phase;
+            let phase = lock(&shared.state).phase;
             NodeMsg::NodeStatus {
                 state: match phase {
                     Phase::Idle => "idle",
@@ -369,7 +343,7 @@ fn handle(msg: NodeMsg, shared: &Arc<NodeShared>) -> NodeMsg {
             }
         }
         NodeMsg::Front => {
-            let state = shared.state();
+            let state = lock(&shared.state);
             match (&state.phase, &state.report) {
                 (Phase::Done, Some(report)) => NodeMsg::FrontReply {
                     entries: report.front.clone(),
@@ -386,12 +360,12 @@ fn handle(msg: NodeMsg, shared: &Arc<NodeShared>) -> NodeMsg {
             registry: shared.recorder.metrics().to_json(),
         },
         NodeMsg::Trace => NodeMsg::TraceReply {
-            jsonl: shared.state().last_trace.clone().unwrap_or_default(),
+            jsonl: lock(&shared.state).last_trace.clone().unwrap_or_default(),
         },
         NodeMsg::Join { addr } => admit_member(&addr, shared),
         NodeMsg::Leave { node } => retire_member(node as usize, shared),
         NodeMsg::MemberUpdate { epoch, members } => {
-            let mut guard = shared.membership();
+            let mut guard = lock(&shared.membership);
             match guard.as_mut() {
                 Some(view) => {
                     // Idempotent by epoch: stale or duplicate broadcasts
@@ -412,7 +386,7 @@ fn handle(msg: NodeMsg, shared: &Arc<NodeShared>) -> NodeMsg {
                 None => NodeMsg::error("no membership view: no job was started here"),
             }
         }
-        NodeMsg::Members => match shared.membership().as_ref() {
+        NodeMsg::Members => match lock(&shared.membership).as_ref() {
             Some(view) => NodeMsg::MembersReply {
                 epoch: view.epoch,
                 members: view.members.clone(),
@@ -425,26 +399,28 @@ fn handle(msg: NodeMsg, shared: &Arc<NodeShared>) -> NodeMsg {
             evaluations,
             entries,
         } => {
-            // Checkpoints from one predecessor arrive in order over its
-            // serialized connection, so the newest write wins.
-            shared.replicas().insert(
-                from as usize,
-                ReplicaHeld {
-                    epoch,
-                    evaluations,
-                    entries,
-                },
-            );
-            shared.recorder.counter_add(names::ARCHIVES_REPLICATED, 1);
+            let instance = lock(&shared.state).instance.clone();
+            if let Some(bad) = entries
+                .iter()
+                .find_map(|e| checked(instance.as_deref(), e).err())
+            {
+                return NodeMsg::error(bad);
+            }
+            let stamp = ReplicaStamp { epoch, evaluations };
+            let mut replicas = lock(&shared.replicas);
+            if supersedes(stamp, replicas.get(&(from as usize)).map(|r| r.stamp)) {
+                replicas.insert(from as usize, ReplicaHeld { stamp, entries });
+                shared.recorder.counter_add(names::ARCHIVES_REPLICATED, 1);
+            }
             NodeMsg::CheckpointAck
         }
         NodeMsg::ReplicaFetch { node } => {
-            let replicas = shared.replicas();
+            let replicas = lock(&shared.replicas);
             match replicas.get(&(node as usize)) {
                 Some(r) => NodeMsg::ReplicaReply {
                     node,
-                    epoch: r.epoch,
-                    evaluations: r.evaluations,
+                    epoch: r.stamp.epoch,
+                    evaluations: r.stamp.evaluations,
                     entries: r.entries.clone(),
                     found: true,
                 },
@@ -458,7 +434,7 @@ fn handle(msg: NodeMsg, shared: &Arc<NodeShared>) -> NodeMsg {
             }
         }
         NodeMsg::Stop => {
-            if let Some(cancel) = shared.state().cancel.clone() {
+            if let Some(cancel) = lock(&shared.state).cancel.clone() {
                 cancel.cancel();
             }
             NodeMsg::Stopped
@@ -469,13 +445,28 @@ fn handle(msg: NodeMsg, shared: &Arc<NodeShared>) -> NodeMsg {
     }
 }
 
+/// Checks one peer-supplied entry against the job's instance
+/// ([`vrptw::Solution::verify`]).
+fn checked(
+    instance: Option<&vrptw::Instance>,
+    entry: &ExchangeEntry,
+) -> Result<FrontEntry, String> {
+    let instance = instance.ok_or("no job was started here")?;
+    let front = entry.to_front();
+    front
+        .solution
+        .verify(instance, entry.objectives)
+        .map_err(|e| format!("bad front entry: {e}"))?;
+    Ok(front)
+}
+
 /// Admits `addr` into the membership view (coordinator side of a join):
 /// revive-or-append the slot, broadcast the new view to the other live
 /// members, and answer with the slot, the view, and this node's current
 /// merged front so the joiner warm-starts instead of from scratch.
 fn admit_member(addr: &str, shared: &Arc<NodeShared>) -> NodeMsg {
     let (epoch, slot, members) = {
-        let mut guard = shared.membership();
+        let mut guard = lock(&shared.membership);
         let Some(view) = guard.as_mut() else {
             return NodeMsg::error("cannot admit: no membership view (no job started)");
         };
@@ -488,12 +479,7 @@ fn admit_member(addr: &str, shared: &Arc<NodeShared>) -> NodeMsg {
         .gauge_max(names::MEMBERSHIP_EPOCH, epoch as f64);
     sync_routes(shared, &members);
     broadcast_view(shared, epoch, &members, slot);
-    let warm: Vec<ExchangeEntry> = shared
-        .live()
-        .items()
-        .iter()
-        .map(ExchangeEntry::from_front)
-        .collect();
+    let warm = shared.live_entries();
     NodeMsg::JoinAck {
         epoch,
         slot: slot as u64,
@@ -507,7 +493,7 @@ fn admit_member(addr: &str, shared: &Arc<NodeShared>) -> NodeMsg {
 /// nothing and re-reports the current epoch.
 fn retire_member(node: usize, shared: &Arc<NodeShared>) -> NodeMsg {
     let (changed, epoch, members) = {
-        let mut guard = shared.membership();
+        let mut guard = lock(&shared.membership);
         let Some(view) = guard.as_mut() else {
             return NodeMsg::error("cannot retire: no membership view (no job started)");
         };
@@ -529,7 +515,7 @@ fn retire_member(node: usize, shared: &Arc<NodeShared>) -> NodeMsg {
 /// slots route to their address, dead slots to nothing — so exchange
 /// sends to a departed member fail immediately instead of timing out.
 fn sync_routes(shared: &Arc<NodeShared>, members: &[Member]) {
-    if let Some(routes) = shared.routes() {
+    if let Some(routes) = lock(&shared.routes).clone() {
         routes.update(
             members
                 .iter()
@@ -550,7 +536,7 @@ fn sync_routes(shared: &Arc<NodeShared>, members: &[Member]) {
 /// the ack instead). A member that cannot be reached stays on its stale
 /// view until the next broadcast; its sends fail over in the meantime.
 fn broadcast_view(shared: &Arc<NodeShared>, epoch: u64, members: &[Member], except: usize) {
-    let own_slot = shared.state().node_index;
+    let own_slot = lock(&shared.state).node_index;
     for (slot, member) in members.iter().enumerate() {
         if !member.live || slot == except || Some(slot) == own_slot {
             continue;
@@ -584,14 +570,23 @@ fn start_job(job: MeshJob, shared: &Arc<NodeShared>) -> NodeMsg {
         Ok(inst) => Arc::new(inst),
         Err(e) => return NodeMsg::error(format!("bad instance: {e}")),
     };
-    let mut state = shared.state();
+    let warm: Vec<FrontEntry> = match job
+        .warm
+        .iter()
+        .map(|e| checked(Some(&instance), e))
+        .collect()
+    {
+        Ok(warm) => warm,
+        Err(e) => return NodeMsg::error(format!("warm start: {e}")),
+    };
+    let mut state = lock(&shared.state);
     if state.phase == Phase::Running {
         return NodeMsg::error("a job is already running");
     }
     if let Some(old) = state.runner.take() {
         drop(state);
         let _ = old.join();
-        state = shared.state();
+        state = lock(&shared.state);
     }
     let s = job.searchers_per_node;
     let local_ids: Vec<usize> = (job.node_index * s..(job.node_index + 1) * s).collect();
@@ -608,8 +603,8 @@ fn start_job(job: MeshJob, shared: &Arc<NodeShared>) -> NodeMsg {
     // it hands a later joiner) already carries them.
     for &id in &local_ids {
         if let Some(tx) = state.inboxes.get(&id) {
-            for entry in &job.warm {
-                let _ = tx.send(entry.to_front());
+            for entry in &warm {
+                let _ = tx.send(entry.clone());
             }
         }
     }
@@ -620,7 +615,7 @@ fn start_job(job: MeshJob, shared: &Arc<NodeShared>) -> NodeMsg {
     // the strict transition order is the virtual mesh's contract, not the
     // TCP path's).
     {
-        let mut membership = shared.membership();
+        let mut membership = lock(&shared.membership);
         *membership = Some(Membership {
             epoch: job.epoch,
             members: job
@@ -636,30 +631,28 @@ fn start_job(job: MeshJob, shared: &Arc<NodeShared>) -> NodeMsg {
     shared
         .recorder
         .gauge_max(names::MEMBERSHIP_EPOCH, job.epoch as f64);
-    *shared
-        .routes
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(Arc::new(RouteTable::new(
+    *lock(&shared.routes) = Some(Arc::new(RouteTable::new(
         job.peers.clone(),
         shared.net_timeout,
     )));
-    shared.replicas().clear();
+    lock(&shared.replicas).clear();
     {
-        let mut live = shared.live();
+        let mut live = lock(&shared.live);
         *live = Archive::new(TsmoConfig::default().archive_capacity);
-        live.absorb(job.warm.iter().map(ExchangeEntry::to_front));
+        live.absorb(warm.iter().cloned());
     }
     shared.live_evals.store(0, Ordering::Relaxed);
     let cancel = CancelToken::never();
     state.cancel = Some(cancel.clone());
     state.phase = Phase::Running;
     state.node_index = Some(job.node_index);
+    state.instance = Some(Arc::clone(&instance));
     state.report = None;
     let runner = {
         let shared = Arc::clone(shared);
         std::thread::spawn(move || {
-            let (report, trace) = run_node_job(&job, &instance, receivers, cancel, &shared);
-            let mut state = shared.state();
+            let (report, trace) = run_node_job(&job, &instance, warm, receivers, cancel, &shared);
+            let mut state = lock(&shared.state);
             state.inboxes.clear();
             state.report = Some(report);
             state.last_trace = Some(trace);
@@ -675,6 +668,7 @@ fn start_job(job: MeshJob, shared: &Arc<NodeShared>) -> NodeMsg {
 fn run_node_job(
     job: &MeshJob,
     instance: &Arc<vrptw::Instance>,
+    warm: Vec<FrontEntry>,
     mut receivers: HashMap<usize, crossbeam::channel::Receiver<FrontEntry>>,
     cancel: CancelToken,
     shared: &Arc<NodeShared>,
@@ -713,8 +707,10 @@ fn run_node_job(
     // Slot-addressed routes: all local searchers resolve a remote peer's
     // node through the shared table at send time, so membership changes
     // reroute live links without rebuilding them.
-    let routes = shared.routes().expect("route table installed at start");
-    let local_txs: HashMap<usize, Sender<FrontEntry>> = shared.state().inboxes.clone();
+    let routes = lock(&shared.routes)
+        .clone()
+        .expect("route table installed at start");
+    let local_txs: HashMap<usize, Sender<FrontEntry>> = lock(&shared.state).inboxes.clone();
 
     let done = AtomicBool::new(false);
     let mut rngs = streams(job.seed, n_total);
@@ -803,10 +799,7 @@ fn run_node_job(
             merged.insert(entry);
         }
     }
-    let front = merge_warm(
-        merged,
-        job.warm.iter().map(ExchangeEntry::to_front).collect(),
-    );
+    let front = merge_warm(merged, warm);
     // Publish the merged front too (it may contain warm entries no single
     // searcher holds) before the runner flips the phase; the replicator
     // has already cut its final checkpoint from the per-searcher final
@@ -819,29 +812,6 @@ fn run_node_job(
         iterations,
     };
     (report, events.events_jsonl())
-}
-
-/// Folds warm-start entries into a node's merged front. Warm entries
-/// survive the handover even when every searcher replaced them: the node
-/// front a joiner reports must never lose elites the mesh had already
-/// found. So crowding may drop a warm entry only when a front member
-/// dominates (or equals) it; one that merely lost the crowding comparison
-/// on a full archive is put back, past the capacity if need be.
-fn merge_warm(mut front: Archive<FrontEntry>, warm: Vec<FrontEntry>) -> Vec<FrontEntry> {
-    front.absorb(warm.iter().cloned());
-    let mut items = front.into_items();
-    for entry in warm {
-        let w = entry.objectives.to_vector();
-        let held = items.iter().any(|f| {
-            let v = f.objectives.to_vector();
-            v == w || pareto::dominates(&v, &w)
-        });
-        if !held {
-            items.retain(|f| !pareto::dominates(&w, &f.objectives.to_vector()));
-            items.push(entry);
-        }
-    }
-    items
 }
 
 /// Ships the live front to the ring successor every `every`, plus one
@@ -868,22 +838,17 @@ fn replicate_loop(shared: &NodeShared, node_index: usize, every: Duration, done:
 /// not correctness, and the next interval retries.
 fn ship_checkpoint(shared: &NodeShared, node_index: usize) {
     let (epoch, successor) = {
-        let guard = shared.membership();
+        let guard = lock(&shared.membership);
         let Some(view) = guard.as_ref() else { return };
         let Some(successor) = view.ring_successor(node_index) else {
             return; // alone in the ring: nowhere to replicate
         };
         (view.epoch, successor)
     };
-    let Some(conn) = shared.routes().and_then(|r| r.conn(successor)) else {
+    let Some(conn) = lock(&shared.routes).clone().and_then(|r| r.conn(successor)) else {
         return;
     };
-    let entries: Vec<ExchangeEntry> = shared
-        .live()
-        .items()
-        .iter()
-        .map(ExchangeEntry::from_front)
-        .collect();
+    let entries = shared.live_entries();
     if entries.is_empty() {
         return; // nothing learned yet
     }
@@ -894,55 +859,4 @@ fn ship_checkpoint(shared: &NodeShared, node_index: usize) {
         entries,
     };
     let _ = conn.call(&msg);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use vrptw::{Objectives, Solution};
-
-    fn entry(distance: f64, vehicles: usize) -> FrontEntry {
-        FrontEntry::new(
-            Solution::from_routes(vec![vec![1]]),
-            Objectives {
-                distance,
-                vehicles,
-                tardiness: 0.0,
-            },
-        )
-    }
-
-    #[test]
-    fn crowding_never_evicts_an_undominated_warm_entry() {
-        // A full archive of three spread points, and a warm entry squeezed
-        // next to the middle one: the most crowded point, so the capped
-        // archive alone would drop it.
-        let mut front = Archive::new(3);
-        for (d, v) in [(0.0, 10), (5.0, 5), (10.0, 0)] {
-            front.insert(entry(d, v));
-        }
-        let crowded = entry(5.1, 4);
-        let mut capped = front.clone();
-        capped.insert(crowded.clone());
-        assert!(
-            !capped
-                .items()
-                .iter()
-                .any(|f| f.objectives == crowded.objectives),
-            "the capped archive alone drops the crowded entry"
-        );
-        let dominated = entry(11.0, 11);
-        let merged = merge_warm(front, vec![crowded.clone(), dominated.clone()]);
-        assert!(merged.iter().any(|f| f.objectives == crowded.objectives));
-        assert!(
-            !merged.iter().any(|f| f.objectives == dominated.objectives),
-            "a dominated warm entry may still go"
-        );
-        for a in &merged {
-            for b in &merged {
-                let (va, vb) = (a.objectives.to_vector(), b.objectives.to_vector());
-                assert!(!pareto::dominates(&va, &vb), "front stays non-dominated");
-            }
-        }
-    }
 }

@@ -47,8 +47,8 @@ impl ExchangeEntry {
         }
     }
 
-    /// Rebuilds the front entry. The objectives are trusted as sent —
-    /// sender and receiver run the same evaluator on the same instance.
+    /// Rebuilds the front entry. The objectives are taken as sent; a node
+    /// checks a peer's entries with [`Solution::verify`] first.
     pub fn to_front(&self) -> FrontEntry {
         let objectives = Objectives {
             distance: self.objectives[0],

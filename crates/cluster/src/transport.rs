@@ -15,12 +15,13 @@
 //! real sockets exactly as they do over in-process channels. Each ack'd
 //! delivery feeds the `tsmo_peer_rtt_ms` histogram.
 
+use crate::lock;
 use crate::proto::{ExchangeEntry, NodeMsg};
 use deme::multisearch::Transport;
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use tsmo_core::FrontEntry;
 use tsmo_obs::{metrics::names, Recorder};
@@ -49,12 +50,6 @@ impl PeerConn {
     /// The peer's address as given.
     pub fn addr(&self) -> &str {
         &self.addr
-    }
-
-    fn lock(&self) -> MutexGuard<'_, Option<TcpStream>> {
-        self.stream
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     fn connect(&self) -> io::Result<TcpStream> {
@@ -87,7 +82,7 @@ impl PeerConn {
     /// one retry over a fresh connection; the stream is dropped on any
     /// error so the next call starts clean.
     pub fn call(&self, req: &NodeMsg) -> io::Result<NodeMsg> {
-        let mut guard = self.lock();
+        let mut guard = lock(&self.stream);
         let had_cached = guard.is_some();
         if guard.is_none() {
             *guard = Some(self.connect()?);
@@ -140,16 +135,10 @@ impl RouteTable {
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, RouteInner> {
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     /// Replaces the slot → address map (empty string = dead slot) and
     /// drops cached connections to addresses no longer routed to.
     pub fn update(&self, addrs: Vec<String>) {
-        let mut inner = self.lock();
+        let mut inner = lock(&self.inner);
         inner.addrs = addrs;
         let keep: Vec<String> = inner.addrs.clone();
         inner.conns.retain(|addr, _| keep.iter().any(|a| a == addr));
@@ -157,14 +146,14 @@ impl RouteTable {
 
     /// The slot's current address, if it has one.
     pub fn addr(&self, slot: usize) -> Option<String> {
-        let inner = self.lock();
+        let inner = lock(&self.inner);
         inner.addrs.get(slot).filter(|a| !a.is_empty()).cloned()
     }
 
     /// The shared connection to the slot's current occupant; `None` while
     /// the slot is dead. Connections are created lazily and cached.
     pub fn conn(&self, slot: usize) -> Option<Arc<PeerConn>> {
-        let mut inner = self.lock();
+        let mut inner = lock(&self.inner);
         let addr = inner.addrs.get(slot).filter(|a| !a.is_empty())?.clone();
         let timeout = self.timeout;
         Some(Arc::clone(

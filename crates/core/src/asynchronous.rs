@@ -21,8 +21,8 @@
 //! is left the master evaluates alone (degraded mode). A resent task keeps
 //! its original `iteration`, so its neighbors count as *stale* in the
 //! sense of Algorithm 2 — the recovery path needs no special treatment in
-//! the search itself. On the virtual clock the same policy is mirrored in
-//! virtual time (see [`exec`](crate::exec)).
+//! the search itself. On the virtual clock the same `deme::SupervisorPolicy`
+//! decides in virtual time (see [`exec`](crate::exec)).
 
 use crate::cancel::CancelToken;
 use crate::config::TsmoConfig;

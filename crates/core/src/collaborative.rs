@@ -30,7 +30,7 @@
 
 use crate::cancel::CancelToken;
 use crate::config::TsmoConfig;
-use crate::exec::{cluster, record_virtual_run};
+use crate::exec::{cluster, record_busy, record_virtual_run};
 use crate::outcome::{FrontEntry, TsmoOutcome};
 use crate::searcher::{searcher_cfg, CollabSearcher};
 use deme::multisearch::{self, comm_order, Endpoint, Transport};
@@ -115,12 +115,7 @@ pub(crate) fn run_threads(
     for (id, result) in results.iter().enumerate() {
         // Searchers are peers: "busy" is the fraction of the run they
         // were still searching (they stop when their budget is spent).
-        let frac = if runtime_seconds > 0.0 {
-            (result.active_seconds / runtime_seconds).min(1.0)
-        } else {
-            0.0
-        };
-        recorder.gauge_set(&names::worker_busy_fraction(id), frac);
+        record_busy(&**recorder, id, result.active_seconds, runtime_seconds);
     }
     recorder.gauge_set(names::RUNTIME_SECONDS, runtime_seconds);
     merge_searchers(

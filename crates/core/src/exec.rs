@@ -13,14 +13,17 @@
 //!   a [`VirtualCluster`]: a dispatched chunk is computed at once, charged
 //!   to its worker's virtual clock (the measured cost, or
 //!   [`TsmoConfig::sim_eval_cost`] per evaluation), and stamped with the
-//!   instant its result reaches the master. A deterministic mirror of the
-//!   supervisor policy replays injected faults in virtual time and
-//!   publishes the same [`RecoveryEvent`] shapes as the thread pool.
+//!   instant its result reaches the master. Injected faults go to the
+//!   shared [`SupervisorPolicy`], the one the thread pool obeys, so both
+//!   executors resend, quarantine and respawn alike.
 
 use crate::config::TsmoConfig;
 use crate::fault_obs::{draw_task_fault, publish_recovery};
 use crate::neighborhood::{generate_chunk_tallied, Chunk};
-use deme::{MasterWorker, RecoveryEvent, RunClock, Supervisor, SupervisorConfig, VirtualCluster};
+use deme::{
+    MasterWorker, Route, RunClock, Supervisor, SupervisorConfig, SupervisorPolicy, VirtualCluster,
+};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -221,13 +224,7 @@ impl Executor for Threads {
             publish_recovery(&*self.recorder, sup.take_events(), iteration);
             let stats = sup.pool().worker_stats();
             for (w, stats) in stats.iter().enumerate() {
-                let frac = if runtime_seconds > 0.0 {
-                    (stats.busy_seconds / runtime_seconds).min(1.0)
-                } else {
-                    0.0
-                };
-                self.recorder
-                    .gauge_set(&names::worker_busy_fraction(w + 1), frac);
+                record_busy(&*self.recorder, w + 1, stats.busy_seconds, runtime_seconds);
                 self.recorder
                     .counter_add(&names::worker_tasks(w + 1), stats.tasks_completed);
             }
@@ -281,6 +278,16 @@ pub(crate) fn cluster(
     }
 }
 
+/// Publishes processor `p`'s busy fraction: `busy` of `total` seconds.
+pub(crate) fn record_busy(recorder: &dyn Recorder, p: usize, busy: f64, total: f64) {
+    let frac = if total > 0.0 {
+        (busy / total).min(1.0)
+    } else {
+        0.0
+    };
+    recorder.gauge_set(&names::worker_busy_fraction(p), frac);
+}
+
 /// Publishes a finished simulation's makespan and, per processor, the
 /// fraction of the makespan its virtual clock covers (a utilization proxy:
 /// the clock stops at the processor's last activity). Derived from
@@ -290,25 +297,28 @@ pub(crate) fn record_virtual_run(recorder: &dyn Recorder, cluster: &VirtualClust
     let makespan = cluster.makespan();
     recorder.gauge_set(names::RUNTIME_SECONDS, makespan);
     for p in 0..cluster.n_processors() {
-        let frac = if makespan > 0.0 {
-            (cluster.clock(p) / makespan).min(1.0)
-        } else {
-            0.0
-        };
-        recorder.gauge_set(&names::worker_busy_fraction(p), frac);
+        record_busy(recorder, p, cluster.clock(p), makespan);
     }
     makespan
 }
 
-/// One virtual worker: its outstanding chunk and its supervisor state.
+/// A chunk a virtual worker holds until it reaches the master.
+struct Held {
+    /// The resend attempt it was computed as (0 for a first dispatch).
+    attempt: u32,
+    /// When it reaches the master.
+    arrival: f64,
+    /// What running it costs (see [`Virtual::cost`]).
+    cost: Option<f64>,
+    chunk: Chunk,
+}
+
+/// One virtual worker: the chunks it holds, oldest first, and its
+/// fault-decision counter.
 #[derive(Default)]
 struct VirtualWorker {
-    /// `(arrival at the master, chunk)` of the dispatched chunk.
-    outstanding: Option<(f64, Chunk)>,
+    queue: VecDeque<Held>,
     fault_seq: u64,
-    consecutive_panics: u32,
-    respawns_used: u32,
-    retired: bool,
 }
 
 /// Every processor on one thread, scheduled in virtual time.
@@ -319,14 +329,13 @@ pub(crate) struct Virtual {
     unit_cost: Option<f64>,
     recorder: Arc<dyn Recorder>,
     hook: Arc<dyn FaultHook>,
-    policy: SupervisorConfig,
+    supervisor: SupervisorPolicy,
     workers: Vec<VirtualWorker>,
-    degraded: bool,
 }
 
 impl Virtual {
-    /// A virtual machine of `processors` (see [`cluster`]). The supervisor
-    /// mirror uses the thread pool's default policy.
+    /// A virtual machine of `processors` (see [`cluster`]), supervised by
+    /// the thread pool's default policy.
     pub(crate) fn new(
         inst: &Arc<Instance>,
         cfg: &TsmoConfig,
@@ -338,6 +347,7 @@ impl Virtual {
         if processors > 1 {
             recorder.gauge_set(names::DEGRADED_MODE, 0.0);
         }
+        let n_workers = processors.saturating_sub(1);
         Self {
             inst: Arc::clone(inst),
             params: SampleParams {
@@ -347,9 +357,8 @@ impl Virtual {
             unit_cost: cfg.sim_eval_cost,
             recorder: Arc::clone(recorder),
             hook,
-            policy: SupervisorConfig::default(),
-            workers: (1..processors).map(|_| VirtualWorker::default()).collect(),
-            degraded: false,
+            supervisor: SupervisorPolicy::new(n_workers, SupervisorConfig::default()),
+            workers: (0..n_workers).map(|_| VirtualWorker::default()).collect(),
         }
     }
 
@@ -357,59 +366,60 @@ impl Virtual {
         self.unit_cost.map(|c| c * evals as f64)
     }
 
-    /// Replays the fault hook's decisions for one execution of a chunk on
-    /// worker `w` with the supervisor's policy: stalls and late replies
-    /// cost virtual time, a panic re-executes the chunk (bounded retries,
-    /// then the task is lost), repeated panics quarantine and once respawn
-    /// the worker. Returns whether the chunk is delivered.
-    fn survives_faults(&mut self, w: usize, cost: Option<f64>, iteration: u64) -> bool {
-        let proc = w + 1;
-        let mut attempt = 0;
-        loop {
-            let state = &mut self.workers[w];
-            let seq = state.fault_seq;
-            state.fault_seq += 1;
-            match draw_task_fault(&*self.hook, &*self.recorder, proc, seq) {
-                TaskFault::Panic => {}
-                fault => {
-                    if let TaskFault::Stall { millis } | TaskFault::Late { millis } = fault {
-                        self.cluster.advance(proc, millis as f64 / 1_000.0);
-                    }
-                    state.consecutive_panics = 0;
-                    return true;
-                }
-            }
-            attempt += 1;
-            state.consecutive_panics += 1;
-            let mut events = Vec::new();
-            if state.consecutive_panics >= self.policy.quarantine_after {
-                events.push(RecoveryEvent::WorkerQuarantined { worker: w });
-                if state.respawns_used < self.policy.max_respawns {
-                    state.respawns_used += 1;
-                    state.consecutive_panics = 0;
-                    events.push(RecoveryEvent::WorkerRespawned { worker: w });
-                } else {
-                    state.retired = true;
-                }
-            }
-            let live = self.workers.iter().filter(|s| !s.retired).count();
-            if live < self.policy.quorum && !self.degraded {
-                self.degraded = true;
-                events.push(RecoveryEvent::Degraded { live_workers: live });
-            }
-            let lost = self.workers[w].retired || attempt > self.policy.max_retries;
-            events.push(if lost {
-                RecoveryEvent::TaskLost { worker: w }
+    /// Settles a chunk computed on worker `w` as `attempt`: the fault
+    /// hook's decision for that execution is drawn, stalls and late
+    /// replies cost virtual time, and a panic goes to the supervisor
+    /// policy. Each resend it orders runs on the named worker, with that
+    /// worker's next fault draw and on that worker's clock (the measured
+    /// cost again, or a nominal slice in measured mode).
+    fn settle(&mut self, w: usize, attempt: u32, cost: Option<f64>, chunk: Chunk) {
+        let mut runs = VecDeque::from([(w, attempt, cost, chunk)]);
+        while let Some((w, attempt, cost, chunk)) = runs.pop_front() {
+            let proc = w + 1;
+            let fault = if self.hook.active() {
+                let seq = self.workers[w].fault_seq;
+                self.workers[w].fault_seq += 1;
+                draw_task_fault(&*self.hook, &*self.recorder, proc, seq)
             } else {
-                RecoveryEvent::TaskResent { worker: w, attempt }
-            });
-            publish_recovery(&*self.recorder, events, iteration);
-            if lost {
-                return false;
+                TaskFault::None
+            };
+            if fault != TaskFault::Panic {
+                if let TaskFault::Stall { millis } | TaskFault::Late { millis } = fault {
+                    self.cluster.advance(proc, millis as f64 / 1_000.0);
+                }
+                self.supervisor.on_reply(w);
+                let arrival = self.cluster.send_at(proc, 1.0);
+                let held = Held {
+                    attempt,
+                    arrival,
+                    cost,
+                    chunk,
+                };
+                self.workers[w].queue.push_back(held);
+                continue;
             }
-            // The retried execution costs virtual time again (a nominal
-            // slice in measured mode).
-            self.cluster.advance(proc, cost.unwrap_or(1e-4));
+            // The failed chunk first, then what `w` still holds: its
+            // undelivered chunks are orphans if the panic quarantines it.
+            let queue = &mut self.workers[w].queue;
+            let attempts: Vec<u32> = std::iter::once(attempt)
+                .chain(queue.iter().map(|h| h.attempt))
+                .collect();
+            let plan = self.supervisor.on_panic(w, &attempts);
+            let orphans: Vec<_> = queue
+                .drain(..plan.routes.len().saturating_sub(1))
+                .map(|h| (h.cost, h.chunk))
+                .collect();
+            // Respawning or retiring needs nothing here: no thread to
+            // replace or join.
+            let routed = std::iter::once((cost, chunk)).chain(orphans);
+            for ((cost, chunk), route) in routed.zip(plan.routes) {
+                if let Route::Resend { worker, attempt } = route {
+                    let start = self.cluster.clock(proc).max(self.cluster.clock(worker + 1));
+                    self.cluster.advance_to(worker + 1, start);
+                    self.cluster.advance(worker + 1, cost.unwrap_or(1e-4));
+                    runs.push_back((worker, attempt, cost, chunk));
+                }
+            }
         }
     }
 }
@@ -421,12 +431,12 @@ impl Executor for Virtual {
 
     fn idle_workers(&self) -> Vec<usize> {
         (0..self.workers.len())
-            .filter(|&w| self.workers[w].outstanding.is_none() && !self.workers[w].retired)
+            .filter(|&w| self.workers[w].queue.is_empty() && self.supervisor.is_live(w))
             .collect()
     }
 
     fn degraded(&self) -> bool {
-        self.degraded
+        self.supervisor.degraded()
     }
 
     fn now(&self) -> f64 {
@@ -451,11 +461,7 @@ impl Executor for Virtual {
         let chunk = charge(&mut self.cluster, proc, cost, || {
             generate_chunk_tallied(inst, snapshot, seed, count, params, iteration)
         });
-        if self.hook.active() && !self.survives_faults(w, cost, iteration as u64) {
-            return;
-        }
-        let arrival = self.cluster.send_at(proc, 1.0);
-        self.workers[w].outstanding = Some((arrival, chunk));
+        self.settle(w, 0, cost, chunk);
     }
 
     fn on_master<R>(&mut self, evals: usize, f: impl FnOnce() -> R) -> R {
@@ -463,11 +469,12 @@ impl Executor for Virtual {
         charge(&mut self.cluster, 0, cost, f)
     }
 
-    fn collect(&mut self, wait: Wait, _iteration: u64) -> Vec<(usize, Chunk)> {
+    fn collect(&mut self, wait: Wait, iteration: u64) -> Vec<(usize, Chunk)> {
+        publish_recovery(&*self.recorder, self.supervisor.take_events(), iteration);
         let arrivals = self
             .workers
             .iter()
-            .filter_map(|s| s.outstanding.as_ref().map(|o| o.0));
+            .flat_map(|s| s.queue.iter().map(|h| h.arrival));
         let now = self.cluster.clock(0);
         match wait {
             Wait::Now => {}
@@ -485,15 +492,141 @@ impl Executor for Virtual {
         let now = self.cluster.clock(0);
         let mut out = Vec::new();
         for (w, state) in self.workers.iter_mut().enumerate() {
-            if state.outstanding.as_ref().is_some_and(|o| o.0 <= now) {
-                let (_, chunk) = state.outstanding.take().expect("checked above");
-                out.push((w, chunk));
+            while let Some(held) = state.queue.pop_front_if(|h| h.arrival <= now) {
+                out.push((w, held.chunk));
             }
         }
         out
     }
 
-    fn finish(self, _iteration: u64) -> f64 {
+    fn finish(mut self, iteration: u64) -> f64 {
+        publish_recovery(&*self.recorder, self.supervisor.take_events(), iteration);
         record_virtual_run(&*self.recorder, &self.cluster)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tsmo_obs::MemoryRecorder;
+    use vrptw::generator::{GeneratorConfig, InstanceClass};
+    use vrptw_construct::{i1, I1Config};
+
+    /// Panics exactly on the scripted `(site, execution)` pairs.
+    struct Script(&'static [(usize, u64)]);
+
+    impl FaultHook for Script {
+        fn active(&self) -> bool {
+            true
+        }
+
+        fn on_task(&self, site: usize, seq: u64) -> TaskFault {
+            if self.0.contains(&(site, seq)) {
+                TaskFault::Panic
+            } else {
+                TaskFault::None
+            }
+        }
+    }
+
+    /// Worker 0 (site 1) fails twice in a row and again on a resend, so
+    /// it is quarantined and respawned with a task lost; worker 1 (site 2)
+    /// fails in between. Later bursts retire worker 0, respawn then retire
+    /// worker 1, and leave the pool degraded.
+    const SCRIPT: &[(usize, u64)] = &[
+        (1, 0),
+        (1, 1),
+        (1, 2),
+        (1, 3),
+        (1, 4),
+        (1, 5),
+        (2, 0),
+        (2, 2),
+        (2, 4),
+        (2, 5),
+        (2, 6),
+        (2, 8),
+        (2, 9),
+        (2, 10),
+    ];
+
+    const RECOVERY_EVENTS: [&str; 4] = [
+        "\"task_resent\"",
+        "\"worker_quarantined\"",
+        "\"worker_respawned\"",
+        "\"degraded_mode\"",
+    ];
+
+    /// What one executor did with the script: its recovery events, lost
+    /// tasks, and per dispatch the delivering worker and neighbors.
+    type Trace = (Vec<String>, u64, Vec<Vec<(usize, Vec<[f64; 3]>)>>);
+
+    /// Dispatches one chunk at a time, alternating over the two workers
+    /// while both are live, and waits for each with `Wait::All`.
+    fn drive(mut exec: impl Executor, snapshot: &EvaluatedSolution, rec: &MemoryRecorder) -> Trace {
+        let mut delivered = Vec::new();
+        for step in 0..8 {
+            let Some(&w) = exec
+                .idle_workers()
+                .iter()
+                .find(|&&w| w == step % 2)
+                .or(exec.idle_workers().first())
+            else {
+                break;
+            };
+            exec.dispatch(w, snapshot, 100 + step as u64, 6, step);
+            let got = exec.collect(Wait::All, step as u64);
+            delivered.push(
+                got.into_iter()
+                    .map(|(w, chunk)| {
+                        let objectives = chunk
+                            .neighbors
+                            .iter()
+                            .map(|nb| nb.objectives.to_vector())
+                            .collect();
+                        (w, objectives)
+                    })
+                    .collect(),
+            );
+        }
+        exec.finish(8);
+        let events = rec
+            .events_jsonl()
+            .lines()
+            .filter(|line| RECOVERY_EVENTS.iter().any(|t| line.contains(t)))
+            .map(|line| line.split_once(',').expect("seq field").1.to_string())
+            .collect();
+        (events, rec.metrics().counter(names::TASKS_LOST), delivered)
+    }
+
+    #[test]
+    fn both_clocks_take_the_same_recovery_decisions() {
+        let inst = Arc::new(GeneratorConfig::new(InstanceClass::R1, 25, 4).build());
+        let snapshot = EvaluatedSolution::new(i1(&inst, &I1Config::default()), &inst);
+        let cfg = TsmoConfig::default();
+        let params = SampleParams {
+            feasibility: cfg.feasibility_criterion,
+        };
+        let hook = || Arc::new(Script(SCRIPT)) as Arc<dyn FaultHook>;
+
+        let wall_rec = MemoryRecorder::shared();
+        let recorder: Arc<dyn Recorder> = wall_rec.clone();
+        let threads = Threads::new(&inst, params, 3, &recorder, hook());
+        let wall = drive(threads, &snapshot, &wall_rec);
+
+        let virtual_rec = MemoryRecorder::shared();
+        let recorder: Arc<dyn Recorder> = virtual_rec.clone();
+        let virt = Virtual::new(&inst, &cfg, 3, None, &recorder, hook());
+        let simulated = drive(virt, &snapshot, &virtual_rec);
+
+        assert_eq!(wall.0, simulated.0, "recovery event sequences differ");
+        assert_eq!(wall.1, simulated.1, "tasks lost differ");
+        assert_eq!(wall.2, simulated.2, "delivered chunks differ");
+        // The script reaches every rule: resends, a lost task, both
+        // quarantine outcomes, and degraded mode.
+        for kind in RECOVERY_EVENTS {
+            assert!(wall.0.iter().any(|e| e.contains(kind)), "no {kind} event");
+        }
+        assert_eq!(wall.1, 3);
     }
 }

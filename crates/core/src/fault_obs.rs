@@ -48,48 +48,45 @@ pub(crate) fn publish_recovery(
     events: Vec<RecoveryEvent>,
     iteration: u64,
 ) {
+    let site = |worker: usize| (worker + 1) as u32;
     for ev in events {
-        match ev {
+        let event = match ev {
             RecoveryEvent::TaskResent { worker, attempt } => {
                 recorder.counter_add(names::TASKS_RESENT, 1);
-                if recorder.enabled() {
-                    recorder.event(SearchEvent::TaskResent {
-                        worker: (worker + 1) as u32,
-                        iteration,
-                        attempt,
-                    });
+                SearchEvent::TaskResent {
+                    worker: site(worker),
+                    iteration,
+                    attempt,
                 }
             }
             RecoveryEvent::TaskLost { .. } => {
                 recorder.counter_add(names::TASKS_LOST, 1);
+                continue;
             }
             RecoveryEvent::WorkerQuarantined { worker } => {
                 recorder.counter_add(names::WORKERS_QUARANTINED, 1);
-                if recorder.enabled() {
-                    recorder.event(SearchEvent::WorkerQuarantined {
-                        worker: (worker + 1) as u32,
-                        iteration,
-                    });
+                SearchEvent::WorkerQuarantined {
+                    worker: site(worker),
+                    iteration,
                 }
             }
             RecoveryEvent::WorkerRespawned { worker } => {
                 recorder.counter_add(names::WORKERS_RESPAWNED, 1);
-                if recorder.enabled() {
-                    recorder.event(SearchEvent::WorkerRespawned {
-                        worker: (worker + 1) as u32,
-                        iteration,
-                    });
+                SearchEvent::WorkerRespawned {
+                    worker: site(worker),
+                    iteration,
                 }
             }
             RecoveryEvent::Degraded { live_workers } => {
                 recorder.gauge_set(names::DEGRADED_MODE, 1.0);
-                if recorder.enabled() {
-                    recorder.event(SearchEvent::DegradedMode {
-                        iteration,
-                        live_workers: live_workers as u32,
-                    });
+                SearchEvent::DegradedMode {
+                    iteration,
+                    live_workers: live_workers as u32,
                 }
             }
+        };
+        if recorder.enabled() {
+            recorder.event(event);
         }
     }
 }

@@ -11,10 +11,13 @@
 //! * [`MasterWorker`] — a master–worker pool for functional decomposition,
 //!   supporting both the synchronous collect-everything pattern and the
 //!   asynchronous partial-collection pattern of §III.C/D;
-//! * [`Supervisor`] — a self-healing wrapper over [`MasterWorker`] that
-//!   resends panicked tasks with a bounded retry budget, quarantines and
-//!   respawns repeatedly failing workers, and degrades to master-local
-//!   evaluation when live workers fall below quorum;
+//! * [`SupervisorPolicy`] — the worker-recovery rules as a pure state
+//!   machine: resend panicked tasks round-robin with a bounded retry
+//!   budget, quarantine and respawn repeatedly failing workers, and
+//!   degrade to master-local evaluation when live workers fall below
+//!   quorum. [`Supervisor`] drives it over a [`MasterWorker`] pool on the
+//!   wall clock; `tsmo-core`'s virtual executor drives the same policy in
+//!   virtual time;
 //! * [`multisearch`] — the rotating-communication-list topology of the
 //!   collaborative multisearch variant (§III.E), with peer-liveness
 //!   tracking (dead peers are skipped and probed for re-admission);
@@ -52,7 +55,10 @@ pub mod virtual_time;
 
 pub use budget::EvaluationBudget;
 pub use master_worker::{MasterWorker, PoolError, WorkerStats};
-pub use supervisor::{RecoveryEvent, RecoveryStats, Supervisor, SupervisorConfig};
+pub use supervisor::{
+    PanicPlan, Quarantine, RecoveryEvent, RecoveryStats, Route, Supervisor, SupervisorConfig,
+    SupervisorPolicy,
+};
 pub use virtual_time::VirtualCluster;
 
 use std::time::{Duration, Instant};

@@ -1,37 +1,44 @@
-//! Self-healing wrapper around [`MasterWorker`].
+//! Worker recovery: one pure policy, and the thread pool that obeys it.
 //!
 //! The pool itself ([`MasterWorker`]) only *reports* failures: a task
 //! panic surfaces as [`PoolError::WorkerPanicked`] and a fully retired
-//! pool as [`PoolError::Disconnected`]. The [`Supervisor`] turns those
-//! reports into a recovery policy:
+//! pool as [`PoolError::Disconnected`]. [`SupervisorPolicy`] decides what
+//! to do about them:
 //!
-//! * **Resend with budget** — a panicked task is resent to the next live
-//!   worker (round-robin) with a small exponential backoff, up to
-//!   [`SupervisorConfig::max_retries`] attempts; after that the task is
-//!   declared lost and the caller simply never sees its result (in the
-//!   asynchronous tabu search this is equivalent to a permanently stale
-//!   neighbor and is sound by construction).
 //! * **Quarantine + respawn** — [`SupervisorConfig::quarantine_after`]
-//!   *consecutive* panics of one worker quarantine it: its in-flight
-//!   tasks are redistributed and the slot is either respawned (fresh
-//!   thread, bounded by [`SupervisorConfig::max_respawns`]) or retired.
+//!   *consecutive* panics of one worker quarantine it: the slot is either
+//!   respawned (fresh thread, bounded by [`SupervisorConfig::max_respawns`])
+//!   or retired, and its unanswered tasks are redistributed.
+//! * **Resend with budget** — a panicked task (and a quarantined worker's
+//!   orphans) is resent to the next live worker, round-robin, up to
+//!   [`SupervisorConfig::max_retries`] attempts; after that, or when no
+//!   live worker is left, the task is declared lost and the caller simply
+//!   never sees its result (in the asynchronous tabu search this is a
+//!   permanently stale neighbor, sound by construction).
 //! * **Degraded mode** — when fewer than [`SupervisorConfig::quorum`]
-//!   workers remain live, the supervisor stops expecting the pool to make
-//!   progress and reports [`Supervisor::degraded`]; the caller is
-//!   expected to fall back to master-local evaluation instead of
-//!   aborting. The receive methods never return an error: every failure
-//!   is absorbed into the policy above.
+//!   workers remain live, the policy reports [`SupervisorPolicy::degraded`];
+//!   the caller falls back to master-local evaluation instead of aborting.
+//!
+//! The order is fixed: a panic first decides quarantine, then routes the
+//! failed task and (if quarantined) the worker's orphans. So a task is
+//! routed once per failure, even when the round-robin lands on the worker
+//! that just respawned.
+//!
+//! The policy is pure — no threads, no pool, no clock, no sleep — so both
+//! clocks drive the same rules: [`Supervisor`] feeds it the pool's
+//! replies and panics on the wall clock, and `tsmo-core`'s virtual
+//! executor feeds it injected faults in virtual time.
 //!
 //! Correlating a panic with the task that caused it relies on a FIFO
 //! invariant: each worker is single-threaded and serves its task channel
 //! in order, so per-worker replies (success *or* panic) come back in
-//! dispatch order. The supervisor therefore keeps one FIFO of in-flight
+//! dispatch order. [`Supervisor`] therefore keeps one FIFO of in-flight
 //! tasks per worker and pops the front on every reply.
 //!
-//! Recovery actions are exposed two ways: aggregate [`RecoveryStats`]
-//! and an ordered [`RecoveryEvent`] log drained with
-//! [`Supervisor::take_events`] (so callers can forward transitions to a
-//! telemetry recorder without this crate depending on one).
+//! Recovery actions are logged as ordered [`RecoveryEvent`]s, drained with
+//! `take_events` (so callers can forward transitions to a telemetry
+//! recorder without this crate depending on one); [`RecoveryStats`] is
+//! derived from the same log.
 
 use std::collections::VecDeque;
 use std::time::Duration;
@@ -67,6 +74,16 @@ impl Default for SupervisorConfig {
             backoff_base: Duration::from_millis(1),
             backoff_cap: Duration::from_millis(16),
         }
+    }
+}
+
+impl SupervisorConfig {
+    /// The pause before resend attempt `attempt`: `backoff_base << attempt`,
+    /// capped by `backoff_cap`.
+    pub fn backoff(&self, attempt: u32) -> Duration {
+        self.backoff_base
+            .saturating_mul(1u32 << attempt.min(16))
+            .min(self.backoff_cap)
     }
 }
 
@@ -120,43 +137,212 @@ pub struct RecoveryStats {
     pub degraded: bool,
 }
 
-struct Tracked<T> {
-    task: T,
-    attempt: u32,
+/// The policy's answer to a panic, carried out quarantine first.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PanicPlan {
+    /// Set when the panic quarantined the worker.
+    pub quarantine: Option<Quarantine>,
+    /// One route per routed task, in `in_flight` order: the failed task
+    /// alone, or every task of a quarantined worker.
+    pub routes: Vec<Route>,
 }
 
-struct WorkerState<T> {
-    /// Tasks dispatched to this worker, oldest first.
-    in_flight: VecDeque<Tracked<T>>,
+/// What becomes of a quarantined worker's slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Quarantine {
+    /// A fresh thread replaces it; the slot stays live.
+    Respawn,
+    /// It leaves the rotation for good.
+    Retire,
+}
+
+/// Where a routed task goes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Route {
+    /// To `worker`, as resend attempt `attempt` (1-based).
+    Resend {
+        /// The live worker that runs the task next.
+        worker: usize,
+        /// Resend attempt number.
+        attempt: u32,
+    },
+    /// Nowhere: the task is lost.
+    Lose,
+}
+
+#[derive(Debug, Clone, Copy, Default)]
+struct SlotState {
     consecutive_panics: u32,
     respawns_used: u32,
     retired: bool,
 }
 
-impl<T> WorkerState<T> {
-    fn new() -> Self {
+/// The worker-recovery rules as a pure state machine: it is told about
+/// replies, panics and pool disconnects, and answers a panic with a
+/// [`PanicPlan`]. See the module docs for the rules.
+#[derive(Debug, Clone)]
+pub struct SupervisorPolicy {
+    cfg: SupervisorConfig,
+    slots: Vec<SlotState>,
+    degraded: bool,
+    cursor: usize,
+    log: Vec<RecoveryEvent>,
+    drained: usize,
+}
+
+impl SupervisorPolicy {
+    /// A policy over `n_workers` live slots.
+    pub fn new(n_workers: usize, cfg: SupervisorConfig) -> Self {
         Self {
-            in_flight: VecDeque::new(),
-            consecutive_panics: 0,
-            respawns_used: 0,
-            retired: false,
+            cfg,
+            slots: vec![SlotState::default(); n_workers],
+            degraded: false,
+            cursor: 0,
+            log: Vec::new(),
+            drained: 0,
+        }
+    }
+
+    /// The configuration this policy enforces.
+    pub fn config(&self) -> &SupervisorConfig {
+        &self.cfg
+    }
+
+    /// Total worker slots (live and retired).
+    pub fn n_workers(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Workers still in rotation.
+    pub fn live_workers(&self) -> usize {
+        self.slots.iter().filter(|s| !s.retired).count()
+    }
+
+    /// Whether `worker` is still in rotation.
+    pub fn is_live(&self, worker: usize) -> bool {
+        !self.slots[worker].retired
+    }
+
+    /// True once live workers dropped below quorum.
+    pub fn degraded(&self) -> bool {
+        self.degraded
+    }
+
+    /// Aggregate counters, derived from the event log.
+    pub fn stats(&self) -> RecoveryStats {
+        let mut stats = RecoveryStats::default();
+        for event in &self.log {
+            match event {
+                RecoveryEvent::TaskResent { .. } => stats.tasks_resent += 1,
+                RecoveryEvent::TaskLost { .. } => stats.tasks_lost += 1,
+                RecoveryEvent::WorkerQuarantined { .. } => stats.workers_quarantined += 1,
+                RecoveryEvent::WorkerRespawned { .. } => stats.workers_respawned += 1,
+                RecoveryEvent::Degraded { .. } => stats.degraded = true,
+            }
+        }
+        stats
+    }
+
+    /// The recovery actions taken since the last call, in order.
+    pub fn take_events(&mut self) -> Vec<RecoveryEvent> {
+        let fresh = self.log[self.drained..].to_vec();
+        self.drained = self.log.len();
+        fresh
+    }
+
+    /// `worker` answered a task: its consecutive-panic count resets.
+    pub fn on_reply(&mut self, worker: usize) {
+        self.slots[worker].consecutive_panics = 0;
+    }
+
+    /// `worker` panicked. `in_flight` holds the attempt numbers of its
+    /// unanswered tasks, oldest — the failed one — first; the rest are
+    /// orphaned if the panic quarantines the worker.
+    pub fn on_panic(&mut self, worker: usize, in_flight: &[u32]) -> PanicPlan {
+        let slot = &mut self.slots[worker];
+        slot.consecutive_panics += 1;
+        let mut quarantine = None;
+        if slot.consecutive_panics >= self.cfg.quarantine_after {
+            self.log.push(RecoveryEvent::WorkerQuarantined { worker });
+            if slot.respawns_used < self.cfg.max_respawns {
+                slot.respawns_used += 1;
+                slot.consecutive_panics = 0;
+                self.log.push(RecoveryEvent::WorkerRespawned { worker });
+                quarantine = Some(Quarantine::Respawn);
+            } else {
+                slot.retired = true;
+                quarantine = Some(Quarantine::Retire);
+                self.check_quorum();
+            }
+        }
+        let routed = if quarantine.is_some() {
+            in_flight
+        } else {
+            &in_flight[..in_flight.len().min(1)]
+        };
+        let routes = routed.iter().map(|&a| self.route(worker, a)).collect();
+        PanicPlan { quarantine, routes }
+    }
+
+    /// Every worker is gone: all slots retire, and the `in_flight[w]`
+    /// unanswered tasks of each worker `w` are lost.
+    pub fn on_disconnect(&mut self, in_flight: &[usize]) {
+        for (worker, &tasks) in in_flight.iter().enumerate() {
+            self.slots[worker].retired = true;
+            for _ in 0..tasks {
+                self.log.push(RecoveryEvent::TaskLost { worker });
+            }
+        }
+        self.check_quorum();
+    }
+
+    /// Enters degraded mode the first time live workers fall below quorum.
+    fn check_quorum(&mut self) {
+        let live_workers = self.live_workers();
+        if !self.degraded && live_workers < self.cfg.quorum {
+            self.degraded = true;
+            self.log.push(RecoveryEvent::Degraded { live_workers });
+        }
+    }
+
+    /// Routes a task that failed on `origin` at `attempt`: to the next
+    /// live worker, round-robin, or lost when the budget or the pool is
+    /// exhausted.
+    fn route(&mut self, origin: usize, attempt: u32) -> Route {
+        let n = self.slots.len();
+        let target = (0..n)
+            .map(|step| (self.cursor + step) % n)
+            .find(|&w| !self.slots[w].retired);
+        match target {
+            Some(worker) if attempt < self.cfg.max_retries => {
+                self.cursor = (worker + 1) % n;
+                let attempt = attempt + 1;
+                self.log.push(RecoveryEvent::TaskResent { worker, attempt });
+                Route::Resend { worker, attempt }
+            }
+            _ => {
+                self.log.push(RecoveryEvent::TaskLost { worker: origin });
+                Route::Lose
+            }
         }
     }
 }
 
-/// Self-healing façade over a [`MasterWorker`] pool. See the module docs
-/// for the policy.
+struct Tracked<T> {
+    task: T,
+    attempt: u32,
+}
+
+/// Self-healing façade over a [`MasterWorker`] pool: the pool, one FIFO
+/// of in-flight tasks per worker, and a [`SupervisorPolicy`] that decides
+/// every recovery.
 ///
 /// All sends and receives must go through the supervisor (it owns the
 /// pool) so the per-worker in-flight FIFOs stay accurate.
 pub struct Supervisor<T: Send + Clone + 'static, R: Send + 'static> {
     pool: MasterWorker<T, R>,
-    cfg: SupervisorConfig,
-    workers: Vec<WorkerState<T>>,
-    events: Vec<RecoveryEvent>,
-    stats: RecoveryStats,
-    degraded: bool,
-    resend_cursor: usize,
+    policy: SupervisorPolicy,
+    in_flight: Vec<VecDeque<Tracked<T>>>,
 }
 
 impl<T: Send + Clone + 'static, R: Send + 'static> Supervisor<T, R> {
@@ -165,55 +351,51 @@ impl<T: Send + Clone + 'static, R: Send + 'static> Supervisor<T, R> {
         let n = pool.n_workers();
         Self {
             pool,
-            cfg,
-            workers: (0..n).map(|_| WorkerState::new()).collect(),
-            events: Vec::new(),
-            stats: RecoveryStats::default(),
-            degraded: false,
-            resend_cursor: 0,
+            policy: SupervisorPolicy::new(n, cfg),
+            in_flight: (0..n).map(|_| VecDeque::new()).collect(),
         }
     }
 
     /// Total worker slots (live and retired).
     pub fn n_workers(&self) -> usize {
-        self.workers.len()
+        self.policy.n_workers()
     }
 
     /// Workers still in rotation.
     pub fn live_workers(&self) -> usize {
-        self.workers.iter().filter(|w| !w.retired).count()
+        self.policy.live_workers()
     }
 
     /// Whether `worker` is still in rotation.
     pub fn is_live(&self, worker: usize) -> bool {
-        !self.workers[worker].retired
+        self.policy.is_live(worker)
     }
 
     /// Whether `worker` is live with nothing in flight.
     pub fn is_idle(&self, worker: usize) -> bool {
-        self.is_live(worker) && self.workers[worker].in_flight.is_empty()
+        self.is_live(worker) && self.in_flight[worker].is_empty()
     }
 
     /// Tasks currently in flight on `worker`.
     pub fn in_flight(&self, worker: usize) -> usize {
-        self.workers[worker].in_flight.len()
+        self.in_flight[worker].len()
     }
 
     /// True once live workers dropped below quorum; the caller should
     /// evaluate master-locally and stop dispatching.
     pub fn degraded(&self) -> bool {
-        self.degraded
+        self.policy.degraded()
     }
 
     /// Aggregate recovery counters.
     pub fn stats(&self) -> RecoveryStats {
-        self.stats
+        self.policy.stats()
     }
 
     /// Drains the ordered recovery-action log accumulated since the last
     /// call (for forwarding into a telemetry recorder).
     pub fn take_events(&mut self) -> Vec<RecoveryEvent> {
-        std::mem::take(&mut self.events)
+        self.policy.take_events()
     }
 
     /// Read access to the wrapped pool (queue depths, worker stats).
@@ -237,9 +419,7 @@ impl<T: Send + Clone + 'static, R: Send + 'static> Supervisor<T, R> {
             "task dispatched to retired worker {worker}"
         );
         self.pool.send(worker, task.clone());
-        self.workers[worker]
-            .in_flight
-            .push_back(Tracked { task, attempt: 0 });
+        self.in_flight[worker].push_back(Tracked { task, attempt: 0 });
     }
 
     /// Live workers with an empty in-flight queue, in slot order.
@@ -251,174 +431,68 @@ impl<T: Send + Clone + 'static, R: Send + 'static> Supervisor<T, R> {
     /// the recovery policy; `None` means no result is ready (or the pool
     /// is degraded and will never produce one).
     pub fn try_recv(&mut self) -> Option<(usize, R)> {
-        loop {
-            match self.pool.try_recv() {
-                Ok(Some((w, r))) => {
-                    self.note_success(w);
-                    return Some((w, r));
-                }
-                Ok(None) => return None,
-                Err(e) => {
-                    if !self.absorb_error(e) {
-                        return None;
-                    }
-                }
-            }
-        }
+        self.recv_with(MasterWorker::try_recv)
     }
 
     /// Receive with a timeout; `None` on timeout or degraded pool. Same
     /// failure absorption as [`Supervisor::try_recv`].
     pub fn recv_timeout(&mut self, timeout: Duration) -> Option<(usize, R)> {
         let deadline = std::time::Instant::now() + timeout;
+        self.recv_with(|pool| {
+            pool.recv_timeout(deadline.saturating_duration_since(std::time::Instant::now()))
+        })
+    }
+
+    /// Polls the pool with `poll` until it yields a result or nothing,
+    /// feeding every reply, panic and disconnect to the policy.
+    fn recv_with(
+        &mut self,
+        mut poll: impl FnMut(&MasterWorker<T, R>) -> Result<Option<(usize, R)>, PoolError>,
+    ) -> Option<(usize, R)> {
         loop {
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            match self.pool.recv_timeout(remaining) {
-                Ok(Some((w, r))) => {
-                    self.note_success(w);
-                    return Some((w, r));
+            match poll(&self.pool) {
+                Ok(Some((worker, r))) => {
+                    // A reply can only answer the oldest dispatched task —
+                    // workers are single-threaded FIFOs.
+                    self.in_flight[worker].pop_front();
+                    self.policy.on_reply(worker);
+                    return Some((worker, r));
                 }
                 Ok(None) => return None,
-                Err(e) => {
-                    if !self.absorb_error(e) {
-                        return None;
-                    }
+                Err(PoolError::WorkerPanicked { worker, .. }) => self.handle_panic(worker),
+                Err(PoolError::Disconnected) => {
+                    let counts: Vec<usize> = self.in_flight.iter().map(VecDeque::len).collect();
+                    self.policy.on_disconnect(&counts);
+                    self.in_flight.iter_mut().for_each(VecDeque::clear);
+                    return None;
                 }
             }
         }
     }
 
-    fn note_success(&mut self, worker: usize) {
-        let state = &mut self.workers[worker];
-        state.consecutive_panics = 0;
-        // A reply can only correspond to the oldest dispatched task —
-        // workers are single-threaded FIFOs.
-        state.in_flight.pop_front();
-    }
-
-    /// Applies the recovery policy to a pool error. Returns `true` when
-    /// receiving should continue (the error was absorbed), `false` when
-    /// the caller should observe "no result" (pool collapsed).
-    fn absorb_error(&mut self, err: PoolError) -> bool {
-        match err {
-            PoolError::WorkerPanicked { worker, .. } => {
-                self.handle_panic(worker);
-                true
-            }
-            PoolError::Disconnected => {
-                self.collapse();
-                false
-            }
-        }
-    }
-
+    /// Carries out the policy's decisions for a panic of `worker`. The
+    /// pool-side respawn/retire bumps the slot's epoch, so replies to the
+    /// redistributed tasks from the old thread are discarded — no task
+    /// can be answered twice.
     fn handle_panic(&mut self, worker: usize) {
-        let state = &mut self.workers[worker];
-        state.consecutive_panics += 1;
-        let failed = state.in_flight.pop_front();
-        let quarantine = state.consecutive_panics >= self.cfg.quarantine_after;
-        if let Some(t) = failed {
-            self.resend(worker, t);
+        let attempts: Vec<u32> = self.in_flight[worker].iter().map(|t| t.attempt).collect();
+        let plan = self.policy.on_panic(worker, &attempts);
+        match plan.quarantine {
+            Some(Quarantine::Respawn) => self.pool.respawn_worker(worker),
+            Some(Quarantine::Retire) => self.pool.retire_worker(worker),
+            None => {}
         }
-        if quarantine {
-            self.quarantine(worker);
-        }
-    }
-
-    /// Resends a failed task to the next live worker (round-robin), or
-    /// declares it lost when the budget or the pool is exhausted.
-    fn resend(&mut self, origin: usize, mut tracked: Tracked<T>) {
-        if tracked.attempt >= self.cfg.max_retries {
-            self.stats.tasks_lost += 1;
-            self.events.push(RecoveryEvent::TaskLost { worker: origin });
-            return;
-        }
-        let Some(target) = self.next_live_worker() else {
-            self.stats.tasks_lost += 1;
-            self.events.push(RecoveryEvent::TaskLost { worker: origin });
-            return;
-        };
-        tracked.attempt += 1;
-        let backoff = self
-            .cfg
-            .backoff_base
-            .saturating_mul(1u32 << tracked.attempt.min(16))
-            .min(self.cfg.backoff_cap);
-        if !backoff.is_zero() {
-            std::thread::sleep(backoff);
-        }
-        self.pool.send(target, tracked.task.clone());
-        self.stats.tasks_resent += 1;
-        self.events.push(RecoveryEvent::TaskResent {
-            worker: target,
-            attempt: tracked.attempt,
-        });
-        self.workers[target].in_flight.push_back(tracked);
-    }
-
-    fn next_live_worker(&mut self) -> Option<usize> {
-        let n = self.n_workers();
-        for step in 0..n {
-            let w = (self.resend_cursor + step) % n;
-            if !self.workers[w].retired {
-                self.resend_cursor = (w + 1) % n;
-                return Some(w);
+        let routed: Vec<Tracked<T>> = self.in_flight[worker].drain(..plan.routes.len()).collect();
+        for (mut tracked, route) in routed.into_iter().zip(plan.routes) {
+            if let Route::Resend { worker, attempt } = route {
+                let pause = self.policy.config().backoff(attempt);
+                if !pause.is_zero() {
+                    std::thread::sleep(pause);
+                }
+                tracked.attempt = attempt;
+                self.pool.send(worker, tracked.task.clone());
+                self.in_flight[worker].push_back(tracked);
             }
-        }
-        None
-    }
-
-    /// Pulls `worker` out of rotation: redistributes its in-flight tasks,
-    /// then either respawns the slot (budget permitting) or retires it.
-    fn quarantine(&mut self, worker: usize) {
-        self.stats.workers_quarantined += 1;
-        self.events
-            .push(RecoveryEvent::WorkerQuarantined { worker });
-        let respawn = self.workers[worker].respawns_used < self.cfg.max_respawns;
-        // The pool-side respawn/retire bumps the slot's epoch, so replies
-        // to the redistributed tasks from the old thread are discarded —
-        // no task can be answered twice.
-        if respawn {
-            self.pool.respawn_worker(worker);
-            let state = &mut self.workers[worker];
-            state.respawns_used += 1;
-            state.consecutive_panics = 0;
-            self.stats.workers_respawned += 1;
-            self.events.push(RecoveryEvent::WorkerRespawned { worker });
-        } else {
-            self.pool.retire_worker(worker);
-            self.workers[worker].retired = true;
-        }
-        let orphans: Vec<Tracked<T>> = self.workers[worker].in_flight.drain(..).collect();
-        for t in orphans {
-            self.resend(worker, t);
-        }
-        if self.live_workers() < self.cfg.quorum && !self.degraded {
-            self.degraded = true;
-            self.stats.degraded = true;
-            self.events.push(RecoveryEvent::Degraded {
-                live_workers: self.live_workers(),
-            });
-        }
-    }
-
-    /// Every worker is gone: mark the pool degraded and drop all
-    /// in-flight tasks as lost.
-    fn collapse(&mut self) {
-        for w in 0..self.n_workers() {
-            self.workers[w].retired = true;
-            let lost = self.workers[w].in_flight.len() as u64;
-            self.stats.tasks_lost += lost;
-            for _ in 0..lost {
-                self.events.push(RecoveryEvent::TaskLost { worker: w });
-            }
-            self.workers[w].in_flight.clear();
-        }
-        if !self.degraded {
-            self.degraded = true;
-            self.stats.degraded = true;
-            self.events
-                .push(RecoveryEvent::Degraded { live_workers: 0 });
         }
     }
 }

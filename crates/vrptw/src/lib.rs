@@ -45,5 +45,5 @@ pub mod timing;
 
 pub use eval::{evaluate_route, Objectives, RouteEval};
 pub use model::{Customer, Instance, SiteId, DEPOT};
-pub use solution::{EvaluatedSolution, Solution};
+pub use solution::{EvaluatedSolution, Solution, OBJECTIVE_TOLERANCE};
 pub use timing::RouteTiming;

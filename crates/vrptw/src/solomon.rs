@@ -37,6 +37,13 @@ const CUSTOMER_FIELDS: [&str; 7] = [
     "SERVICE TIME",
 ];
 
+/// The most sites — depot included — [`parse`] accepts: 1,000 customers,
+/// the largest Gehring–Homberger size, plus the depot. [`Instance::new`]
+/// allocates an `n × n` distance matrix, so the cap bounds what any
+/// parsed text can ask for at 1,001² `f64`s (≈ 8 MB), however many
+/// customer lines it holds.
+pub const MAX_SITES: usize = 1_001;
+
 /// Errors produced while parsing a Solomon-format file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
@@ -81,7 +88,9 @@ fn err_field(line: usize, field: &'static str, message: impl Into<String>) -> Pa
 /// The parser is deliberately tolerant of column widths and blank lines —
 /// the historical files are inconsistently formatted — but strict about
 /// content: it requires the vehicle block, at least a depot and one
-/// customer, and runs [`Instance::validate`] on the result.
+/// customer, and runs [`Instance::validate`] on the result. Hostile text
+/// gets an `Err`, never a panic: numbers must be finite, and more than
+/// [`MAX_SITES`] sites are refused before anything is allocated for them.
 pub fn parse(text: &str) -> Result<Instance, ParseError> {
     let mut name = String::new();
     let mut capacity: Option<(usize, f64)> = None;
@@ -150,6 +159,15 @@ pub fn parse(text: &str) -> Result<Instance, ParseError> {
                     )
                 })?;
             }
+            if nums.iter().any(|v| !v.is_finite()) {
+                return Err(err(lineno, "customer fields must be finite numbers"));
+            }
+            if sites.len() == MAX_SITES {
+                return Err(err(
+                    lineno,
+                    format!("more than {MAX_SITES} sites (depot included)"),
+                ));
+            }
             let expected = sites.len() as f64;
             if nums[0] != expected {
                 return Err(err_field(
@@ -181,8 +199,14 @@ pub fn parse(text: &str) -> Result<Instance, ParseError> {
     if number == 0 {
         return Err(err(0, "vehicle count must be positive"));
     }
+    if !(cap > 0.0 && cap.is_finite()) {
+        return Err(err(0, "vehicle capacity must be positive and finite"));
+    }
     if sites.len() < 2 {
         return Err(err(0, "need a depot and at least one customer"));
+    }
+    if sites[0].demand != 0.0 {
+        return Err(err(0, "the depot must have zero demand"));
     }
     if name.is_empty() {
         name = "unnamed".to_string();

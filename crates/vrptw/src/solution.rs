@@ -11,6 +11,9 @@
 use crate::eval::{evaluate_route, Objectives, RouteEval};
 use crate::model::{Instance, SiteId, DEPOT};
 
+/// How far a reported objective may lie from its re-simulated value.
+pub const OBJECTIVE_TOLERANCE: f64 = 1e-6;
+
 /// A CVRPTW solution: the customer sequences of the deployed vehicles.
 ///
 /// Only non-empty routes are stored; `R − routes.len()` vehicles implicitly
@@ -97,6 +100,24 @@ impl Solution {
             }
         }
         problems
+    }
+
+    /// Checks a solution received from elsewhere against the objectives
+    /// reported for it: it must pass [`Self::check`], and each objective
+    /// must re-simulate within [`OBJECTIVE_TOLERANCE`] (a NaN never does).
+    pub fn verify(&self, inst: &Instance, reported: [f64; 3]) -> Result<(), String> {
+        if let Some(problem) = self.check(inst).into_iter().next() {
+            return Err(problem);
+        }
+        let actual = self.evaluate(inst).to_vector();
+        let agree = |(a, r): (&f64, &f64)| (a - r).abs() <= OBJECTIVE_TOLERANCE;
+        if actual.iter().zip(&reported).all(agree) {
+            Ok(())
+        } else {
+            Err(format!(
+                "objectives {reported:?} do not re-simulate (actual {actual:?})"
+            ))
+        }
     }
 
     /// Encodes the paper's permutation string of length `N + R + 1`.
@@ -345,6 +366,22 @@ mod tests {
 
     fn tiny() -> Instance {
         Instance::tiny()
+    }
+
+    #[test]
+    fn verify_accepts_honest_objectives_and_nothing_else() {
+        let inst = tiny();
+        let sol = Solution::from_routes(vec![vec![1, 2], vec![3, 4]]);
+        let honest = sol.evaluate(&inst).to_vector();
+        assert_eq!(sol.verify(&inst, honest), Ok(()));
+        let mut near = honest;
+        near[0] += OBJECTIVE_TOLERANCE / 2.0;
+        assert_eq!(sol.verify(&inst, near), Ok(()), "within tolerance");
+        for lie in [[0.0, 0.0, 0.0], [honest[0], f64::NAN, honest[2]]] {
+            assert!(sol.verify(&inst, lie).is_err(), "{lie:?} accepted");
+        }
+        let off_map = Solution::from_routes(vec![vec![1, 2, 3, 4, 99]]);
+        assert!(off_map.verify(&inst, honest).is_err());
     }
 
     #[test]
