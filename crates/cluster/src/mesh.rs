@@ -2,7 +2,7 @@
 //!
 //! A mesh is a static peer list — one `host:port` per node. The controller
 //! ([`run_mesh`], wrapped by `clusterctl`) greets every node, sends each
-//! its [`MeshJob`] (identical except for `node_index`), polls until the
+//! its [`MeshJob`] (identical except for `node_index`), waits until the
 //! nodes report `done`, gathers the per-node fronts, and merges them into
 //! one global non-dominated archive. Nodes that die mid-run are simply
 //! absent from the gather: the merged front is built from the survivors,
@@ -65,6 +65,17 @@ impl MeshClient {
     /// The node's lifecycle state (`idle`, `running`, `done`).
     pub fn status(&self) -> io::Result<String> {
         match self.call(&NodeMsg::Status)? {
+            NodeMsg::NodeStatus { state } => Ok(state),
+            other => Err(unexpected(other)),
+        }
+    }
+
+    /// Blocks until the node's job leaves `running` or `timeout` runs out,
+    /// and returns the node's state then. Keep `timeout` well inside the
+    /// client's own read timeout, or the call itself times out.
+    pub fn wait(&self, timeout: Duration) -> io::Result<String> {
+        let timeout_ms = u64::try_from(timeout.as_millis()).unwrap_or(u64::MAX);
+        match self.call(&NodeMsg::Wait { timeout_ms })? {
             NodeMsg::NodeStatus { state } => Ok(state),
             other => Err(unexpected(other)),
         }
@@ -286,10 +297,10 @@ pub fn merge_node_fronts(node_fronts: &[Vec<FrontEntry>], capacity: usize) -> Ve
 }
 
 /// Runs `job` across the mesh described by `job.peers`: greet, dispatch,
-/// poll to completion (bounded by `wait`), gather, merge. `job.node_index`
-/// is overwritten per node. Fails only when *no* node can be dispatched or
-/// none reports a front; individual node deaths degrade the merge instead
-/// of failing it.
+/// wait until every node is done (bounded by `wait`), gather, merge.
+/// `job.node_index` is overwritten per node. Fails only when *no* node can
+/// be dispatched or none reports a front; individual node deaths degrade
+/// the merge instead of failing it.
 pub fn run_mesh(job: &MeshJob, timeout: Duration, wait: Duration) -> io::Result<MeshOutcome> {
     if job.peers.is_empty() {
         return Err(io::Error::new(
@@ -318,29 +329,29 @@ pub fn run_mesh(job: &MeshJob, timeout: Duration, wait: Duration) -> io::Result<
         return Err(io::Error::other("no node accepted the job"));
     }
 
-    // Poll until every dispatched, reachable node is done; nodes that die
-    // mid-run stop answering and drop out of the wait.
+    // Block on each dispatched node in turn until it is done; a node that
+    // dies mid-run fails its call and drops out of the wait. Each request
+    // holds the node for at most half the connection's read timeout, so
+    // the call itself never times out.
     let deadline = Instant::now() + wait;
-    loop {
-        let mut pending = 0;
-        for (k, client) in clients.iter().enumerate() {
-            if started[k] && matches!(client.status().as_deref(), Ok("running")) {
-                pending += 1;
+    let slice = timeout / 2;
+    for (k, client) in clients.iter().enumerate().filter(|&(k, _)| started[k]) {
+        loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            match client.wait(left.min(slice)) {
+                Ok(state) if state == "running" => {}
+                _ => break,
+            }
+            if left.is_zero() {
+                for client in &clients {
+                    let _ = client.stop();
+                }
+                return Err(io::Error::new(
+                    io::ErrorKind::TimedOut,
+                    format!("node {k} still running after {wait:?}"),
+                ));
             }
         }
-        if pending == 0 {
-            break;
-        }
-        if Instant::now() >= deadline {
-            for client in &clients {
-                let _ = client.stop();
-            }
-            return Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                format!("{pending} node(s) still running after {wait:?}"),
-            ));
-        }
-        std::thread::sleep(Duration::from_millis(50));
     }
 
     let mut nodes = Vec::with_capacity(clients.len());

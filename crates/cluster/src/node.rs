@@ -35,7 +35,7 @@ use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use tsmo_core::{searcher_cfg, CancelToken, CollabSearcher, FrontEntry, TsmoConfig};
@@ -75,6 +75,17 @@ enum Phase {
     Idle,
     Running,
     Done,
+}
+
+impl Phase {
+    /// The wire name `NodeStatus` reports.
+    fn name(self) -> &'static str {
+        match self {
+            Phase::Idle => "idle",
+            Phase::Running => "running",
+            Phase::Done => "done",
+        }
+    }
 }
 
 /// What a finished node job reports.
@@ -118,10 +129,14 @@ struct NodeShared {
     peer_timeout: Duration,
     recorder: Arc<MemoryRecorder>,
     state: Mutex<NodeState>,
+    /// Signalled with `state` when a job's phase becomes `Done`; `Wait`
+    /// requests block on it.
+    finished: Condvar,
     stopping: AtomicBool,
-    /// Clones of the accepted sockets, so a stop can unblock the
-    /// connection threads parked in `read_frame`.
-    conns: Mutex<Vec<TcpStream>>,
+    /// Clones of the open accepted sockets by connection id, so a stop can
+    /// unblock the connection threads parked in `read_frame`. A connection
+    /// removes its own entry when it ends.
+    conns: Mutex<HashMap<u64, TcpStream>>,
     /// The mesh membership view of the current job (`None` while idle).
     /// Updated by `Join`/`Leave` (coordinator) and `MemberUpdate`
     /// (broadcast); mirrored into `routes` so exchange links follow it.
@@ -179,8 +194,9 @@ impl Noded {
                 report: None,
                 last_trace: None,
             }),
+            finished: Condvar::new(),
             stopping: AtomicBool::new(false),
-            conns: Mutex::new(Vec::new()),
+            conns: Mutex::new(HashMap::new()),
             membership: Mutex::new(None),
             routes: Mutex::new(None),
             replicas: Mutex::new(HashMap::new()),
@@ -238,7 +254,7 @@ fn request_stop(shared: &Arc<NodeShared>) {
     // Unblock connection threads parked in `read_frame`, then poke the
     // listener so its blocking `accept` returns and sees the flag.
     let conns = std::mem::take(&mut *lock(&shared.conns));
-    for conn in conns {
+    for conn in conns.into_values() {
         let _ = conn.shutdown(std::net::Shutdown::Both);
     }
     let _ = TcpStream::connect_timeout(&shared.addr, Duration::from_millis(500));
@@ -246,28 +262,36 @@ fn request_stop(shared: &Arc<NodeShared>) {
 
 fn accept_loop(listener: &TcpListener, shared: &Arc<NodeShared>) {
     let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    for stream in listener.incoming() {
+    for (id, stream) in (0u64..).zip(listener.incoming()) {
         if shared.stopping.load(Ordering::Acquire) {
             break;
         }
+        // Join the connections that have ended, so a node serving one
+        // short connection per request keeps only the live threads.
+        let (ended, live) = conns.into_iter().partition(JoinHandle::is_finished);
+        conns = live;
+        for conn in ended {
+            let _ = conn.join();
+        }
         let Ok(stream) = stream else { continue };
         let shared = Arc::clone(shared);
-        conns.push(std::thread::spawn(move || serve_conn(stream, &shared)));
+        conns.push(std::thread::spawn(move || serve_conn(stream, id, &shared)));
     }
     for conn in conns {
         let _ = conn.join();
     }
 }
 
-fn serve_conn(stream: TcpStream, shared: &Arc<NodeShared>) {
+fn serve_conn(stream: TcpStream, id: u64, shared: &Arc<NodeShared>) {
     let _ = stream.set_nodelay(true);
     if let Ok(clone) = stream.try_clone() {
-        lock(&shared.conns).push(clone);
+        lock(&shared.conns).insert(id, clone);
     }
     serve_frames(&stream, shared);
-    // A clone of this socket lives in `conns` for halt(); dropping our
-    // handle alone would leave the connection half-open, so shut it down
-    // explicitly — the client sees EOF the moment we stop serving it.
+    lock(&shared.conns).remove(&id);
+    // A stop may have taken the clone from `conns` already, and that
+    // copy keeps the socket open; shut it down explicitly so the client
+    // sees EOF the moment we stop serving it.
     let _ = stream.shutdown(std::net::Shutdown::Both);
 }
 
@@ -331,15 +355,20 @@ fn handle(msg: NodeMsg, shared: &Arc<NodeShared>) -> NodeMsg {
             }
         }
         NodeMsg::Start { job } => start_job(job, shared),
-        NodeMsg::Status => {
-            let phase = lock(&shared.state).phase;
+        NodeMsg::Status => NodeMsg::NodeStatus {
+            state: lock(&shared.state).phase.name().to_string(),
+        },
+        NodeMsg::Wait { timeout_ms } => {
+            let (state, _) = shared
+                .finished
+                .wait_timeout_while(
+                    lock(&shared.state),
+                    Duration::from_millis(timeout_ms),
+                    |s| s.phase == Phase::Running,
+                )
+                .unwrap_or_else(PoisonError::into_inner);
             NodeMsg::NodeStatus {
-                state: match phase {
-                    Phase::Idle => "idle",
-                    Phase::Running => "running",
-                    Phase::Done => "done",
-                }
-                .to_string(),
+                state: state.phase.name().to_string(),
             }
         }
         NodeMsg::Front => {
@@ -657,6 +686,8 @@ fn start_job(job: MeshJob, shared: &Arc<NodeShared>) -> NodeMsg {
             state.report = Some(report);
             state.last_trace = Some(trace);
             state.phase = Phase::Done;
+            drop(state);
+            shared.finished.notify_all();
         })
     };
     state.runner = Some(runner);

@@ -263,6 +263,12 @@ tsmo_obs::wire_enum! {
             /// Current lifecycle state.
             state: String,
         },
+        /// Block until the node's job leaves `running`, for at most
+        /// `timeout_ms`; answered with `NodeStatus` either way.
+        Wait = "wait" {
+            /// Longest the node holds the request, in milliseconds.
+            timeout_ms: u64,
+        },
         /// Fetch the node's merged front (answered once `done`).
         Front = "front",
         /// The node's merged front plus its summed counters.

@@ -81,6 +81,10 @@ fn messages() -> Vec<(NodeMsg, &'static str)> {
             },
             r#"{"type":"node_status","state":"running"}"#,
         ),
+        (
+            NodeMsg::Wait { timeout_ms: 1_000 },
+            r#"{"type":"wait","timeout_ms":1000}"#,
+        ),
         (NodeMsg::Front, r#"{"type":"front"}"#),
         (
             NodeMsg::FrontReply {

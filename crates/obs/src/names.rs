@@ -81,6 +81,12 @@ pub const QUEUE_DEPTH: &str = "tsmo_queue_depth";
 /// (histogram; the default buckets cover 0–250 ms, larger runs land
 /// in `+Inf`).
 pub const JOB_LATENCY_MS: &str = "tsmo_job_latency_ms";
+/// Admission-to-dequeue wait of a job in the solver-service queue,
+/// milliseconds (histogram; one sample per job a worker picks up).
+pub const JOB_QUEUE_WAIT_MS: &str = "tsmo_job_queue_wait_ms";
+/// Dequeue-to-terminal run time of a job on a worker, milliseconds
+/// (histogram; one sample per job that reaches `done` or `failed`).
+pub const JOB_RUN_MS: &str = "tsmo_job_run_ms";
 /// Instance-cache lookups answered without re-parsing (counter).
 pub const INSTANCE_CACHE_HITS: &str = "tsmo_instance_cache_hits_total";
 /// Instance-cache lookups that had to parse the payload (counter).

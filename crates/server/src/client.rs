@@ -45,6 +45,10 @@ impl Client {
     }
 
     fn from_stream(stream: TcpStream) -> io::Result<Client> {
+        // A submit frame can outgrow the write buffer and leave in two
+        // segments; without this the second waits for the daemon's
+        // delayed ACK.
+        stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
         Ok(Client {
             reader,
@@ -95,24 +99,26 @@ impl Client {
         }
     }
 
-    /// Polls `status` until the job is terminal, then fetches the result.
+    /// Blocks until the job is terminal and returns its result: one
+    /// `wait` request when the job finishes in time, re-sent only if the
+    /// daemon answers before `timeout` with the job still unfinished.
     /// Fails with `TimedOut` if `timeout` elapses first.
     pub fn wait_result(&mut self, job: u64, timeout: Duration) -> io::Result<JobResult> {
         let deadline = Instant::now() + timeout;
         loop {
-            let state = self.status(job)?;
-            match state.as_str() {
-                "done" => return self.result(job),
-                "failed" => return Err(protocol_err(format!("job {job} failed"))),
-                _ => {}
+            let left = deadline.saturating_duration_since(Instant::now());
+            let timeout_ms = u64::try_from(left.as_millis()).unwrap_or(u64::MAX);
+            match self.request(&Request::Wait { job, timeout_ms })? {
+                Response::JobResult { result, .. } => return Ok(result),
+                Response::JobStatus { state, .. } if Instant::now() >= deadline => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::TimedOut,
+                        format!("job {job} still '{state}' after {timeout:?}"),
+                    ))
+                }
+                Response::JobStatus { .. } => {}
+                other => return Err(unexpected(other)),
             }
-            if Instant::now() >= deadline {
-                return Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    format!("job {job} still '{state}' after {timeout:?}"),
-                ));
-            }
-            std::thread::sleep(Duration::from_millis(5));
         }
     }
 

@@ -1,12 +1,15 @@
 //! Job lifecycle tracking.
 //!
-//! Every submitted job lives in the [`JobTable`] from admission to
-//! retrieval. States move strictly forward (`Queued → Running → Done`
-//! or `Failed`); waiters block on a condvar, which is also how the
-//! daemon's shutdown path waits for the in-flight jobs to drain.
+//! Every submitted job lives in the [`JobTable`] from admission until it
+//! is no longer among the [`RETAINED_TERMINAL_JOBS`] most recently
+//! finished jobs; then it is evicted and its id answers as unknown. States
+//! move strictly forward (`Queued → Running → Done` or `Failed`), and
+//! every terminal transition goes through [`JobTable::finish`]; waiters
+//! block on a condvar, which is also how the daemon's shutdown path waits
+//! for the in-flight jobs to drain.
 
 use crate::wire::{JobResult, JobSpec};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use tsmo_core::CancelToken;
@@ -64,12 +67,23 @@ pub struct Job {
     pub events: Option<Arc<MemoryRecorder>>,
 }
 
+/// How many terminal jobs the table keeps for `status`, `result` and
+/// `wait`. Past it, finishing a job evicts the oldest terminal one, so a
+/// long-lived daemon's memory does not grow with the jobs it has served;
+/// queued and running jobs are never evicted.
+pub const RETAINED_TERMINAL_JOBS: usize = 256;
+
 struct TableState {
     jobs: HashMap<u64, Job>,
     next_id: u64,
+    /// Ids of the retained terminal jobs, oldest first.
+    terminal: VecDeque<u64>,
+    /// Jobs finished over the table's lifetime, evicted ones included.
+    finished: u64,
 }
 
-/// Thread-safe registry of all jobs the daemon has seen.
+/// Thread-safe registry of the daemon's queued and running jobs and its
+/// [`RETAINED_TERMINAL_JOBS`] most recently finished ones.
 pub struct JobTable {
     state: Mutex<TableState>,
     changed: Condvar,
@@ -88,6 +102,8 @@ impl JobTable {
             state: Mutex::new(TableState {
                 jobs: HashMap::new(),
                 next_id: 1,
+                terminal: VecDeque::new(),
+                finished: 0,
             }),
             changed: Condvar::new(),
         }
@@ -174,43 +190,46 @@ impl JobTable {
             .count() as u32
     }
 
-    /// Count of jobs in a terminal state.
-    pub fn terminal_count(&self) -> u64 {
-        self.lock()
-            .jobs
-            .values()
-            .filter(|j| j.state.is_terminal())
-            .count() as u64
+    /// Moves a job to its terminal `state` (`Done` or `Failed`) and wakes
+    /// its waiters. The job joins the retained terminal jobs; past
+    /// [`RETAINED_TERMINAL_JOBS`] the oldest of them is evicted. Unknown
+    /// or already terminal jobs are left as they are.
+    pub fn finish(&self, id: u64, terminal: JobState) {
+        debug_assert!(terminal.is_terminal(), "finish takes a terminal state");
+        let mut state = self.lock();
+        match state.jobs.get_mut(&id) {
+            Some(job) if !job.state.is_terminal() => job.state = terminal,
+            _ => return,
+        }
+        state.finished += 1;
+        state.terminal.push_back(id);
+        while state.terminal.len() > RETAINED_TERMINAL_JOBS {
+            if let Some(oldest) = state.terminal.pop_front() {
+                state.jobs.remove(&oldest);
+            }
+        }
+        drop(state);
+        self.changed.notify_all();
+    }
+
+    /// Jobs that reached a terminal state over the table's lifetime,
+    /// including those since evicted.
+    pub fn finished_count(&self) -> u64 {
+        self.lock().finished
     }
 
     /// Blocks until the job reaches a terminal state or the timeout
-    /// elapses. Returns the terminal state, or `None` on timeout /
-    /// unknown id.
+    /// elapses. Returns the job's state at that moment — terminal unless
+    /// the timeout ran out first — or `None` for an unknown (or evicted)
+    /// id.
     pub fn wait_terminal(&self, id: u64, timeout: Duration) -> Option<JobState> {
-        let deadline = Instant::now() + timeout;
-        let mut state = self.lock();
-        loop {
-            match state.jobs.get(&id) {
-                None => return None,
-                Some(j) if j.state.is_terminal() => return Some(j.state.clone()),
-                Some(_) => {}
-            }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return None;
-            }
-            let (guard, res) = self
-                .changed
-                .wait_timeout(state, left)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            state = guard;
-            if res.timed_out() {
-                match state.jobs.get(&id) {
-                    Some(j) if j.state.is_terminal() => return Some(j.state.clone()),
-                    _ => return None,
-                }
-            }
-        }
+        let (state, _) = self
+            .changed
+            .wait_timeout_while(self.lock(), timeout, |s| {
+                s.jobs.get(&id).is_some_and(|j| !j.state.is_terminal())
+            })
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        state.jobs.get(&id).map(|j| j.state.clone())
     }
 
     /// Blocks until every tracked job is terminal (the shutdown drain).
@@ -267,9 +286,9 @@ mod tests {
         assert_eq!(table.state_name(id), Some("queued"));
         table.with_job(id, |j| j.state = JobState::Running);
         assert_eq!(table.running_count(), 1);
-        table.with_job(id, |j| j.state = JobState::Done(done_result()));
+        table.finish(id, JobState::Done(done_result()));
         assert_eq!(table.state_name(id), Some("done"));
-        assert_eq!(table.terminal_count(), 1);
+        assert_eq!(table.finished_count(), 1);
         assert!(table.result(id).unwrap().is_some());
     }
 
@@ -293,7 +312,7 @@ mod tests {
         let t2 = Arc::clone(&table);
         let h = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(20));
-            t2.with_job(id, |j| j.state = JobState::Failed("boom".to_string()));
+            t2.finish(id, JobState::Failed("boom".to_string()));
         });
         let state = table.wait_terminal(id, Duration::from_secs(5));
         h.join().unwrap();
@@ -304,8 +323,47 @@ mod tests {
     #[test]
     fn wait_terminal_times_out_on_stuck_jobs() {
         let (table, id) = table_with_job();
-        assert_eq!(table.wait_terminal(id, Duration::from_millis(30)), None);
+        assert_eq!(
+            table.wait_terminal(id, Duration::from_millis(30)),
+            Some(JobState::Queued),
+            "a timed-out wait reports the current state"
+        );
         assert!(!table.wait_all_terminal(Duration::from_millis(30)));
         assert_eq!(table.wait_terminal(999, Duration::from_millis(1)), None);
+    }
+
+    #[test]
+    fn finished_jobs_past_the_cap_are_evicted_oldest_first() {
+        let table = JobTable::new();
+        let inst = Arc::new(GeneratorConfig::new(InstanceClass::R1, 10, 1).build());
+        let admit = || table.admit(JobSpec::default(), Arc::clone(&inst), CancelToken::never());
+        let queued = admit();
+        let running = admit();
+        table.with_job(running, |j| j.state = JobState::Running);
+        let finished: Vec<u64> = (0..300).map(|_| admit()).collect();
+        for &id in &finished {
+            table.finish(id, JobState::Done(done_result()));
+        }
+        assert_eq!(
+            table.finished_count(),
+            300,
+            "the lifetime count survives eviction"
+        );
+        let retained = finished
+            .iter()
+            .filter(|&&id| table.state_name(id).is_some())
+            .count();
+        assert_eq!(retained, RETAINED_TERMINAL_JOBS);
+        let evicted = 300 - RETAINED_TERMINAL_JOBS;
+        assert!(finished[..evicted]
+            .iter()
+            .all(|&id| table.state_name(id).is_none() && table.result(id).is_none()));
+        assert_eq!(table.state_name(queued), Some("queued"));
+        assert_eq!(table.state_name(running), Some("running"));
+        // Finishing twice changes nothing.
+        let last = finished[299];
+        table.finish(last, JobState::Failed("late".to_string()));
+        assert_eq!(table.state_name(last), Some("done"));
+        assert_eq!(table.finished_count(), 300);
     }
 }

@@ -5,7 +5,7 @@
 //! share one solver host:
 //!
 //! * [`wire`] — length-prefixed JSON frames; requests
-//!   Submit / Status / Cancel / Result / Tail / Health / Metrics /
+//!   Submit / Status / Cancel / Result / Wait / Tail / Health / Metrics /
 //!   Shutdown. One `Submit` carries every kind of job: its
 //!   [`JobSpec::mode`] is a plain search, a dynamic re-optimization
 //!   (mutated epochs warm-started from the solution pool), or a portfolio
@@ -14,7 +14,8 @@
 //!   backpressure (the daemon never buffers unboundedly).
 //! * [`cache`] — a content-hash-keyed instance cache, so resubmitting
 //!   the same instance shares one `Arc<Instance>` instead of reparsing.
-//! * [`job`] — the job table: lifecycle states, cancel tokens, waiters.
+//! * [`job`] — the job table: lifecycle states, cancel tokens, waiters,
+//!   and the bounded retention of finished jobs.
 //! * [`server`] — the daemon itself: accept loop, worker pool running
 //!   each job by its mode (collaborative searches on the node mesh when
 //!   one is configured), per-job deadlines and cooperative cancellation

@@ -33,7 +33,7 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use tsmo_core::{
     CancelToken, Clock, FrontEntry, ParallelVariant, RunOptions, StopCause, TsmoConfig,
 };
@@ -329,6 +329,8 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
             break;
         }
         let Ok(stream) = stream else { continue };
+        // Frames are written whole; don't hold a frame's tail for an ACK.
+        let _ = stream.set_nodelay(true);
         let shared = Arc::clone(shared);
         // Handler threads are detached: they exit at client EOF, and
         // shutdown responses are written before the daemon stops.
@@ -507,6 +509,23 @@ fn handle_request(shared: &Arc<Shared>, req: Request) -> (Response, bool) {
             },
             false,
         ),
+        Request::Wait { job, timeout_ms } => (
+            match shared
+                .jobs
+                .wait_terminal(job, Duration::from_millis(timeout_ms))
+            {
+                None => Response::NotFound { job },
+                Some(JobState::Done(result)) => Response::JobResult { job, result },
+                Some(JobState::Failed(message)) => Response::Error {
+                    message: format!("job {job} failed: {message}"),
+                },
+                Some(state) => Response::JobStatus {
+                    job,
+                    state: state.name().to_string(),
+                },
+            },
+            false,
+        ),
         // Tail never reaches here: the connection loop intercepts it to
         // stream multiple frames. Answer defensively anyway.
         Request::Tail { job } => (Response::NotFound { job }, false),
@@ -527,7 +546,7 @@ fn handle_request(shared: &Arc<Shared>, req: Request) -> (Response, bool) {
             drain(shared);
             (
                 Response::ShutdownComplete {
-                    jobs_completed: shared.jobs.terminal_count(),
+                    jobs_completed: shared.jobs.finished_count(),
                 },
                 true,
             )
@@ -631,6 +650,7 @@ fn worker_loop(shared: &Arc<Shared>) {
         shared
             .metrics
             .gauge_set(names::QUEUE_DEPTH, shared.queue.len() as f64);
+        let dequeued = Instant::now();
         let Some((spec, instance, cancel, submitted, job_events)) = shared.jobs.with_job(id, |j| {
             j.state = JobState::Running;
             (
@@ -643,6 +663,10 @@ fn worker_loop(shared: &Arc<Shared>) {
         }) else {
             continue; // job was removed (rejected submit); nothing to run
         };
+        shared.metrics.observe(
+            names::JOB_QUEUE_WAIT_MS,
+            (dequeued - submitted).as_secs_f64() * 1000.0,
+        );
         let recorder: Arc<dyn Recorder> = match &job_events {
             Some(events) => Arc::new(TeeRecorder {
                 events: Arc::clone(events),
@@ -651,7 +675,7 @@ fn worker_loop(shared: &Arc<Shared>) {
             None => Arc::clone(&shared.metrics) as Arc<dyn Recorder>,
         };
         let finished = run_job(shared, &spec, &instance, recorder, &cancel);
-        finish_job(shared, id, submitted, finished);
+        finish_job(shared, id, submitted, dequeued, finished);
     }
 }
 
@@ -755,15 +779,19 @@ fn run_job(
     }
 }
 
-/// Records a finished job: pool deposits, stop-cause counters, the
-/// completion counter and latency, the audit event, and the `Done` state
-/// — or `Failed` when the mode could not run.
+/// Records a finished job: its run time, pool deposits, stop-cause
+/// counters, the completion counter and latency, the audit event, and the
+/// `Done` state — or `Failed` when the mode could not run.
 fn finish_job(
     shared: &Shared,
     id: u64,
-    submitted: std::time::Instant,
+    submitted: Instant,
+    dequeued: Instant,
     finished: Result<Finished, String>,
 ) {
+    shared
+        .metrics
+        .observe(names::JOB_RUN_MS, dequeued.elapsed().as_secs_f64() * 1000.0);
     let Finished {
         result,
         cause,
@@ -771,7 +799,7 @@ fn finish_job(
     } = match finished {
         Ok(f) => f,
         Err(e) => {
-            shared.jobs.with_job(id, |j| j.state = JobState::Failed(e));
+            shared.jobs.finish(id, JobState::Failed(e));
             return;
         }
     };
@@ -800,9 +828,7 @@ fn finish_job(
         iterations: result.iterations,
         truncated: result.truncated,
     });
-    shared
-        .jobs
-        .with_job(id, |j| j.state = JobState::Done(result));
+    shared.jobs.finish(id, JobState::Done(result));
 }
 
 /// Runs a `collaborative` job across the configured node mesh and shapes

@@ -236,6 +236,16 @@ tsmo_obs::wire_enum! {
             /// The job whose result to fetch.
             job: u64,
         },
+        /// Block until a job is terminal, for at most `timeout_ms`: answered
+        /// with `JobResult` once it is done, `Error` if it failed, or
+        /// `JobStatus` with its current state when the timeout runs out
+        /// first.
+        Wait = "wait" {
+            /// The job to wait for.
+            job: u64,
+            /// Longest the daemon holds the request, in milliseconds.
+            timeout_ms: u64,
+        },
         /// Stream a job's recorded events (submitted with `record_events`).
         /// Unlike every other request, the answer is a *sequence* of frames:
         /// `TailEvent` per JSONL line as the job runs, then one `TailDone`.

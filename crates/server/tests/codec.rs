@@ -93,6 +93,13 @@ fn requests() -> Vec<(Request, &'static str)> {
         (Request::Status { job: 7 }, r#"{"type":"status","job":7}"#),
         (Request::Cancel { job: 7 }, r#"{"type":"cancel","job":7}"#),
         (Request::Result { job: 9 }, r#"{"type":"result","job":9}"#),
+        (
+            Request::Wait {
+                job: 9,
+                timeout_ms: 250,
+            },
+            r#"{"type":"wait","job":9,"timeout_ms":250}"#,
+        ),
         (Request::Tail { job: 9 }, r#"{"type":"tail","job":9}"#),
         (Request::Health, r#"{"type":"health"}"#),
         (Request::Metrics, r#"{"type":"metrics"}"#),

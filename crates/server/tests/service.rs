@@ -648,3 +648,78 @@ fn metrics_json_round_trips_to_the_prometheus_exposition() {
     );
     server.shutdown();
 }
+
+#[test]
+fn wait_on_a_finished_job_answers_its_result() {
+    let server = start(1, 4);
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let text = instance_text(12, 8);
+    let job = client.submit(quick_spec(&text, 8)).unwrap().unwrap();
+    let waited = client
+        .request(&Request::Wait {
+            job,
+            timeout_ms: 60_000,
+        })
+        .unwrap();
+    let Response::JobResult { result, .. } = &waited else {
+        panic!("expected a result, got {waited:?}");
+    };
+    assert!(!result.front.is_empty());
+    assert_eq!(waited, client.request(&Request::Result { job }).unwrap());
+    // A finished job waits no further.
+    let again = client
+        .request(&Request::Wait { job, timeout_ms: 0 })
+        .unwrap();
+    assert_eq!(again, waited);
+    // The worker split the job's latency into its queue wait and run.
+    let prom = client.metrics().unwrap();
+    assert!(
+        prom.contains("\ntsmo_job_queue_wait_ms_count 1\n"),
+        "{prom}"
+    );
+    assert!(prom.contains("\ntsmo_job_run_ms_count 1\n"), "{prom}");
+    server.shutdown();
+}
+
+#[test]
+fn wait_times_out_on_a_queued_job_with_its_state() {
+    let server = start(1, 4);
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let text = instance_text(10, 9);
+    let blocker = client.submit(long_spec(&text, 1)).unwrap().unwrap();
+    let queued = client.submit(long_spec(&text, 2)).unwrap().unwrap();
+    let started = std::time::Instant::now();
+    let waited = client
+        .request(&Request::Wait {
+            job: queued,
+            timeout_ms: 50,
+        })
+        .unwrap();
+    assert!(started.elapsed() >= Duration::from_millis(50));
+    assert_eq!(
+        waited,
+        Response::JobStatus {
+            job: queued,
+            state: "queued".to_string(),
+        }
+    );
+    client.cancel(queued).unwrap();
+    client.cancel(blocker).unwrap();
+    server.shutdown();
+}
+
+#[test]
+fn wait_on_an_unknown_job_is_not_found() {
+    let server = start(1, 4);
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    assert_eq!(
+        client
+            .request(&Request::Wait {
+                job: 404,
+                timeout_ms: 1_000,
+            })
+            .unwrap(),
+        Response::NotFound { job: 404 }
+    );
+    server.shutdown();
+}
