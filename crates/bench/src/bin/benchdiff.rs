@@ -1,15 +1,15 @@
 //! CI perf-regression gate over the `BENCH_*.json` artifacts.
 //!
 //! ```text
-//! benchdiff --baseline crates/bench/baselines/BENCH_evals.json \
-//!           --fresh BENCH_evals.json \
+//! benchdiff --baseline crates/bench/baselines/BENCH_tsmobench_trace.json \
+//!           --fresh BENCH_tsmobench_trace.json \
 //!           [--tolerance PCT] [--tolerance-for SUBSTR=PCT ...] \
 //!           [--informational SUBSTR ...]
 //! ```
 //!
 //! Prints the per-metric delta table and exits 1 when any direction-aware
-//! metric moved the wrong way beyond its band, or when a baseline metric
-//! vanished from the fresh run. `--tolerance-for` widens the band for
+//! metric moved the wrong way beyond its band (an exact work count, either
+//! way), or when a baseline metric vanished from the fresh run. `--tolerance-for` widens the band for
 //! paths containing a substring (timing metrics on shared CI runners need
 //! more slack than deterministic counters); `--informational` tracks a
 //! noisy metric in the table without letting it fail the gate.

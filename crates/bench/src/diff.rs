@@ -4,12 +4,13 @@
 //! Both documents are flattened to dotted numeric paths
 //! (`points.1.mesh.seconds`, `win_rates.0.win_rate`, …); each shared
 //! path is judged by a direction heuristic — throughputs and quality
-//! scores should not drop, latencies and loss counts should not rise —
-//! against a relative tolerance band. Paths that moved the *good* way or
-//! stayed inside the band pass; informational paths (seeds, sizes,
-//! configuration echoes) never fail. The `benchdiff` binary renders the
-//! delta table and exits non-zero on any regression, which is what makes
-//! the CI bench steps a gate instead of an archive.
+//! scores should not drop, latencies and loss counts should not rise,
+//! deterministic work counts should not move at all — against a relative
+//! tolerance band. Paths that moved the *good* way or stayed inside the
+//! band pass; informational paths (seeds, sizes, configuration echoes)
+//! never fail. The `benchdiff` binary renders the delta table and exits
+//! non-zero on any regression, which is what makes the CI bench steps a
+//! gate instead of an archive.
 
 use std::fmt::Write as _;
 use tsmo_obs::json::{self, Json};
@@ -21,6 +22,10 @@ pub enum Direction {
     HigherIsBetter,
     /// A rise beyond tolerance is a regression (latency, losses).
     LowerIsBetter,
+    /// A move beyond tolerance either way is a regression: work counts
+    /// that a fixed seed and budget pin exactly, where any change means
+    /// the search did different work.
+    Exact,
     /// Tracked and printed, never a failure (configuration echoes,
     /// seeds, identifiers).
     Informational,
@@ -28,25 +33,39 @@ pub enum Direction {
 
 /// Classifies a flattened path by its last segment. The heuristic is
 /// deliberately name-based: bench writers pick conventional suffixes
-/// (`*_per_sec`, `*_ms`, `*_seconds`) and the observatory follows them.
+/// (`*_per_s`, `*_ms`, `*_seconds`) and the observatory follows them.
+/// The exact-count names are matched whole, so a timing such as
+/// `materialize_ns_per_neighbor` is not mistaken for a count.
 pub fn direction_of(path: &str) -> Direction {
     let leaf = path.rsplit('.').next().unwrap_or(path);
+    const EXACT: [&str; 7] = [
+        "draws_per_neighbor",
+        "draw_fail_ratio",
+        "sites_resimulated_per_neighbor",
+        "materialized_sites_per_neighbor",
+        "allocs_per_neighbor",
+        "iterations",
+        "restarts",
+    ];
     const HIGHER: [&str; 7] = [
-        "evals_per_sec",
         "per_sec",
         "throughput",
         "hypervolume",
         "coverage",
         "win",
         "front",
+        "correct",
     ];
-    const LOWER: [&str; 8] = [
-        "seconds", "_ms", "latency", "p50", "p95", "p99", "dropped", "lost",
+    const LOWER: [&str; 10] = [
+        "seconds", "_ms", "_ns", "latency", "p50", "p95", "p99", "dropped", "lost", "failed",
     ];
-    if HIGHER.iter().any(|m| leaf.contains(m)) {
+    if EXACT.contains(&leaf) {
+        return Direction::Exact;
+    }
+    if leaf.ends_with("_per_s") || HIGHER.iter().any(|m| leaf.contains(m)) {
         return Direction::HigherIsBetter;
     }
-    if LOWER.iter().any(|m| leaf.contains(m)) {
+    if leaf.ends_with("_mb") || LOWER.iter().any(|m| leaf.contains(m)) {
         return Direction::LowerIsBetter;
     }
     Direction::Informational
@@ -235,6 +254,7 @@ pub fn diff(baseline: &Json, fresh: &Json, tolerances: &Tolerances) -> DiffRepor
             Direction::Informational => false,
             Direction::HigherIsBetter => delta_pct < -tolerance_pct,
             Direction::LowerIsBetter => delta_pct > tolerance_pct,
+            Direction::Exact => delta_pct.abs() > tolerance_pct,
         };
         report.entries.push(DiffEntry {
             path: path.clone(),
@@ -345,6 +365,135 @@ mod tests {
         let entry = report.entries.iter().find(|e| e.path == "seed").unwrap();
         assert_eq!(entry.direction, Direction::Informational);
         assert!(!report.regressed());
+    }
+
+    /// One workload of a traced tsmobench run, as the CI gate sees it.
+    const TRACED: &str = r#"{"benchmark": "tsmobench", "seed": 1, "seconds": 0.001,
+        "trace": 1, "workloads": {"serve-small": {"correct": true, "attempted": 7,
+        "failed": 0, "metrics": {
+            "core.allocs_per_neighbor": 271.3591925258592,
+            "core.iterations": 20,
+            "core.materialize_ns_per_neighbor": 945.826159492826,
+            "core.materialized_sites_per_neighbor": 100,
+            "core.restarts": 0,
+            "operators.draw_fail_ratio": 0.9364934734700797,
+            "operators.draws_per_neighbor": 15.746413079746413,
+            "server.cache_hit_ratio": 0.14285714285714285,
+            "server.submit_ms_p50": 1.5,
+            "trace.overhead_pct": 12.5,
+            "vrptw.sites_resimulated_per_neighbor": 16.49632966299633}}}}"#;
+
+    /// The bands of the CI step that gates the traced run.
+    fn ci_bands() -> Tolerances {
+        Tolerances {
+            default_pct: 2.0,
+            overrides: vec![("_ms".to_string(), 900.0), ("_ns".to_string(), 900.0)],
+            informational: Vec::new(),
+        }
+    }
+
+    /// The traced document with one leaf of `serve-small` replaced.
+    fn traced_with(key: &str, edit: impl Fn(&Json) -> Json) -> Json {
+        let mut doc = json::parse(TRACED).unwrap();
+        let mut node = &mut doc;
+        let parts: Vec<&str> = match key.split_once('/') {
+            Some((outer, metric)) => vec!["workloads", "serve-small", outer, metric],
+            None => vec!["workloads", "serve-small", key],
+        };
+        for part in parts {
+            node = match node {
+                Json::Object(map) => map.get_mut(part).expect("key exists"),
+                _ => panic!("{part}: not an object"),
+            };
+        }
+        *node = edit(node);
+        doc
+    }
+
+    fn scaled(key: &str, factor: f64) -> Json {
+        traced_with(key, |v| Json::Number(v.as_f64().unwrap() * factor))
+    }
+
+    fn judged(fresh: &Json) -> DiffReport {
+        diff(&json::parse(TRACED).unwrap(), fresh, &ci_bands())
+    }
+
+    #[test]
+    fn exact_counts_fail_a_move_either_way_beyond_the_band() {
+        let key = "metrics/operators.draws_per_neighbor";
+        for factor in [1.03, 0.97] {
+            let report = judged(&scaled(key, factor));
+            assert!(report.regressed(), "x{factor}: {}", report.render());
+            let entry = report
+                .entries
+                .iter()
+                .find(|e| e.path.ends_with("draws_per_neighbor"))
+                .unwrap();
+            assert_eq!(entry.direction, Direction::Exact);
+        }
+        for factor in [1.01, 0.99] {
+            let report = judged(&scaled(key, factor));
+            assert!(!report.regressed(), "x{factor}: {}", report.render());
+        }
+    }
+
+    #[test]
+    fn per_layer_timings_keep_a_ten_fold_band() {
+        // Per-neighbor timings are not the exact per-neighbor counts.
+        for timing in [
+            "core.materialize_ns_per_neighbor",
+            "core.neighbor_arcs_ns_per_neighbor",
+        ] {
+            assert_eq!(direction_of(timing), Direction::LowerIsBetter, "{timing}");
+        }
+        let key = "metrics/core.materialize_ns_per_neighbor";
+        let report = judged(&scaled(key, 3.0));
+        assert!(!report.regressed(), "{}", report.render());
+        let report = judged(&scaled(key, 11.0));
+        assert!(report.regressed(), "{}", report.render());
+        let report = judged(&scaled("metrics/server.submit_ms_p50", 3.0));
+        assert!(!report.regressed(), "{}", report.render());
+    }
+
+    #[test]
+    fn a_wrong_front_or_a_failed_operation_fails() {
+        let wrong = traced_with("correct", |_| Json::Bool(false));
+        let report = judged(&wrong);
+        assert!(report.regressed(), "{}", report.render());
+        let failed = traced_with("failed", |_| Json::Number(1.0));
+        let report = judged(&failed);
+        assert!(report.regressed(), "{}", report.render());
+    }
+
+    #[test]
+    fn load_dependent_leaves_stay_informational() {
+        // How many jobs fit in the window, and how many of them hit the
+        // cache, depend on the host's load, not on the search.
+        for (key, value) in [
+            ("attempted", 8.0),
+            ("metrics/server.cache_hit_ratio", 0.25),
+            ("metrics/trace.overhead_pct", 80.0),
+        ] {
+            let report = judged(&traced_with(key, |_| Json::Number(value)));
+            assert!(!report.regressed(), "{key}: {}", report.render());
+        }
+    }
+
+    #[test]
+    fn headline_leaves_are_judged_by_their_suffix() {
+        assert_eq!(
+            direction_of("workloads.serve-small.metrics.evals_per_s"),
+            Direction::HigherIsBetter
+        );
+        assert_eq!(
+            direction_of("workloads.serve-small.metrics.peak_rss_mb"),
+            Direction::LowerIsBetter
+        );
+        // `_per_s` only as a suffix: a per-searcher total is not a rate.
+        assert_eq!(
+            direction_of("points.0.mesh.per_searcher_evaluations"),
+            Direction::Informational
+        );
     }
 
     #[test]

@@ -287,7 +287,12 @@ fn serve_conn(stream: TcpStream, id: u64, shared: &Arc<NodeShared>) {
     if let Ok(clone) = stream.try_clone() {
         lock(&shared.conns).insert(id, clone);
     }
-    serve_frames(&stream, shared);
+    // A stop raises its flag before it sweeps `conns`, so a connection
+    // registered after the sweep sees the flag here. Served, it would park
+    // in a read that nothing ends, and `halt` would wait on it forever.
+    if !shared.stopping.load(Ordering::Acquire) {
+        serve_frames(&stream, shared);
+    }
     lock(&shared.conns).remove(&id);
     // A stop may have taken the clone from `conns` already, and that
     // copy keeps the socket open; shut it down explicitly so the client
@@ -890,4 +895,38 @@ fn ship_checkpoint(shared: &NodeShared, node_index: usize) {
         entries,
     };
     let _ = conn.call(&msg);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Instant;
+
+    #[test]
+    fn a_connection_registered_after_a_stop_is_closed_unserved() {
+        let node = Noded::start(NodeConfig::default()).expect("bind node");
+        request_stop(&node.shared);
+        // Stands in for a connection accepted just before the stop whose
+        // thread first runs after the stop swept the open connections.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (stream, _) = listener.accept().expect("accept");
+        tsmo_obs::frame::write_frame(&mut client, &NodeMsg::Status.to_json()).expect("send");
+        let shared = Arc::clone(&node.shared);
+        let conn = std::thread::spawn(move || serve_conn(stream, u64::MAX, &shared));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !conn.is_finished() {
+            assert!(
+                Instant::now() < deadline,
+                "connection served after the stop"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        let reply = tsmo_obs::frame::read_frame(&mut client);
+        assert!(matches!(reply, Ok(None) | Err(_)), "got {reply:?}");
+        node.wait();
+    }
 }

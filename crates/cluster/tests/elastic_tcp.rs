@@ -48,6 +48,21 @@ fn sorted_front(front: &[FrontEntry]) -> Vec<String> {
     keys
 }
 
+/// Exchanges `client`'s node has taken delivery of so far, summed over
+/// the per-peer counters its `Exchange` handler records as each one
+/// arrives. (The unlabeled total is folded into the node's registry only
+/// when its job ends, so it cannot show a mesh that is still running.)
+fn exchanges_received_live(client: &MeshClient, searchers: usize) -> u64 {
+    client
+        .metrics()
+        .map(|p| {
+            (0..searchers)
+                .map(|peer| prometheus_counter(&p, &names::exchanges_received_from_peer(peer)))
+                .sum()
+        })
+        .unwrap_or(0)
+}
+
 fn wait_done(client: &MeshClient, deadline: Instant) {
     loop {
         match client.status().expect("node answers").as_str() {
@@ -145,6 +160,7 @@ fn mesh_gather_recovers_a_dead_nodes_front_from_its_replica() {
     // the main thread dispatches, polls, and gathers around the death.
     let killer = {
         let peers = peers.clone();
+        let searchers = peers.len() * job.searchers_per_node;
         let mut nodes = nodes;
         std::thread::spawn(move || {
             let c0 = MeshClient::new(peers[0].clone(), NET_TIMEOUT);
@@ -152,10 +168,7 @@ fn mesh_gather_recovers_a_dead_nodes_front_from_its_replica() {
             let deadline = Instant::now() + Duration::from_secs(60);
             loop {
                 let running = matches!(c2.status().as_deref(), Ok("running"));
-                let exchanged = c0
-                    .metrics()
-                    .map(|p| prometheus_counter(&p, names::EXCHANGES_RECEIVED) > 0)
-                    .unwrap_or(false);
+                let exchanged = exchanges_received_live(&c0, searchers) > 0;
                 if running && exchanged {
                     break;
                 }

@@ -37,11 +37,18 @@
 //! assert_eq!(budget.try_consume(60), 40); // partial grant
 //! assert!(budget.exhausted());
 //!
-//! // A worker pool computing squares; the barrier keeps worker order.
-//! // Receives report worker panics as `Err(PoolError::WorkerPanicked)`
-//! // instead of hanging the barrier.
+//! // A worker pool computing squares. Each reply names its worker, and
+//! // receives report worker panics as `Err(PoolError::WorkerPanicked)`
+//! // instead of hanging the master.
 //! let pool: MasterWorker<u64, u64> = MasterWorker::spawn(2, |_, x| x * x);
-//! assert_eq!(pool.broadcast_collect(vec![3, 4]), Ok(vec![9, 16]));
+//! pool.send(0, 3);
+//! pool.send(1, 4);
+//! let mut squares = [0; 2];
+//! for _ in 0..2 {
+//!     let (worker, square) = pool.recv().expect("no worker panicked");
+//!     squares[worker] = square;
+//! }
+//! assert_eq!(squares, [9, 16]);
 //! pool.shutdown();
 //! ```
 

@@ -14,9 +14,7 @@ pub enum PoolError {
     /// thread **survives** and keeps serving its queue; only the result of
     /// the panicking task is lost. The master decides whether to resend,
     /// skip, or abort — [`crate::Supervisor`] implements the
-    /// resend-with-budget policy on top of this signal, and
-    /// [`MasterWorker::broadcast_collect`] retries each worker's task once
-    /// before surfacing the error.
+    /// resend-with-budget policy on top of this signal.
     WorkerPanicked {
         /// Which worker's task function panicked.
         worker: usize,
@@ -367,56 +365,6 @@ impl<T: Send + 'static, R: Send + 'static> MasterWorker<T, R> {
         }
     }
 
-    /// Sends one task to every worker and waits for exactly one result per
-    /// worker — the synchronous barrier pattern. Results are returned in
-    /// worker order (deterministic reassembly).
-    ///
-    /// If a task panics, it is **resent once** to the same worker (which
-    /// survives the panic); only a second panic of the same slot's task
-    /// surfaces as [`PoolError::WorkerPanicked`]. This absorbs one-shot
-    /// transient failures without involving a supervisor, at the cost of
-    /// requiring `T: Clone`.
-    ///
-    /// `tasks.len()` must equal the number of workers, and all workers
-    /// must be live.
-    pub fn broadcast_collect(&self, tasks: Vec<T>) -> Result<Vec<R>, PoolError>
-    where
-        T: Clone,
-    {
-        assert_eq!(tasks.len(), self.n_workers(), "one task per worker");
-        let n = tasks.len();
-        for (w, task) in tasks.iter().cloned().enumerate() {
-            self.send(w, task);
-        }
-        let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        let mut retried = vec![false; n];
-        let mut received = 0;
-        while received < n {
-            match self.recv() {
-                Ok((w, r)) => {
-                    assert!(
-                        slots[w].is_none(),
-                        "worker {w} replied twice to one broadcast"
-                    );
-                    slots[w] = Some(r);
-                    received += 1;
-                }
-                Err(PoolError::WorkerPanicked { worker, message }) => {
-                    if retried[worker] {
-                        return Err(PoolError::WorkerPanicked { worker, message });
-                    }
-                    retried[worker] = true;
-                    self.send(worker, tasks[worker].clone());
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(slots
-            .into_iter()
-            .map(|s| s.expect("all slots filled"))
-            .collect())
-    }
-
     /// Results queued but not yet received by the master.
     pub fn result_queue_len(&self) -> usize {
         self.result_rx.len()
@@ -465,25 +413,18 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
-    fn broadcast_collect_returns_in_worker_order() {
-        let pool: MasterWorker<u64, u64> = MasterWorker::spawn(4, |id, x| {
-            // Make later workers slower: order must still hold.
-            std::thread::sleep(Duration::from_millis((4 - id as u64) * 5));
-            x * 10 + id as u64
-        });
-        let out = pool.broadcast_collect(vec![1, 2, 3, 4]).expect("no panics");
-        assert_eq!(out, vec![10, 21, 32, 43]);
-        pool.shutdown();
-    }
-
-    #[test]
     fn repeated_broadcasts() {
         let pool: MasterWorker<u64, u64> = MasterWorker::spawn(3, |_, x| x + 1);
         for round in 0..50 {
-            let out = pool
-                .broadcast_collect(vec![round, round, round])
-                .expect("no panics");
-            assert_eq!(out, vec![round + 1; 3]);
+            for w in 0..3 {
+                pool.send(w, round);
+            }
+            let mut seen = [false; 3];
+            for _ in 0..3 {
+                let (w, r) = pool.recv().expect("no panics");
+                assert!(!std::mem::replace(&mut seen[w], true), "worker {w} twice");
+                assert_eq!(r, round + 1);
+            }
         }
         pool.shutdown();
     }
@@ -524,10 +465,13 @@ mod tests {
             seen2.fetch_or(1 << id, Ordering::Relaxed);
             id
         });
-        let ids = pool
-            .broadcast_collect(vec![(), (), (), ()])
-            .expect("no panics");
-        assert_eq!(ids, vec![0, 1, 2, 3]);
+        for w in 0..4 {
+            pool.send(w, ());
+        }
+        for _ in 0..4 {
+            let (w, id) = pool.recv().expect("no panics");
+            assert_eq!(id, w);
+        }
         assert_eq!(seen.load(Ordering::Relaxed), 0b1111);
         pool.shutdown();
     }
@@ -546,60 +490,28 @@ mod tests {
 
     #[test]
     fn task_panic_surfaces_as_error_and_worker_survives() {
-        let pool: MasterWorker<u64, u64> = MasterWorker::spawn(1, |_, x| {
-            assert!(x != 13, "unlucky task");
+        let pool: MasterWorker<u64, u64> = MasterWorker::spawn(3, |id, x| {
+            assert!(x != 13, "unlucky task on worker {id}");
             x * 2
         });
-        pool.send(0, 13);
+        pool.send(2, 13);
+        // The error names the panicking slot and carries its message.
         match pool.recv() {
-            Err(PoolError::WorkerPanicked { worker: 0, message }) => {
-                assert!(message.contains("unlucky task"), "got: {message}");
+            Err(PoolError::WorkerPanicked { worker: 2, message }) => {
+                assert!(
+                    message.contains("unlucky task on worker 2"),
+                    "got: {message}"
+                );
             }
-            other => panic!("expected WorkerPanicked, got {other:?}"),
+            other => panic!("expected WorkerPanicked from worker 2, got {other:?}"),
         }
         // The same worker keeps serving tasks after the panic.
-        pool.send(0, 4);
-        assert_eq!(pool.recv(), Ok((0, 8)));
+        pool.send(2, 4);
+        assert_eq!(pool.recv(), Ok((2, 8)));
         let stats = pool.worker_stats();
-        assert_eq!(stats[0].panics, 1);
-        assert_eq!(stats[0].tasks_completed, 1);
-        pool.shutdown();
-    }
-
-    #[test]
-    fn broadcast_retries_transient_panic_once() {
-        // Worker 1 fails on its first attempt only; the barrier absorbs it.
-        let attempts = Arc::new(AtomicUsize::new(0));
-        let attempts2 = Arc::clone(&attempts);
-        let pool: MasterWorker<u64, u64> = MasterWorker::spawn(3, move |id, x| {
-            if id == 1 && attempts2.fetch_add(1, Ordering::SeqCst) == 0 {
-                panic!("transient failure");
-            }
-            x
-        });
-        let out = pool
-            .broadcast_collect(vec![1, 2, 3])
-            .expect("retry absorbs a single transient panic");
-        assert_eq!(out, vec![1, 2, 3]);
-        assert_eq!(pool.worker_stats()[1].panics, 1);
-        pool.shutdown();
-    }
-
-    #[test]
-    fn broadcast_fails_after_retry_on_persistent_panic() {
-        let pool: MasterWorker<u64, u64> = MasterWorker::spawn(3, |id, x| {
-            if id == 1 {
-                panic!("worker 1 always fails");
-            }
-            x
-        });
-        let err = pool.broadcast_collect(vec![1, 2, 3]).unwrap_err();
-        assert!(
-            matches!(err, PoolError::WorkerPanicked { worker: 1, .. }),
-            "got {err:?}"
-        );
-        // One original attempt plus exactly one retry.
-        assert_eq!(pool.worker_stats()[1].panics, 2);
+        assert_eq!(stats[2].panics, 1);
+        assert_eq!(stats[2].tasks_completed, 1);
+        assert_eq!(stats[0].panics + stats[1].panics, 0);
         pool.shutdown();
     }
 
@@ -643,7 +555,11 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
             x
         });
-        let _ = pool.broadcast_collect(vec![1, 2]).expect("no panics");
+        pool.send(0, 1);
+        pool.send(1, 2);
+        for _ in 0..2 {
+            pool.recv().expect("no panics");
+        }
         let stats = pool.worker_stats();
         for (w, s) in stats.iter().enumerate() {
             assert_eq!(s.tasks_completed, 1, "worker {w}");

@@ -22,31 +22,6 @@ fn flaky_pool(fail_every: usize) -> (MasterWorker<u64, u64>, Arc<AtomicUsize>) {
 }
 
 #[test]
-fn broadcast_collect_surfaces_panic_with_worker_id_and_message() {
-    let pool: MasterWorker<u64, u64> = MasterWorker::spawn(3, |id, x| {
-        if id == 2 {
-            panic!("broken evaluation on worker {id}");
-        }
-        x + 1
-    });
-    match pool.broadcast_collect(vec![1, 2, 3]) {
-        Err(PoolError::WorkerPanicked { worker, message }) => {
-            assert_eq!(worker, 2);
-            assert!(message.contains("broken evaluation"), "got: {message}");
-        }
-        other => panic!("expected WorkerPanicked, got {other:?}"),
-    }
-    // The panicking worker was tried twice (initial + one retry); the
-    // healthy workers completed their tasks exactly once.
-    let stats = pool.worker_stats();
-    assert_eq!(stats[2].panics, 2);
-    assert_eq!(stats[2].tasks_completed, 0);
-    assert_eq!(stats[0].tasks_completed, 1);
-    assert_eq!(stats[1].tasks_completed, 1);
-    pool.shutdown();
-}
-
-#[test]
 fn recv_timeout_distinguishes_empty_alive_from_disconnected() {
     let mut pool: MasterWorker<u64, u64> = MasterWorker::spawn(2, |_, x| x);
     // Empty but alive: a timeout, not an error.

@@ -87,17 +87,22 @@ fn multisearch_network_is_lossless_under_threads() {
     }
 }
 
-/// The pool survives bursty broadcast/collect cycles interleaved with
-/// asynchronous one-off sends.
+/// The pool survives bursty send-to-all/collect-all cycles interleaved
+/// with asynchronous one-off sends.
 #[test]
 fn pool_mixed_usage_patterns() {
     let pool: MasterWorker<u64, u64> = MasterWorker::spawn(3, |id, x| x * 3 + id as u64);
     for round in 0..100u64 {
         if round % 3 == 0 {
-            let out = pool
-                .broadcast_collect(vec![round, round, round])
-                .expect("no panics");
-            assert_eq!(out, vec![3 * round, 3 * round + 1, 3 * round + 2]);
+            for w in 0..3 {
+                pool.send(w, round);
+            }
+            let mut out = [0; 3];
+            for _ in 0..3 {
+                let (w, r) = pool.recv().expect("no panics");
+                out[w] = r;
+            }
+            assert_eq!(out, [3 * round, 3 * round + 1, 3 * round + 2]);
         } else {
             pool.send((round % 3) as usize, round);
             let (w, r) = pool.recv().expect("workers alive");

@@ -53,8 +53,7 @@ impl Generator {
     }
 }
 
-/// Parses a class label (`"R1"`, `"rc2"`, …) as used by the CLI flags of
-/// `scengen`, `loadgen --instance-class`, and `servectl submit-dynamic`.
+/// Parses a class label (`"R1"`, `"rc2"`, …) as taken by `scengen --class`.
 pub fn parse_class(s: &str) -> Option<InstanceClass> {
     let up = s.to_ascii_uppercase();
     InstanceClass::ALL.into_iter().find(|c| c.label() == up)

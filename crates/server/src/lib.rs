@@ -21,8 +21,8 @@
 //!   one is configured), per-job deadlines and cooperative cancellation
 //!   ([`tsmo_core::CancelToken`]), HTTP `/healthz` + `/metrics` on the
 //!   same port, and drain-then-stop shutdown.
-//! * [`client`] — a blocking client library (used by `servectl` and the
-//!   `loadgen` benchmark).
+//! * [`client`] — a blocking client library (used by `servectl` and by
+//!   tsmobench's `serve-small` and `serve-mesh` workloads).
 //!
 //! Everything is std-only: the wire format reuses the zero-dependency
 //! JSON support from `tsmo-obs`, and metrics come from the existing
