@@ -509,9 +509,7 @@ fn faults(opts: &Opts) {
         let mut resent = Vec::new();
         let mut lost = Vec::new();
         for r in 0..opts.runs {
-            let mut cfg = base_cfg(opts).with_seed(opts.seed + r as u64);
-            // Pin the virtual cost: the chaos schedule is then reproducible.
-            cfg.sim_eval_cost = Some(1e-4);
+            let cfg = base_cfg(opts).with_seed(opts.seed + r as u64);
             let rec = MemoryRecorder::shared();
             let plan = FaultPlan::shared(FaultConfig::uniform(opts.fault_seed + r as u64, rate));
             let out = ParallelVariant::Asynchronous(4).run_opts(

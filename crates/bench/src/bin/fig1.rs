@@ -15,7 +15,7 @@
 //! for relating the trajectory to staleness and worker utilization.
 
 use std::sync::Arc;
-use tsmo_core::{ParallelVariant, TsmoConfig};
+use tsmo_core::{Clock, ParallelVariant, RunOptions, TsmoConfig};
 use tsmo_obs::{MemoryRecorder, Recorder};
 use vrptw::generator::{GeneratorConfig, InstanceClass};
 
@@ -50,7 +50,17 @@ fn main() {
     let recorder: Arc<dyn Recorder> = memory
         .clone()
         .map_or_else(tsmo_obs::noop, |m| m as Arc<dyn Recorder>);
-    let out = ParallelVariant::Asynchronous(procs).run_with(&inst, &cfg, recorder);
+    // On the virtual clock the asynchronous schedule, and so the figure,
+    // depends on the seed alone.
+    let out = ParallelVariant::Asynchronous(procs).run_opts(
+        &inst,
+        &cfg,
+        RunOptions {
+            recorder,
+            clock: Clock::Virtual { speeds: None },
+            ..RunOptions::default()
+        },
+    );
     if let Some(memory) = &memory {
         if let Some(path) = &metrics_out {
             std::fs::write(path, memory.prometheus()).expect("failed to write metrics");

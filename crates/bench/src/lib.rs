@@ -42,11 +42,11 @@ pub struct TableOpts {
     pub neighborhood: usize,
     /// Base seed; instance generation and run seeds derive from it.
     pub seed: u64,
-    /// How the parallel variants' runtimes are measured. `Clock::Wall` is
-    /// only meaningful when the host has at least as many cores as the
-    /// largest processor count in the lineup; the virtual clock (the
-    /// default) is the only one that reproduces the paper's speedup
-    /// columns on small hosts.
+    /// How every variant's runtime is measured. `Clock::Wall` is only
+    /// meaningful when the host has at least as many cores as the largest
+    /// processor count in the lineup. The virtual clock (the default)
+    /// charges counted work, not host time, so its tables are
+    /// byte-identical on any host.
     pub timing: Clock,
 }
 
@@ -111,7 +111,8 @@ pub struct RunAggregate {
     pub distance: f64,
     /// Σ over problems of the feasible front's mean vehicle count.
     pub vehicles: f64,
-    /// Σ over problems of wall-clock runtime (seconds).
+    /// Σ over problems of runtime (seconds; virtual or wall, per
+    /// [`TableOpts::timing`]).
     pub runtime: f64,
 }
 

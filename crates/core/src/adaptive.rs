@@ -192,7 +192,7 @@ fn improve(
     while spent < evals {
         let count = nbhd.min(evals - spent);
         let seed = rng.next_u64();
-        let pool = generate_chunk(inst, &current, seed, count, params, 0);
+        let pool = generate_chunk(inst, &current, seed, count, params, 0).neighbors;
         spent += count;
         let mut chosen: Option<usize> = None;
         let mut chosen_value = f64::INFINITY;

@@ -28,7 +28,7 @@ use crate::cancel::CancelToken;
 use crate::config::TsmoConfig;
 use crate::core_search::{SearchCore, StepReport};
 use crate::exec::{Executor, Wait};
-use crate::neighborhood::{generate_chunk_tallied, Chunk, Neighbor};
+use crate::neighborhood::{generate_chunk, Chunk, Neighbor};
 use crate::outcome::TsmoOutcome;
 use deme::EvaluationBudget;
 use detrand::Xoshiro256StarStar;
@@ -146,7 +146,7 @@ pub(crate) fn run_async(
             recorder.counter_add(names::EVALUATIONS, granted as u64);
             let seed = core.next_seed();
             let own = exec.on_master(granted, || {
-                generate_chunk_tallied(
+                generate_chunk(
                     inst,
                     core.current(),
                     seed,

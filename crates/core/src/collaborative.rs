@@ -146,10 +146,11 @@ impl Transport<FrontEntry> for VirtualLink {
 }
 
 /// Runs `n` searchers on one thread in virtual time: the live searcher
-/// with the earliest clock takes the next step. Each step is charged to
-/// its searcher's clock (the measured cost, or `sim_eval_cost` per
-/// evaluation and per received entry); each exchange occupies the sender
-/// for one hop and arrives one hop later, where a hop is the latency
+/// with the earliest clock takes the next step. Each step charges its
+/// searcher's clock the work it did ([`CollabSearcher::work_done`]: its
+/// received entries, evaluations and considered neighbors, each costing
+/// `sim_eval_cost` over the searcher's speed). Each exchange occupies the
+/// sender for one hop and arrives one hop later, where a hop is the latency
 /// times `P/2` — interconnect contention on the modeled shared-memory
 /// machine, which makes the collaborative runtime *grow* with the
 /// processor count as in the paper's tables.
@@ -208,23 +209,15 @@ pub(crate) fn run_on_virtual_clock(
             .into_iter()
             .partition(|&(at, to, _)| to == s && at <= now);
         in_flight = later;
-        let received = due.len();
         for (_, _, entry) in due {
             inboxes[s]
                 .send(entry)
                 .expect("the driver holds every inbox");
         }
-        let (searcher, endpoint) = (&mut searchers[s], &mut endpoints[s]);
-        live[s] = match cfg.sim_eval_cost {
-            Some(c) => {
-                let before = searcher.evaluations_consumed();
-                let stepped = searcher.step_once(endpoint);
-                let evals = searcher.evaluations_consumed() - before;
-                cluster.advance(s, c * (received as u64 + evals) as f64);
-                stepped
-            }
-            None => cluster.charge(s, || searcher.step_once(endpoint)),
-        };
+        let searcher = &mut searchers[s];
+        let before = searcher.work_done();
+        live[s] = searcher.step_once(&mut endpoints[s]);
+        cluster.work(s, searcher.work_done() - before);
         for (to, entry) in outbox.lock().drain(..) {
             cluster.advance(s, hop);
             in_flight.push((cluster.send_at(s, congestion), to, entry));
@@ -315,6 +308,20 @@ mod tests {
         assert_eq!(out.evaluations, 3 * 2_400);
         assert!(out.archive.len() <= c.archive_capacity);
         assert!(!out.archive.is_empty());
+    }
+
+    /// A collaborative step is charged like a sequential one: its
+    /// evaluations plus the neighbors its selection considers.
+    #[test]
+    fn one_searcher_costs_what_the_sequential_search_costs() {
+        let inst = Arc::new(GeneratorConfig::new(InstanceClass::R2, 30, 5).build());
+        let seq = on_virtual_clock(ParallelVariant::Sequential, &inst, &cfg());
+        let coll = on_virtual_clock(ParallelVariant::Collaborative(1), &inst, &cfg());
+        let (s, c) = (seq.runtime_seconds, coll.runtime_seconds);
+        assert!(
+            (s - c).abs() < 1e-9 * s,
+            "sequential {s}s vs collaborative {c}s"
+        );
     }
 
     #[test]

@@ -74,11 +74,6 @@ pub struct TsmoConfig {
     /// the searcher-local evaluated-neighbor count, so timelines are as
     /// deterministic as the rest of the event stream.
     pub timeline_every: Option<u64>,
-    /// Upper bound on retained trace points (`None` = unbounded). The trace
-    /// grows by `neighborhood_size` points per iteration, so long runs
-    /// should cap it; the most recent points win and the drop count is
-    /// reported by [`Trace::dropped`](crate::Trace::dropped).
-    pub trace_capacity: Option<usize>,
     /// Asynchronous variant: upper bound, in milliseconds, on how long the
     /// master waits for workers after finishing its own chunk — condition
     /// `c3` ("AreWeWaitingTooLong") of Algorithm 2.
@@ -88,13 +83,13 @@ pub struct TsmoConfig {
     /// cost of one master–worker or searcher–searcher message on the
     /// modeled machine.
     pub sim_comm_latency: f64,
-    /// Virtual cost per evaluation, in seconds, on
-    /// [`Clock::Virtual`](crate::Clock). `None` (the default) measures each
-    /// work item's real serial cost, so virtual makespans track the host;
-    /// fixing a cost makes the simulated schedule — and therefore the
-    /// asynchronous/collaborative trajectories and telemetry event streams
-    /// — fully deterministic.
-    pub sim_eval_cost: Option<f64>,
+    /// Virtual cost, in seconds on a reference-speed processor, of one
+    /// unit of counted work on [`Clock::Virtual`](crate::Clock): one
+    /// evaluation, one neighbor considered by a selection step, or one
+    /// received exchange entry. Virtual time reads no host clock, so the
+    /// simulated schedule — and with it every virtual-clock trajectory,
+    /// runtime and event stream — depends on the seed alone.
+    pub sim_eval_cost: f64,
     /// Warm-start pool: solutions a run starts from instead of a fresh I1
     /// construction. Every entry must be a *complete, valid* solution of
     /// the instance being solved (the dynamic re-optimization path repairs
@@ -124,10 +119,9 @@ impl Default for TsmoConfig {
             trace: false,
             trace_id: None,
             timeline_every: None,
-            trace_capacity: None,
             async_max_wait_ms: 20,
             sim_comm_latency: 0.001,
-            sim_eval_cost: None,
+            sim_eval_cost: 2e-5,
             warm_start: Vec::new(),
         }
     }

@@ -141,7 +141,7 @@ impl SearchCore {
             archive.insert(FrontEntry::new(s.clone(), o));
             nondom.insert(FrontEntry::new(s.clone(), o));
         }
-        let trace = cfg.trace.then(|| Trace::bounded(cfg.trace_capacity));
+        let trace = cfg.trace.then(Trace::default);
         let timeline_ref = [
             current.objectives().distance * 1.1 + 1.0,
             (current.objectives().vehicles + 2) as f64,
@@ -509,10 +509,6 @@ impl SearchCore {
     pub fn finish(self) -> (Vec<FrontEntry>, Option<Trace>, usize) {
         self.recorder
             .gauge_max(names::ARCHIVE_SIZE, self.archive.len() as f64);
-        if let Some(t) = &self.trace {
-            self.recorder
-                .counter_add(names::TRACE_DROPPED, t.dropped() as u64);
-        }
         for op in OperatorKind::ALL {
             let i = op.index();
             let label = op.label();
@@ -590,6 +586,7 @@ mod tests {
             c.sample_params(),
             c.iteration(),
         )
+        .neighbors
     }
 
     #[test]
@@ -691,7 +688,6 @@ mod tests {
 
     #[test]
     fn attribution_counters_flush_at_finish() {
-        use crate::neighborhood::generate_chunk_tallied;
         use tsmo_obs::MemoryRecorder;
         use vrptw_operators::SampleTally;
 
@@ -713,7 +709,7 @@ mod tests {
         let mut accepted_steps = 0u64;
         for _ in 0..40 {
             let seed = c.next_seed();
-            let chunk = generate_chunk_tallied(
+            let chunk = generate_chunk(
                 c.instance().clone().as_ref(),
                 c.current(),
                 seed,

@@ -11,15 +11,18 @@
 //!   reads the wall clock.
 //! * [`Virtual`] runs everything on the calling thread and schedules it on
 //!   a [`VirtualCluster`]: a dispatched chunk is computed at once, charged
-//!   to its worker's virtual clock (the measured cost, or
-//!   [`TsmoConfig::sim_eval_cost`] per evaluation), and stamped with the
-//!   instant its result reaches the master. Injected faults go to the
-//!   shared [`SupervisorPolicy`], the one the thread pool obeys, so both
-//!   executors resend, quarantine and respawn alike.
+//!   to its worker's virtual clock, and stamped with the instant its
+//!   result reaches the master. Virtual time counts work, never host
+//!   time: a chunk of `k` evaluations costs `k` units and master work
+//!   over `n` considered neighbors costs `n` units, each unit
+//!   [`TsmoConfig::sim_eval_cost`] seconds divided by the processor's
+//!   speed. Injected faults go to the shared [`SupervisorPolicy`], the
+//!   one the thread pool obeys, so both executors resend, quarantine and
+//!   respawn alike.
 
 use crate::config::TsmoConfig;
 use crate::fault_obs::{draw_task_fault, publish_recovery};
-use crate::neighborhood::{generate_chunk_tallied, Chunk};
+use crate::neighborhood::{generate_chunk, Chunk};
 use deme::{
     MasterWorker, Route, RunClock, Supervisor, SupervisorConfig, SupervisorPolicy, VirtualCluster,
 };
@@ -64,8 +67,9 @@ pub(crate) trait Executor {
         count: usize,
         iteration: usize,
     );
-    /// Runs master work worth `evals` evaluations.
-    fn on_master<R>(&mut self, evals: usize, f: impl FnOnce() -> R) -> R;
+    /// Runs master work worth `units`: the evaluations of a chunk the
+    /// master computes, or the neighbors a selection step considers.
+    fn on_master<R>(&mut self, units: usize, f: impl FnOnce() -> R) -> R;
     /// Collects finished chunks as `(worker, chunk)`, publishing recovery
     /// actions under the master's `iteration`.
     fn collect(&mut self, wait: Wait, iteration: u64) -> Vec<(usize, Chunk)>;
@@ -126,14 +130,7 @@ impl Threads {
                         TaskFault::Late { millis } => late_millis = Some(millis),
                     }
                 }
-                let out = generate_chunk_tallied(
-                    &inst,
-                    &t.snapshot,
-                    t.seed,
-                    t.count,
-                    params,
-                    t.iteration,
-                );
+                let out = generate_chunk(&inst, &t.snapshot, t.seed, t.count, params, t.iteration);
                 if let Some(millis) = late_millis {
                     std::thread::sleep(Duration::from_millis(millis));
                 }
@@ -189,7 +186,7 @@ impl Executor for Threads {
         );
     }
 
-    fn on_master<R>(&mut self, _evals: usize, f: impl FnOnce() -> R) -> R {
+    fn on_master<R>(&mut self, _units: usize, f: impl FnOnce() -> R) -> R {
         f()
     }
 
@@ -239,28 +236,8 @@ impl Executor for Threads {
     }
 }
 
-/// Executes `f` as processor `p`'s work: with `cost = None` the measured
-/// wall cost is charged to the virtual clock; with a fixed cost the
-/// schedule is independent of the host's timing, which makes the
-/// simulation deterministic (see [`TsmoConfig::sim_eval_cost`]).
-pub(crate) fn charge<R>(
-    cluster: &mut VirtualCluster,
-    p: usize,
-    cost: Option<f64>,
-    f: impl FnOnce() -> R,
-) -> R {
-    match cost {
-        Some(c) => {
-            let out = f();
-            cluster.advance(p, c);
-            out
-        }
-        None => cluster.charge(p, f),
-    }
-}
-
-/// A virtual cluster of `processors` with `cfg`'s message latency and
-/// optional per-processor speeds.
+/// A virtual cluster of `processors` with `cfg`'s work cost and message
+/// latency, at the given per-processor speeds (all 1.0 when `None`).
 ///
 /// # Panics
 /// Panics if `speeds` does not hold one entry per processor.
@@ -269,13 +246,14 @@ pub(crate) fn cluster(
     speeds: Option<&[f64]>,
     cfg: &TsmoConfig,
 ) -> VirtualCluster {
-    match speeds {
-        Some(s) => {
+    let speeds = speeds.map_or_else(
+        || vec![1.0; processors],
+        |s| {
             assert_eq!(s.len(), processors, "one speed per processor");
-            VirtualCluster::heterogeneous(s.to_vec(), cfg.sim_comm_latency)
-        }
-        None => VirtualCluster::new(processors, cfg.sim_comm_latency),
-    }
+            s.to_vec()
+        },
+    );
+    VirtualCluster::new(speeds, cfg.sim_eval_cost, cfg.sim_comm_latency)
 }
 
 /// Publishes processor `p`'s busy fraction: `busy` of `total` seconds.
@@ -290,9 +268,7 @@ pub(crate) fn record_busy(recorder: &dyn Recorder, p: usize, busy: f64, total: f
 
 /// Publishes a finished simulation's makespan and, per processor, the
 /// fraction of the makespan its virtual clock covers (a utilization proxy:
-/// the clock stops at the processor's last activity). Derived from
-/// measured costs, these are metrics and vary run to run; the event
-/// stream does not.
+/// the clock stops at the processor's last activity).
 pub(crate) fn record_virtual_run(recorder: &dyn Recorder, cluster: &VirtualCluster) -> f64 {
     let makespan = cluster.makespan();
     recorder.gauge_set(names::RUNTIME_SECONDS, makespan);
@@ -308,8 +284,8 @@ struct Held {
     attempt: u32,
     /// When it reaches the master.
     arrival: f64,
-    /// What running it costs (see [`Virtual::cost`]).
-    cost: Option<f64>,
+    /// The evaluations it holds, which a resend computes again.
+    evals: u64,
     chunk: Chunk,
 }
 
@@ -326,7 +302,6 @@ pub(crate) struct Virtual {
     inst: Arc<Instance>,
     params: SampleParams,
     cluster: VirtualCluster,
-    unit_cost: Option<f64>,
     recorder: Arc<dyn Recorder>,
     hook: Arc<dyn FaultHook>,
     supervisor: SupervisorPolicy,
@@ -354,7 +329,6 @@ impl Virtual {
                 feasibility: cfg.feasibility_criterion,
             },
             cluster: cluster(processors, speeds, cfg),
-            unit_cost: cfg.sim_eval_cost,
             recorder: Arc::clone(recorder),
             hook,
             supervisor: SupervisorPolicy::new(n_workers, SupervisorConfig::default()),
@@ -362,19 +336,15 @@ impl Virtual {
         }
     }
 
-    fn cost(&self, evals: usize) -> Option<f64> {
-        self.unit_cost.map(|c| c * evals as f64)
-    }
-
     /// Settles a chunk computed on worker `w` as `attempt`: the fault
     /// hook's decision for that execution is drawn, stalls and late
     /// replies cost virtual time, and a panic goes to the supervisor
     /// policy. Each resend it orders runs on the named worker, with that
-    /// worker's next fault draw and on that worker's clock (the measured
-    /// cost again, or a nominal slice in measured mode).
-    fn settle(&mut self, w: usize, attempt: u32, cost: Option<f64>, chunk: Chunk) {
-        let mut runs = VecDeque::from([(w, attempt, cost, chunk)]);
-        while let Some((w, attempt, cost, chunk)) = runs.pop_front() {
+    /// worker's next fault draw, and costs that worker the chunk's
+    /// evaluations again.
+    fn settle(&mut self, w: usize, attempt: u32, evals: u64, chunk: Chunk) {
+        let mut runs = VecDeque::from([(w, attempt, evals, chunk)]);
+        while let Some((w, attempt, evals, chunk)) = runs.pop_front() {
             let proc = w + 1;
             let fault = if self.hook.active() {
                 let seq = self.workers[w].fault_seq;
@@ -392,7 +362,7 @@ impl Virtual {
                 let held = Held {
                     attempt,
                     arrival,
-                    cost,
+                    evals,
                     chunk,
                 };
                 self.workers[w].queue.push_back(held);
@@ -407,17 +377,17 @@ impl Virtual {
             let plan = self.supervisor.on_panic(w, &attempts);
             let orphans: Vec<_> = queue
                 .drain(..plan.routes.len().saturating_sub(1))
-                .map(|h| (h.cost, h.chunk))
+                .map(|h| (h.evals, h.chunk))
                 .collect();
             // Respawning or retiring needs nothing here: no thread to
             // replace or join.
-            let routed = std::iter::once((cost, chunk)).chain(orphans);
-            for ((cost, chunk), route) in routed.zip(plan.routes) {
+            let routed = std::iter::once((evals, chunk)).chain(orphans);
+            for ((evals, chunk), route) in routed.zip(plan.routes) {
                 if let Route::Resend { worker, attempt } = route {
                     let start = self.cluster.clock(proc).max(self.cluster.clock(worker + 1));
                     self.cluster.advance_to(worker + 1, start);
-                    self.cluster.advance(worker + 1, cost.unwrap_or(1e-4));
-                    runs.push_back((worker, attempt, cost, chunk));
+                    self.cluster.work(worker + 1, evals);
+                    runs.push_back((worker, attempt, evals, chunk));
                 }
             }
         }
@@ -456,17 +426,14 @@ impl Executor for Virtual {
         // does not depend on virtual time, so it is computed right away.
         let start = self.cluster.send_at(0, 1.0).max(self.cluster.clock(proc));
         self.cluster.advance_to(proc, start);
-        let cost = self.cost(count);
-        let (inst, params) = (&self.inst, self.params);
-        let chunk = charge(&mut self.cluster, proc, cost, || {
-            generate_chunk_tallied(inst, snapshot, seed, count, params, iteration)
-        });
-        self.settle(w, 0, cost, chunk);
+        let chunk = generate_chunk(&self.inst, snapshot, seed, count, self.params, iteration);
+        self.cluster.work(proc, count as u64);
+        self.settle(w, 0, count as u64, chunk);
     }
 
-    fn on_master<R>(&mut self, evals: usize, f: impl FnOnce() -> R) -> R {
-        let cost = self.cost(evals);
-        charge(&mut self.cluster, 0, cost, f)
+    fn on_master<R>(&mut self, units: usize, f: impl FnOnce() -> R) -> R {
+        self.cluster.work(0, units as u64);
+        f()
     }
 
     fn collect(&mut self, wait: Wait, iteration: u64) -> Vec<(usize, Chunk)> {

@@ -33,9 +33,10 @@
 //! Each variant is written once and runs on either [`Clock`]: OS threads
 //! and the wall clock, or one thread scheduling the same work on a
 //! simulated cluster in virtual time (`deme::virtual_time`), which shows
-//! parallel runtimes on hosts with fewer cores than processors and, with
-//! a fixed [`TsmoConfig::sim_eval_cost`], makes whole event streams
-//! byte-reproducible.
+//! parallel runtimes on hosts with fewer cores than processors. Virtual
+//! time charges counted work at [`TsmoConfig::sim_eval_cost`] per unit
+//! and never reads the host clock, so virtual runtimes and whole event
+//! streams are byte-reproducible.
 //!
 //! The parallel runtimes are self-healing: the asynchronous master runs
 //! its workers under a supervisor (`deme::Supervisor`) that resends
@@ -83,7 +84,7 @@ pub use cancel::{CancelToken, StopCause};
 pub use config::{SelectionRule, TsmoConfig};
 pub use core_search::SearchCore;
 pub use hybrid::HybridTsmo;
-pub use neighborhood::{generate_chunk, Neighbor};
+pub use neighborhood::{generate_chunk, Chunk, Neighbor};
 pub use outcome::{FrontEntry, TsmoOutcome};
 pub use scalarized::{weighted_front, WeightedOutcome, WeightedSumTs};
 pub use searcher::{searcher_cfg, CollabSearcher, SearcherResult};
@@ -117,10 +118,13 @@ pub enum Clock {
     Wall,
     /// One thread scheduling every processor's work on a simulated cluster
     /// (`deme::virtual_time`); `runtime_seconds` is the virtual makespan.
-    /// Each work item costs its measured wall time, or
-    /// [`TsmoConfig::sim_eval_cost`] per evaluation when that is set —
-    /// then the schedule, and with it the whole event stream, is
-    /// byte-reproducible for a fixed seed.
+    /// Work is charged by count, never by host time, at
+    /// [`TsmoConfig::sim_eval_cost`] per unit divided by the processor's
+    /// speed: a chunk of `k` evaluations costs `k` units, a selection step
+    /// over `n` neighbors `n` units, a received exchange entry one unit,
+    /// and a message [`TsmoConfig::sim_comm_latency`]. The schedule, and
+    /// with it the whole event stream, is byte-reproducible for a fixed
+    /// seed.
     Virtual {
         /// Relative speed of each processor (processor 0 is the master),
         /// for heterogeneous machines; `None` means all run at 1.0. Slow
@@ -147,7 +151,8 @@ pub struct RunOptions {
     /// its best-so-far front as a valid, truncated prefix of the unstopped
     /// run; read [`CancelToken::cause`] to learn why it stopped.
     pub cancel: CancelToken,
-    /// Wall or virtual time. `Sequential` always runs on the wall clock.
+    /// Wall or virtual time; on the virtual clock `Sequential` is one
+    /// processor.
     pub clock: Clock,
 }
 
@@ -206,14 +211,14 @@ impl ParallelVariant {
             feasibility: cfg.feasibility_criterion,
         };
         match self {
-            ParallelVariant::Sequential => {
-                let exec = exec::Threads::new(inst, params, 1, &recorder, faults);
-                sync::run_sync(exec, inst, cfg, &recorder, &cancel)
-            }
-            ParallelVariant::Synchronous(p) => {
+            ParallelVariant::Sequential | ParallelVariant::Synchronous(_) => {
+                let (p, chunks) = match self {
+                    ParallelVariant::Synchronous(p) => (p, p),
+                    _ => (1, cfg.chunks),
+                };
                 assert!(p > 0, "need at least the master processor");
                 let cfg = TsmoConfig {
-                    chunks: p,
+                    chunks,
                     ..cfg.clone()
                 };
                 let none = tsmo_faults::none();
@@ -365,6 +370,88 @@ mod variant_tests {
                 .collect()
         };
         assert_eq!(vectors(&wall), vectors(&virt));
+    }
+
+    /// Sleeps in every counter update, so host time passes unevenly
+    /// between and during the steps of a search.
+    struct SlowRecorder;
+
+    impl Recorder for SlowRecorder {
+        fn counter_add(&self, _name: &str, _delta: u64) {
+            std::thread::sleep(std::time::Duration::from_micros(50));
+        }
+    }
+
+    fn on_clock(
+        variant: ParallelVariant,
+        inst: &Arc<Instance>,
+        cfg: &TsmoConfig,
+        speeds: Option<Vec<f64>>,
+        recorder: Arc<dyn Recorder>,
+    ) -> TsmoOutcome {
+        let opts = RunOptions {
+            recorder,
+            clock: Clock::Virtual { speeds },
+            ..RunOptions::default()
+        };
+        variant.run_opts(inst, cfg, opts)
+    }
+
+    /// Virtual time counts work and never reads the host clock: a run
+    /// whose host time is stretched by a slow recorder has the same
+    /// runtime, iterations and front as one without it.
+    #[test]
+    fn virtual_time_reads_no_host_clock() {
+        let inst = Arc::new(GeneratorConfig::new(InstanceClass::R1, 30, 2).build());
+        let cfg = TsmoConfig {
+            max_evaluations: 1_500,
+            neighborhood_size: 30,
+            stagnation_limit: 5,
+            ..TsmoConfig::default()
+        }
+        .with_seed(6);
+        for variant in [
+            ParallelVariant::Sequential,
+            ParallelVariant::Synchronous(3),
+            ParallelVariant::Asynchronous(3),
+            ParallelVariant::Collaborative(3),
+        ] {
+            let fast = on_clock(variant, &inst, &cfg, None, tsmo_obs::noop());
+            let slow = on_clock(variant, &inst, &cfg, None, Arc::new(SlowRecorder));
+            assert_eq!(fast.runtime_seconds, slow.runtime_seconds, "{variant:?}");
+            assert_eq!(fast.iterations, slow.iterations, "{variant:?}");
+            let vectors = |out: &TsmoOutcome| -> Vec<[f64; 3]> {
+                out.archive
+                    .iter()
+                    .map(|e| e.objectives.to_vector())
+                    .collect()
+            };
+            assert_eq!(vectors(&fast), vectors(&slow), "{variant:?}");
+        }
+    }
+
+    /// Processor speeds divide every work cost: slow workers stretch the
+    /// synchronous barrier, and a half-speed sequential run takes exactly
+    /// twice as long.
+    #[test]
+    fn speeds_divide_the_cost_of_work() {
+        let inst = Arc::new(GeneratorConfig::new(InstanceClass::R1, 30, 2).build());
+        let cfg = TsmoConfig {
+            max_evaluations: 1_200,
+            neighborhood_size: 30,
+            ..TsmoConfig::default()
+        };
+        let makespan = |variant: ParallelVariant, speeds: Vec<f64>| {
+            on_clock(variant, &inst, &cfg, Some(speeds), tsmo_obs::noop()).runtime_seconds
+        };
+        let sync = ParallelVariant::Synchronous(3);
+        let (even, slow) = (
+            makespan(sync, vec![1.0; 3]),
+            makespan(sync, vec![1.0, 0.5, 0.5]),
+        );
+        assert!(slow > even, "half-speed workers {slow} vs {even}");
+        let seq = ParallelVariant::Sequential;
+        assert_eq!(makespan(seq, vec![0.5]), 2.0 * makespan(seq, vec![1.0]));
     }
 
     #[test]

@@ -51,28 +51,14 @@ pub struct Chunk {
     pub tally: SampleTally,
 }
 
-/// Generates (up to) `count` neighbors of `snapshot` from `seed`.
+/// Generates (up to) `count` neighbors of `snapshot` from `seed`, with
+/// the per-operator [`SampleTally`] of every draw.
 ///
 /// Each successful draw costs one evaluation; the caller is responsible
 /// for having reserved `count` evaluations from the shared budget. On
 /// degenerate snapshots where the operators keep failing, fewer than
 /// `count` neighbors are returned (the attempt cap prevents livelock).
 pub fn generate_chunk(
-    inst: &Instance,
-    snapshot: &EvaluatedSolution,
-    seed: u64,
-    count: usize,
-    params: SampleParams,
-    created_iteration: usize,
-) -> Vec<Neighbor> {
-    generate_chunk_tallied(inst, snapshot, seed, count, params, created_iteration).neighbors
-}
-
-/// [`generate_chunk`] returning the per-operator [`SampleTally`]
-/// alongside the neighbors. The RNG sequence is identical to the
-/// untallied form, so chunk contents do not depend on whether
-/// attribution is collected.
-pub fn generate_chunk_tallied(
     inst: &Instance,
     snapshot: &EvaluatedSolution,
     seed: u64,
@@ -121,14 +107,14 @@ mod tests {
     #[test]
     fn chunk_is_deterministic_in_seed_and_snapshot() {
         let (inst, ev) = setup();
-        let a = generate_chunk(&inst, &ev, 42, 30, SampleParams::default(), 0);
-        let b = generate_chunk(&inst, &ev, 42, 30, SampleParams::default(), 0);
+        let a = generate_chunk(&inst, &ev, 42, 30, SampleParams::default(), 0).neighbors;
+        let b = generate_chunk(&inst, &ev, 42, 30, SampleParams::default(), 0).neighbors;
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.solution, y.solution);
             assert_eq!(x.arcs_created, y.arcs_created);
         }
-        let c = generate_chunk(&inst, &ev, 43, 30, SampleParams::default(), 0);
+        let c = generate_chunk(&inst, &ev, 43, 30, SampleParams::default(), 0).neighbors;
         let all_same =
             a.len() == c.len() && a.iter().zip(&c).all(|(x, y)| x.solution == y.solution);
         assert!(!all_same, "different seeds should differ");
@@ -137,14 +123,14 @@ mod tests {
     #[test]
     fn chunk_produces_requested_count_on_healthy_snapshots() {
         let (inst, ev) = setup();
-        let n = generate_chunk(&inst, &ev, 1, 50, SampleParams::default(), 0);
+        let n = generate_chunk(&inst, &ev, 1, 50, SampleParams::default(), 0).neighbors;
         assert_eq!(n.len(), 50);
     }
 
     #[test]
     fn neighbors_are_valid_and_correctly_evaluated() {
         let (inst, ev) = setup();
-        for nb in generate_chunk(&inst, &ev, 7, 40, SampleParams::default(), 3) {
+        for nb in generate_chunk(&inst, &ev, 7, 40, SampleParams::default(), 3).neighbors {
             assert!(nb.solution.check(&inst).is_empty());
             let full = nb.solution.evaluate(&inst);
             assert!((nb.objectives.distance - full.distance).abs() < 1e-6);
@@ -155,15 +141,9 @@ mod tests {
     }
 
     #[test]
-    fn tallied_chunk_matches_plain_chunk_and_accounts_draws() {
+    fn chunk_tally_accounts_every_draw() {
         let (inst, ev) = setup();
-        let plain = generate_chunk(&inst, &ev, 42, 30, SampleParams::default(), 0);
-        let chunk = generate_chunk_tallied(&inst, &ev, 42, 30, SampleParams::default(), 0);
-        assert_eq!(plain.len(), chunk.neighbors.len());
-        for (a, b) in plain.iter().zip(&chunk.neighbors) {
-            assert_eq!(a.solution, b.solution);
-            assert_eq!(a.operator, b.operator);
-        }
+        let chunk = generate_chunk(&inst, &ev, 42, 30, SampleParams::default(), 0);
         // Every neighbor came from a feasible draw of its operator.
         let mut per_op = [0u64; 5];
         for nb in &chunk.neighbors {
@@ -194,7 +174,7 @@ mod tests {
         };
         let inst = Instance::new("deg", vec![depot, c], 10.0, 1);
         let ev = EvaluatedSolution::new(Solution::from_routes(vec![vec![1]]), &inst);
-        let n = generate_chunk(&inst, &ev, 1, 20, SampleParams::default(), 0);
+        let n = generate_chunk(&inst, &ev, 1, 20, SampleParams::default(), 0).neighbors;
         assert!(
             n.is_empty(),
             "no moves exist for a single-customer solution"

@@ -92,7 +92,7 @@ impl WeightedSumTs {
             }
             let seed = rng.next_u64();
             let pool: Vec<Neighbor> =
-                generate_chunk(inst, &current, seed, granted, params, iterations);
+                generate_chunk(inst, &current, seed, granted, params, iterations).neighbors;
             iterations += 1;
             // Classic best-improvement selection with aspiration: the best
             // non-tabu neighbor, or a tabu one that beats the incumbent.

@@ -13,7 +13,7 @@ use crate::cancel::CancelToken;
 use crate::config::TsmoConfig;
 use crate::core_search::SearchCore;
 use crate::fault_obs::record_fault;
-use crate::neighborhood::generate_chunk_tallied;
+use crate::neighborhood::generate_chunk;
 use crate::outcome::FrontEntry;
 use deme::multisearch::{Endpoint, PeerEvent};
 use deme::EvaluationBudget;
@@ -179,6 +179,8 @@ pub struct CollabSearcher {
     exchange_seq: u64,
     tick: u64,
     delayed: Vec<(u64, FrontEntry)>,
+    /// Units of work done so far (see [`work_done`](Self::work_done)).
+    work: u64,
     watch: Stopwatch,
 }
 
@@ -216,6 +218,7 @@ impl CollabSearcher {
             exchange_seq: 0,
             tick: 0,
             delayed: Vec::new(),
+            work: 0,
             watch: Stopwatch::start(),
         }
     }
@@ -243,6 +246,13 @@ impl CollabSearcher {
     /// searcher id resumes with the remaining budget.
     pub fn evaluations_consumed(&self) -> u64 {
         self.budget.consumed()
+    }
+
+    /// Units of work done so far, the measure the virtual clock charges:
+    /// received exchange entries, evaluations, and neighbors considered
+    /// by selection steps.
+    pub(crate) fn work_done(&self) -> u64 {
+        self.work
     }
 
     /// Runs one iteration: release due delayed messages, drain the inbox
@@ -290,6 +300,7 @@ impl CollabSearcher {
                 });
             }
             self.core.offer_to_nondom(entry);
+            self.work += 1;
         }
         drop(exchange_span);
         let granted = self.budget.try_consume(self.cfg.neighborhood_size as u64) as usize;
@@ -300,7 +311,7 @@ impl CollabSearcher {
             .counter_add(names::EVALUATIONS, granted as u64);
         let seed = self.core.next_seed();
         let eval_span = Span::enter(&self.recorder, "evaluate", trace_id, span_parent);
-        let chunk = generate_chunk_tallied(
+        let chunk = generate_chunk(
             &self.inst,
             self.core.current(),
             seed,
@@ -310,6 +321,7 @@ impl CollabSearcher {
         );
         drop(eval_span);
         self.core.note_tally(&chunk.tally);
+        self.work += (granted + chunk.neighbors.len()) as u64;
         let report = self.core.step(chunk.neighbors);
         // The migration decision precedes the fault draw, so skipped
         // improvements consume no fault sequence numbers.

@@ -6,10 +6,9 @@
 //! current, and — because the variant is asynchronous — a solution created
 //! in iteration `k` may only be considered in iteration `k+δ`.
 //!
-//! An unbounded trace grows by `neighborhood_size` points per iteration
-//! (~100 MB over a paper-sized run), so it can optionally be capped: with
-//! [`Trace::bounded`] the trace keeps only the **most recent** `capacity`
-//! points in a ring buffer and counts how many older ones were dropped.
+//! A trace holds one 48-byte point per considered neighbor, and a search
+//! considers at most one neighbor per evaluation, so a paper-sized run of
+//! 100,000 evaluations traces under 5 MB.
 
 use vrptw::Objectives;
 
@@ -27,70 +26,31 @@ pub struct TracePoint {
     pub chosen: bool,
 }
 
-/// A search trace, optionally bounded to the most recent points.
+/// A search trace: every considered neighbor, in consideration order.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
-    /// Stored points. At capacity this is a ring: the oldest point sits at
-    /// `start`, not at index 0.
     points: Vec<TracePoint>,
-    /// Ring cursor: index of the oldest point once the buffer wrapped.
-    start: usize,
-    /// Maximum number of retained points (`None` = unbounded).
-    capacity: Option<usize>,
-    /// Points overwritten because the buffer was full.
-    dropped: usize,
 }
 
 impl Trace {
-    /// An unbounded trace (`Trace::default()` is the same).
-    pub fn unbounded() -> Self {
-        Self::default()
-    }
-
-    /// A trace retaining at most the `capacity` most recent points
-    /// (`None` = unbounded). A zero capacity retains nothing but still
-    /// counts [`dropped`](Self::dropped) points.
-    pub fn bounded(capacity: Option<usize>) -> Self {
-        Self {
-            capacity,
-            ..Self::default()
-        }
-    }
-
-    /// Records one considered neighbor, evicting the oldest point when the
-    /// trace is at capacity.
+    /// Records one considered neighbor.
     pub fn record(&mut self, point: TracePoint) {
-        match self.capacity {
-            Some(0) => self.dropped += 1,
-            Some(cap) if self.points.len() == cap => {
-                self.points[self.start] = point;
-                self.start = (self.start + 1) % cap;
-                self.dropped += 1;
-            }
-            _ => self.points.push(point),
-        }
+        self.points.push(point);
     }
 
-    /// Number of retained points.
+    /// Number of recorded points.
     pub fn len(&self) -> usize {
         self.points.len()
     }
 
-    /// Whether no points are retained.
+    /// Whether no points are recorded.
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
     }
 
-    /// Points overwritten (or never stored) because of the capacity bound.
-    pub fn dropped(&self) -> usize {
-        self.dropped
-    }
-
-    /// The retained points in consideration order (oldest first).
+    /// The points in consideration order.
     pub fn iter(&self) -> impl Iterator<Item = &TracePoint> {
-        self.points[self.start..]
-            .iter()
-            .chain(self.points[..self.start].iter())
+        self.points.iter()
     }
 
     /// Serializes to CSV (`iter_created,iter_considered,f1,f2,f3,chosen`).
@@ -188,53 +148,5 @@ mod tests {
         assert!(t.trajectory().is_empty());
         assert_eq!(t.to_csv().lines().count(), 1);
         assert!(t.is_empty());
-        assert_eq!(t.dropped(), 0);
-    }
-
-    #[test]
-    fn bounded_trace_keeps_most_recent_in_order() {
-        let mut t = Trace::bounded(Some(3));
-        for i in 0..7 {
-            t.record(pt(i, i, false));
-        }
-        assert_eq!(t.len(), 3);
-        assert_eq!(t.dropped(), 4);
-        let created: Vec<usize> = t.iter().map(|p| p.iter_created).collect();
-        assert_eq!(created, vec![4, 5, 6], "oldest-first, most recent retained");
-    }
-
-    #[test]
-    fn bounded_trace_below_capacity_behaves_like_unbounded() {
-        let mut t = Trace::bounded(Some(10));
-        t.record(pt(0, 0, true));
-        t.record(pt(1, 1, false));
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.dropped(), 0);
-        assert_eq!(t.trajectory().len(), 1);
-        assert_eq!(t.to_csv().lines().count(), 3);
-    }
-
-    #[test]
-    fn zero_capacity_counts_but_stores_nothing() {
-        let mut t = Trace::bounded(Some(0));
-        t.record(pt(0, 0, true));
-        t.record(pt(1, 1, true));
-        assert!(t.is_empty());
-        assert_eq!(t.dropped(), 2);
-        assert_eq!(t.max_staleness(), 0);
-    }
-
-    #[test]
-    fn wrapped_csv_and_staleness_follow_ring_order() {
-        let mut t = Trace::bounded(Some(2));
-        t.record(pt(0, 9, false)); // staleness 9, will be evicted
-        t.record(pt(5, 6, false));
-        t.record(pt(6, 6, true));
-        assert_eq!(t.max_staleness(), 1, "evicted point no longer counts");
-        let csv = t.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[1].starts_with("5,6,"));
-        assert!(lines[2].starts_with("6,6,"));
     }
 }

@@ -52,25 +52,20 @@ fn fronts(out: &TsmoOutcome) -> Vec<[f64; 3]> {
 /// checked at the top of each iteration, before any randomness is drawn,
 /// so an iteration-limited run emits a byte-identical prefix of the full
 /// run's JSONL event stream (which pins its archive trajectory too). The
-/// synchronous and asynchronous variants on the virtual clock, with a
-/// fixed evaluation cost, keep the same promise.
+/// synchronous and asynchronous variants on the virtual clock keep the
+/// same promise.
 #[test]
 fn sequential_iteration_limited_run_is_a_byte_identical_prefix() {
     let inst = inst();
-    let virtual_cfg = TsmoConfig {
-        sim_eval_cost: Some(0.01),
-        ..cfg()
-    };
-    for (variant, cfg, clock) in [
-        (ParallelVariant::Sequential, cfg(), Clock::Wall),
+    let cfg = cfg();
+    for (variant, clock) in [
+        (ParallelVariant::Sequential, Clock::Wall),
         (
             ParallelVariant::Synchronous(3),
-            virtual_cfg.clone(),
             Clock::Virtual { speeds: None },
         ),
         (
             ParallelVariant::Asynchronous(3),
-            virtual_cfg,
             Clock::Virtual { speeds: None },
         ),
     ] {

@@ -15,9 +15,6 @@ fn cfg() -> TsmoConfig {
     TsmoConfig {
         max_evaluations: 2_400,
         neighborhood_size: 60,
-        // Pin the per-evaluation virtual cost so the virtual-clock
-        // schedules (and hence the event streams) are byte-reproducible.
-        sim_eval_cost: Some(1e-4),
         ..TsmoConfig::default()
     }
 }

@@ -18,9 +18,6 @@ fn cfg() -> TsmoConfig {
         max_evaluations: 3_000,
         neighborhood_size: 60,
         stagnation_limit: 20,
-        // A fixed virtual evaluation cost makes the simulated schedules —
-        // and therefore the virtual-clock event streams — reproducible.
-        sim_eval_cost: Some(0.01),
         ..TsmoConfig::default()
     }
 }
@@ -247,7 +244,6 @@ fn collaborative_sim_records_exchange_traffic() {
         max_evaluations: 4_000,
         neighborhood_size: 40,
         stagnation_limit: 5, // leave the initial phase quickly
-        sim_eval_cost: Some(0.01),
         ..TsmoConfig::default()
     };
     let recorder_dyn = Arc::clone(&recorder) as Arc<dyn Recorder>;
@@ -269,10 +265,7 @@ fn collaborative_sim_records_exchange_traffic() {
 #[test]
 fn threaded_variants_accept_a_recorder_and_count_evaluations() {
     let inst = inst();
-    let base = TsmoConfig {
-        sim_eval_cost: None,
-        ..cfg()
-    };
+    let base = cfg();
     for variant in [
         ParallelVariant::Sequential,
         ParallelVariant::Synchronous(3),

@@ -5,75 +5,60 @@
 //! experiment needs (in the limit: a single-core container, where OS
 //! threads can only timeshare), real wall-clock measurements cannot show
 //! parallel speedup at all. This module substitutes the machine: work is
-//! executed on one thread, each unit's cost is measured while it runs
-//! alone, and per-processor **virtual clocks** plus a simple interconnect
-//! model (per-message latency, with a congestion factor for many-way
-//! collaborative traffic) yield the makespan a real cluster would have
-//! achieved. The simulated parallel variants in `tsmo-core` are built on
-//! this; DESIGN.md documents the substitution.
+//! executed on one thread, and per-processor **virtual clocks** plus a
+//! simple interconnect model (per-message latency, with a congestion
+//! factor for many-way collaborative traffic) yield the makespan a real
+//! cluster would have achieved. The parallel variants in `tsmo-core` run
+//! on this behind their executor seam; DESIGN.md documents the
+//! substitution.
 //!
-//! The model is deliberately simple and fully deterministic given the
-//! measured costs:
+//! Virtual time is a pure function of counted work — no host clock is
+//! read, so a schedule depends on the seed alone:
 //!
-//! * every processor has a clock, advanced by the measured duration of
-//!   each work item executed "on" it;
+//! * a unit of work (one evaluation, one neighbor the master considers,
+//!   one received exchange entry) costs `unit_cost` seconds on a
+//!   reference processor, and `unit_cost / speed` on a processor of
+//!   relative speed `speed`;
 //! * a message sent at time `t` arrives at `t + latency` (the receiver can
 //!   process it once its own clock has reached the arrival time);
-//! * a barrier sets every clock to the maximum;
 //! * the run's `makespan` is the maximum clock.
 
-use std::time::Instant;
-
-/// A simulated cluster of `n` processors with per-message latency and
-/// optional per-processor speed factors (heterogeneous machines).
+/// A simulated cluster: one clock and one relative speed per processor,
+/// a cost per unit of work, and a per-message latency.
 #[derive(Debug, Clone)]
 pub struct VirtualCluster {
     clocks: Vec<f64>,
-    /// Relative speed of each processor (1.0 = reference speed); measured
-    /// work costs are divided by this when charged.
+    /// Relative speed of each processor (1.0 = reference speed); work
+    /// costs are divided by this when charged.
     speeds: Vec<f64>,
+    unit_cost: f64,
     latency: f64,
 }
 
 impl VirtualCluster {
-    /// A homogeneous cluster of `n` processors whose messages take
-    /// `latency` seconds.
+    /// A cluster with one processor per entry of `speeds`: `speeds[p]` is
+    /// processor `p`'s relative speed (0.5 = half as fast as the
+    /// reference, so its work takes twice as long in virtual time). The
+    /// paper motivates the asynchronous variant with heterogeneous
+    /// speeds: "the asynchronous algorithms are interesting as they should
+    /// perform well on both homogenous and heterogenous systems". A unit
+    /// of work costs `unit_cost` seconds at reference speed; a message
+    /// takes `latency` seconds.
     ///
     /// # Panics
-    /// Panics if `n == 0` or the latency is negative.
-    pub fn new(n: usize, latency: f64) -> Self {
-        assert!(n > 0, "a cluster needs at least one processor");
-        assert!(latency >= 0.0, "latency cannot be negative");
-        Self {
-            clocks: vec![0.0; n],
-            speeds: vec![1.0; n],
-            latency,
-        }
-    }
-
-    /// A heterogeneous cluster: `speeds[p]` is processor `p`'s relative
-    /// speed (0.5 = half as fast as the reference; measured costs charged
-    /// to it take twice as long in virtual time). The paper motivates the
-    /// asynchronous variant with exactly this setting: "the asynchronous
-    /// algorithms are interesting as they should perform well on both
-    /// homogenous and heterogenous systems".
-    ///
-    /// # Panics
-    /// Panics on an empty or non-positive speed vector, or negative latency.
-    pub fn heterogeneous(speeds: Vec<f64>, latency: f64) -> Self {
+    /// Panics on an empty or non-positive speed vector, or a negative cost
+    /// or latency.
+    pub fn new(speeds: Vec<f64>, unit_cost: f64, latency: f64) -> Self {
         assert!(!speeds.is_empty(), "a cluster needs at least one processor");
         assert!(speeds.iter().all(|&s| s > 0.0), "speeds must be positive");
+        assert!(unit_cost >= 0.0, "work cannot cost negative time");
         assert!(latency >= 0.0, "latency cannot be negative");
         Self {
             clocks: vec![0.0; speeds.len()],
             speeds,
+            unit_cost,
             latency,
         }
-    }
-
-    /// Processor `p`'s relative speed.
-    pub fn speed(&self, p: usize) -> f64 {
-        self.speeds[p]
     }
 
     /// Number of processors.
@@ -91,7 +76,15 @@ impl VirtualCluster {
         self.clocks[p]
     }
 
-    /// Manually advances processor `p` by `dt` seconds.
+    /// Charges `units` of work to processor `p`: its clock advances by
+    /// `units · unit_cost / speed[p]`.
+    pub fn work(&mut self, p: usize, units: u64) {
+        self.clocks[p] += units as f64 * self.unit_cost / self.speeds[p];
+    }
+
+    /// Advances processor `p` by `dt` seconds that are not work (a stall,
+    /// or the time a message occupies its sender), so its speed does not
+    /// apply.
     ///
     /// # Panics
     /// Panics if `dt` is negative.
@@ -107,18 +100,6 @@ impl VirtualCluster {
         }
     }
 
-    /// Executes `f` "on" processor `p`: the closure runs immediately on the
-    /// calling thread, its wall-clock duration is measured, and `p`'s
-    /// virtual clock advances by that duration divided by the processor's
-    /// speed factor. On an otherwise idle host this measures the work's
-    /// true serial cost.
-    pub fn charge<R>(&mut self, p: usize, f: impl FnOnce() -> R) -> R {
-        let start = Instant::now();
-        let out = f();
-        self.clocks[p] += start.elapsed().as_secs_f64() / self.speeds[p];
-        out
-    }
-
     /// Sends a message from `from` (at its current time): returns the
     /// virtual arrival time at the destination. `congestion` scales the
     /// latency — pass 1.0 for point-to-point master–worker traffic, or a
@@ -129,34 +110,9 @@ impl VirtualCluster {
         self.clocks[from] + self.latency * congestion.max(0.0)
     }
 
-    /// Receives a message that arrived at `arrival` on processor `p`: `p`'s
-    /// clock moves to at least the arrival time.
-    pub fn receive(&mut self, p: usize, arrival: f64) {
-        self.advance_to(p, arrival);
-    }
-
-    /// Synchronizes every clock to the maximum (a full barrier).
-    pub fn barrier(&mut self) {
-        let max = self.makespan();
-        for c in &mut self.clocks {
-            *c = max;
-        }
-    }
-
     /// The cluster's makespan so far — the virtual runtime of the program.
     pub fn makespan(&self) -> f64 {
         self.clocks.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// The earliest clock — which processor would act next in an
-    /// event-driven schedule. Returns `(processor, time)`.
-    pub fn earliest(&self) -> (usize, f64) {
-        self.clocks
-            .iter()
-            .copied()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| a.partial_cmp(b).expect("clocks are not NaN"))
-            .expect("cluster is non-empty")
     }
 }
 
@@ -165,131 +121,77 @@ mod tests {
     use super::*;
 
     #[test]
-    fn charge_advances_only_the_target_clock() {
-        let mut c = VirtualCluster::new(3, 0.0);
-        let out = c.charge(1, || {
-            std::thread::sleep(std::time::Duration::from_millis(5));
-            42
-        });
-        assert_eq!(out, 42);
-        assert_eq!(c.clock(0), 0.0);
-        assert!(c.clock(1) >= 0.005);
-        assert_eq!(c.clock(2), 0.0);
-        assert_eq!(c.makespan(), c.clock(1));
+    fn work_advances_only_the_target_clock_scaled_by_its_speed() {
+        let mut c = VirtualCluster::new(vec![1.0, 0.5, 2.0], 0.25, 0.0);
+        for p in 0..3 {
+            c.work(p, 4);
+        }
+        assert_eq!(c.clock(0), 1.0);
+        assert_eq!(c.clock(1), 2.0, "half speed takes twice as long");
+        assert_eq!(c.clock(2), 0.5, "double speed takes half as long");
+        assert_eq!(c.makespan(), 2.0);
+    }
+
+    #[test]
+    fn advance_is_not_scaled_by_speed() {
+        let mut c = VirtualCluster::new(vec![0.5], 1.0, 0.0);
+        c.advance(0, 1.5);
+        assert_eq!(c.clock(0), 1.5);
     }
 
     #[test]
     fn messages_add_latency() {
-        let mut c = VirtualCluster::new(2, 0.1);
+        let mut c = VirtualCluster::new(vec![1.0; 2], 0.0, 0.1);
         c.advance(0, 1.0);
         let arrival = c.send_at(0, 1.0);
         assert!((arrival - 1.1).abs() < 1e-12);
-        c.receive(1, arrival);
+        c.advance_to(1, arrival);
         assert!((c.clock(1) - 1.1).abs() < 1e-12);
         // A receiver already past the arrival time is not rewound.
         c.advance(1, 5.0);
-        c.receive(1, 2.0);
+        c.advance_to(1, 2.0);
         assert!((c.clock(1) - 6.1).abs() < 1e-12);
     }
 
     #[test]
     fn congestion_scales_latency() {
-        let mut c = VirtualCluster::new(2, 0.01);
+        let mut c = VirtualCluster::new(vec![1.0; 2], 0.0, 0.01);
         c.advance(0, 1.0);
         assert!((c.send_at(0, 12.0) - 1.12).abs() < 1e-12);
         assert!((c.send_at(0, 1.0) - 1.01).abs() < 1e-12);
     }
 
     #[test]
-    fn barrier_synchronizes() {
-        let mut c = VirtualCluster::new(4, 0.0);
-        c.advance(2, 3.5);
-        c.barrier();
-        for p in 0..4 {
-            assert_eq!(c.clock(p), 3.5);
-        }
-    }
-
-    #[test]
-    fn earliest_finds_the_next_actor() {
-        let mut c = VirtualCluster::new(3, 0.0);
-        c.advance(0, 2.0);
-        c.advance(1, 1.0);
-        c.advance(2, 3.0);
-        assert_eq!(c.earliest(), (1, 1.0));
-    }
-
-    #[test]
     fn parallel_work_beats_serial_in_virtual_time() {
         // The whole point: 4 equal work items on 4 processors finish in
-        // ~1 unit of virtual time, not 4. Sleep overshoot under a loaded
-        // test runner makes tight ratios flaky, so use a work item long
-        // enough that only a >2x overshoot of a single sleep could push
-        // the parallel makespan past three quarters of the serial one.
-        let work = || std::thread::sleep(std::time::Duration::from_millis(20));
-        let mut serial = VirtualCluster::new(1, 0.0);
+        // a quarter of the time they take on one.
+        let mut serial = VirtualCluster::new(vec![1.0], 0.5, 0.0);
         for _ in 0..4 {
-            serial.charge(0, work);
+            serial.work(0, 10);
         }
-        let mut parallel = VirtualCluster::new(4, 0.0);
+        let mut parallel = VirtualCluster::new(vec![1.0; 4], 0.5, 0.0);
         for p in 0..4 {
-            parallel.charge(p, work);
+            parallel.work(p, 10);
         }
-        assert!(
-            parallel.makespan() < serial.makespan() * 0.75,
-            "parallel {} vs serial {}",
-            parallel.makespan(),
-            serial.makespan()
-        );
-    }
-
-    #[test]
-    fn heterogeneous_speeds_stretch_charged_time() {
-        let mut c = VirtualCluster::heterogeneous(vec![1.0, 0.5, 2.0], 0.0);
-        let work = || std::thread::sleep(std::time::Duration::from_millis(20));
-        c.charge(0, work);
-        c.charge(1, work);
-        c.charge(2, work);
-        // The half-speed processor is charged about twice the reference
-        // time, the double-speed one about half. Sleep overshoot under a
-        // loaded test runner makes exact ratios flaky, so assert the
-        // ordering (which would need a >2x overshoot to invert) and the
-        // guaranteed lower bounds from the minimum sleep duration.
-        assert!(
-            c.clock(1) > c.clock(0) && c.clock(0) > c.clock(2),
-            "expected clock(1) > clock(0) > clock(2), got {} / {} / {}",
-            c.clock(1),
-            c.clock(0),
-            c.clock(2)
-        );
-        assert!(
-            c.clock(1) >= 0.040,
-            "half speed charges at least 2x: {}",
-            c.clock(1)
-        );
-        assert!(
-            c.clock(2) >= 0.010,
-            "double speed charges at least 0.5x: {}",
-            c.clock(2)
-        );
-        assert_eq!(c.speed(1), 0.5);
+        assert_eq!(serial.makespan(), 20.0);
+        assert_eq!(parallel.makespan(), 5.0);
     }
 
     #[test]
     #[should_panic]
     fn non_positive_speed_rejected() {
-        VirtualCluster::heterogeneous(vec![1.0, 0.0], 0.0);
+        VirtualCluster::new(vec![1.0, 0.0], 0.0, 0.0);
     }
 
     #[test]
     #[should_panic]
     fn zero_processors_rejected() {
-        VirtualCluster::new(0, 0.0);
+        VirtualCluster::new(Vec::new(), 0.0, 0.0);
     }
 
     #[test]
     #[should_panic]
     fn negative_advance_rejected() {
-        VirtualCluster::new(1, 0.0).advance(0, -1.0);
+        VirtualCluster::new(vec![1.0], 0.0, 0.0).advance(0, -1.0);
     }
 }

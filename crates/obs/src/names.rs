@@ -123,10 +123,6 @@ pub const ARCHIVES_RECOVERED: &str = "tsmo_archives_recovered_total";
 /// Current membership epoch (gauge; bumps on every join/leave).
 pub const MEMBERSHIP_EPOCH: &str = "tsmo_membership_epoch";
 
-/// Trajectory-trace ring-buffer points overwritten before export
-/// (counter).
-pub const TRACE_DROPPED: &str = "tsmo_trace_dropped_total";
-
 /// Portfolio rounds scored (counter; one per contender per round).
 pub const PORTFOLIO_ROUNDS_SCORED: &str = "tsmo_portfolio_rounds_scored_total";
 /// Portfolio budget slices granted (counter).

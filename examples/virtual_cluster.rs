@@ -25,24 +25,24 @@ fn main() {
         cfg.sim_comm_latency * 1e3
     );
 
-    let seq = SequentialTsmo::new(cfg.clone()).run(&inst);
-    println!("sequential wall time: {:.2}s\n", seq.runtime_seconds);
+    let on_virtual_clock = |variant: ParallelVariant| {
+        let clock = Clock::Virtual { speeds: None };
+        variant.run_opts(
+            &inst,
+            &cfg,
+            RunOptions {
+                clock,
+                ..RunOptions::default()
+            },
+        )
+    };
+    let seq = on_virtual_clock(ParallelVariant::Sequential);
+    println!("sequential makespan: {:.2}s\n", seq.runtime_seconds);
     println!(
         "{:>6} {:>14} {:>14} {:>14}",
         "procs", "sync makespan", "async makespan", "coll makespan"
     );
     for p in [2usize, 3, 6, 12] {
-        let on_virtual_clock = |variant: ParallelVariant| {
-            let clock = Clock::Virtual { speeds: None };
-            variant.run_opts(
-                &inst,
-                &cfg,
-                RunOptions {
-                    clock,
-                    ..RunOptions::default()
-                },
-            )
-        };
         let sync = on_virtual_clock(ParallelVariant::Synchronous(p));
         let asy = on_virtual_clock(ParallelVariant::Asynchronous(p));
         let coll = on_virtual_clock(ParallelVariant::Collaborative(p));
