@@ -267,13 +267,13 @@ pub(crate) fn record_busy(recorder: &dyn Recorder, p: usize, busy: f64, total: f
 }
 
 /// Publishes a finished simulation's makespan and, per processor, the
-/// fraction of the makespan its virtual clock covers (a utilization proxy:
-/// the clock stops at the processor's last activity).
+/// fraction of the makespan it spent on charged work (waiting for a
+/// dispatch, stalls and sends are idle).
 pub(crate) fn record_virtual_run(recorder: &dyn Recorder, cluster: &VirtualCluster) -> f64 {
     let makespan = cluster.makespan();
     recorder.gauge_set(names::RUNTIME_SECONDS, makespan);
     for p in 0..cluster.n_processors() {
-        record_busy(recorder, p, cluster.clock(p), makespan);
+        record_busy(recorder, p, cluster.busy(p), makespan);
     }
     makespan
 }
@@ -475,6 +475,7 @@ impl Executor for Virtual {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tsmo_faults::NoFaults;
     use tsmo_obs::MemoryRecorder;
     use vrptw::generator::{GeneratorConfig, InstanceClass};
     use vrptw_construct::{i1, I1Config};
@@ -595,5 +596,47 @@ mod tests {
             assert!(wall.0.iter().any(|e| e.contains(kind)), "no {kind} event");
         }
         assert_eq!(wall.1, 3);
+    }
+
+    /// On homogeneous speeds every processor's busy fraction times the
+    /// makespan is the work charged to it, so the fractions add up to the
+    /// counted work: time a worker spends waiting for its next dispatch
+    /// is idle, not busy.
+    #[test]
+    fn virtual_busy_time_is_counted_work() {
+        let inst = Arc::new(GeneratorConfig::new(InstanceClass::R1, 25, 4).build());
+        let snapshot = EvaluatedSolution::new(i1(&inst, &I1Config::default()), &inst);
+        let cfg = TsmoConfig::default();
+        let rec = MemoryRecorder::shared();
+        let recorder: Arc<dyn Recorder> = rec.clone();
+        let mut exec = Virtual::new(&inst, &cfg, 3, None, &recorder, Arc::new(NoFaults));
+        let mut units = 0u64;
+        for step in 0..6 {
+            // Worker 0 takes every chunk; worker 1 only every third.
+            for w in [0, 1].into_iter().filter(|&w| w == 0 || step % 3 == 0) {
+                let count = 4 + w;
+                exec.dispatch(w, &snapshot, 7 + step as u64, count, step);
+                units += count as u64;
+            }
+            let got = exec.collect(Wait::All, step as u64);
+            let considered: usize = got.iter().map(|(_, c)| c.neighbors.len()).sum();
+            exec.on_master(considered, || ());
+            units += considered as u64;
+        }
+        let makespan = exec.finish(6);
+        let m = rec.metrics();
+        let busy: Vec<f64> = (0..3)
+            .map(|p| {
+                m.gauge(&names::worker_busy_fraction(p))
+                    .expect("busy gauge")
+            })
+            .collect();
+        let charged: f64 = busy.iter().map(|f| f * makespan).sum();
+        let counted = units as f64 * cfg.sim_eval_cost;
+        assert!(
+            (charged - counted).abs() < 1e-9 * counted,
+            "busy time {charged} != counted work {counted} (fractions {busy:?})"
+        );
+        assert!(busy[2] < busy[1], "the rarely used worker idles more");
     }
 }

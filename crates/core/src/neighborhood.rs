@@ -74,11 +74,12 @@ pub fn generate_chunk(
     while out.len() < count && attempts < max_attempts {
         attempts += 1;
         if let Some(c) = sample_move_tallied(&mut rng, inst, snapshot, params, &mut tally) {
+            let (arcs_removed, arcs_created) = c.mv.splice_delta(snapshot);
             out.push(Neighbor {
                 solution: snapshot.solution().patched(&c.patch),
                 objectives: c.preview.objectives,
-                arcs_created: c.mv.arcs_created(snapshot),
-                arcs_removed: c.mv.arcs_removed(snapshot),
+                arcs_created,
+                arcs_removed,
                 operator: c.mv.kind(),
                 created_iteration,
             });

@@ -28,6 +28,9 @@
 #[derive(Debug, Clone)]
 pub struct VirtualCluster {
     clocks: Vec<f64>,
+    /// Virtual seconds of work charged to each processor (its clock
+    /// without the time it spent waiting or sending).
+    busy: Vec<f64>,
     /// Relative speed of each processor (1.0 = reference speed); work
     /// costs are divided by this when charged.
     speeds: Vec<f64>,
@@ -55,6 +58,7 @@ impl VirtualCluster {
         assert!(latency >= 0.0, "latency cannot be negative");
         Self {
             clocks: vec![0.0; speeds.len()],
+            busy: vec![0.0; speeds.len()],
             speeds,
             unit_cost,
             latency,
@@ -76,10 +80,22 @@ impl VirtualCluster {
         self.clocks[p]
     }
 
-    /// Charges `units` of work to processor `p`: its clock advances by
-    /// `units · unit_cost / speed[p]`.
+    /// Virtual seconds of work charged to processor `p` so far: the sum
+    /// of its [`VirtualCluster::work`] costs, excluding [`advance`] and
+    /// [`advance_to`] (stalls, sends and idle waiting).
+    ///
+    /// [`advance`]: VirtualCluster::advance
+    /// [`advance_to`]: VirtualCluster::advance_to
+    pub fn busy(&self, p: usize) -> f64 {
+        self.busy[p]
+    }
+
+    /// Charges `units` of work to processor `p`: its clock and its busy
+    /// time advance by `units · unit_cost / speed[p]`.
     pub fn work(&mut self, p: usize, units: u64) {
-        self.clocks[p] += units as f64 * self.unit_cost / self.speeds[p];
+        let dt = units as f64 * self.unit_cost / self.speeds[p];
+        self.clocks[p] += dt;
+        self.busy[p] += dt;
     }
 
     /// Advances processor `p` by `dt` seconds that are not work (a stall,
@@ -130,6 +146,19 @@ mod tests {
         assert_eq!(c.clock(1), 2.0, "half speed takes twice as long");
         assert_eq!(c.clock(2), 0.5, "double speed takes half as long");
         assert_eq!(c.makespan(), 2.0);
+        assert_eq!(c.busy(1), 2.0, "work is busy time");
+    }
+
+    #[test]
+    fn waiting_and_sending_are_not_busy() {
+        let mut c = VirtualCluster::new(vec![1.0; 2], 0.5, 0.1);
+        c.work(0, 2);
+        c.advance(0, 0.3);
+        c.advance_to(1, c.send_at(0, 1.0));
+        c.work(1, 1);
+        assert_eq!(c.busy(0), 1.0);
+        assert_eq!(c.busy(1), 0.5);
+        assert!((c.clock(1) - 1.9).abs() < 1e-12);
     }
 
     #[test]

@@ -69,14 +69,8 @@ pub fn descend(inst: &Instance, start: Solution, cfg: &DescentConfig) -> Descent
         let base = scalar(&cfg.weights, current.objectives());
         let mut best: Option<(Move, f64)> = None;
         for mv in enumerate_moves(&current) {
-            if params.feasibility {
-                let feasible = mv
-                    .arcs_created(&current)
-                    .iter()
-                    .all(|&(u, v)| crate::feasibility::arc_feasible(inst, u, v));
-                if !feasible {
-                    continue;
-                }
+            if params.feasibility && !mv.splice_feasible(inst, &current) {
+                continue;
             }
             let patch = mv.expand(&current);
             let preview = current.preview(inst, &patch);

@@ -21,8 +21,13 @@
 //!
 //! Moves are plain data ([`Move`]); [`Move::expand`] turns a move into a
 //! [`RoutePatch`](vrptw::solution::RoutePatch) against the snapshot it was
-//! sampled from, and [`Move::arcs_created`]/[`Move::arcs_removed`] expose
-//! the arc attributes the tabu list is built on.
+//! sampled from, and [`Move::splice_delta`] lists the arc attributes the
+//! tabu list is built on from the move's splice points alone.
+//! [`Move::splice_feasible`] applies the criterion to the same splice arcs
+//! without allocating, so a rejected draw costs no expansion.
+//! [`Move::arc_delta`] (with [`Move::arcs_created`]/[`Move::arcs_removed`])
+//! is the reference oracle: it expands the move and diffs the touched
+//! routes, and the tests hold the splice form equal to it.
 
 pub mod descent;
 mod feasibility;

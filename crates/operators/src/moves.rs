@@ -1,7 +1,8 @@
 //! The move vocabulary: plain-data descriptions of route edits.
 
+use crate::feasibility::arc_feasible;
 use vrptw::solution::{EvaluatedSolution, RoutePatch};
-use vrptw::{SiteId, DEPOT};
+use vrptw::{Instance, SiteId, DEPOT};
 
 /// A directed arc of the giant tour; `0` is the depot. Arcs are the
 /// attributes stored in the tabu list: a move is tabu when it re-creates an
@@ -194,12 +195,127 @@ impl Move {
         }
     }
 
-    /// The arcs this move removes from the solution (tabu attributes).
+    /// `(removed, created)` arcs — the tabu attributes — listed from the
+    /// move's splice points alone: the 2–4 arcs it breaks and forms there
+    /// and, for 2-opt, every arc of the reversed segment with its reversal.
+    /// Equal to [`Move::arc_delta`] as multisets, in time proportional to
+    /// the splice (plus the reversed segment) instead of the touched routes.
+    pub fn splice_delta(&self, snapshot: &EvaluatedSolution) -> (Vec<Arc>, Vec<Arc>) {
+        let s = self.splice(snapshot);
+        let interior = s.reversed.len().saturating_sub(1);
+        let mut removed = Vec::with_capacity(s.removed.len + interior);
+        let mut created = Vec::with_capacity(s.created.len + interior);
+        removed.extend_from_slice(s.removed.as_slice());
+        created.extend_from_slice(s.created.as_slice());
+        removed.extend(s.reversed.windows(2).map(|w| (w[0], w[1])));
+        created.extend(s.reversed.windows(2).map(|w| (w[1], w[0])));
+        (removed, created)
+    }
+
+    /// The local feasibility criterion over the arcs the move creates:
+    /// every one satisfies [`arc_feasible`]. Reads the splice arcs from
+    /// inline buffers and the reversed 2-opt segment in place, so it never
+    /// allocates and never expands the move.
+    pub fn splice_feasible(&self, inst: &Instance, snapshot: &EvaluatedSolution) -> bool {
+        let s = self.splice(snapshot);
+        s.created
+            .as_slice()
+            .iter()
+            .all(|&(u, v)| arc_feasible(inst, u, v))
+            && s.reversed
+                .windows(2)
+                .all(|w| arc_feasible(inst, w[1], w[0]))
+    }
+
+    /// The arcs this move breaks and forms at its splice points, minus the
+    /// arcs it both breaks and forms (a customer that keeps its depot arc).
+    ///
+    /// # Panics
+    /// Panics if the move's indices do not fit the snapshot, as
+    /// [`Move::expand`] does.
+    fn splice<'a>(&self, snapshot: &'a EvaluatedSolution) -> Splice<'a> {
+        let mut s = Splice::default();
+        match *self {
+            Move::Relocate { from, to } => {
+                let (fr, fp) = from;
+                let (tr, tp) = to;
+                assert_ne!(fr, tr, "relocate requires distinct routes");
+                let (f, t) = (snapshot.route(fr), snapshot.route(tr));
+                assert!(tp <= t.len(), "relocate target out of range");
+                let c = f[fp];
+                let (fp_prev, fp_next) = (before(f, fp), at(f, fp + 1));
+                let (tp_prev, tp_next) = (before(t, tp), at(t, tp));
+                s.removed.push((fp_prev, c));
+                s.removed.push((c, fp_next));
+                s.removed.push((tp_prev, tp_next));
+                s.created.push((fp_prev, fp_next));
+                s.created.push((tp_prev, c));
+                s.created.push((c, tp_next));
+            }
+            Move::Exchange { a, b } => {
+                assert_ne!(a.0, b.0, "exchange requires distinct routes");
+                let (ra, rb) = (snapshot.route(a.0), snapshot.route(b.0));
+                let (x, y) = (ra[a.1], rb[b.1]);
+                for (r, p, old, new) in [(ra, a.1, x, y), (rb, b.1, y, x)] {
+                    let (prev, next) = (before(r, p), at(r, p + 1));
+                    s.removed.push((prev, old));
+                    s.removed.push((old, next));
+                    s.created.push((prev, new));
+                    s.created.push((new, next));
+                }
+            }
+            Move::TwoOpt { route, i, j } => {
+                let r = snapshot.route(route);
+                assert!(i < j && j < r.len(), "invalid 2-opt segment");
+                let (prev, next) = (before(r, i), at(r, j + 1));
+                s.removed.push((prev, r[i]));
+                s.removed.push((r[j], next));
+                s.created.push((prev, r[j]));
+                s.created.push((r[i], next));
+                s.reversed = &r[i..=j];
+            }
+            Move::TwoOptStar { a, cut_a, b, cut_b } => {
+                assert_ne!(a, b, "2-opt* requires distinct routes");
+                let (ra, rb) = (snapshot.route(a), snapshot.route(b));
+                assert!(
+                    cut_a <= ra.len() && cut_b <= rb.len(),
+                    "2-opt* cut out of range"
+                );
+                let (a_prev, a_next) = (before(ra, cut_a), at(ra, cut_a));
+                let (b_prev, b_next) = (before(rb, cut_b), at(rb, cut_b));
+                s.removed.push((a_prev, a_next));
+                s.removed.push((b_prev, b_next));
+                s.created.push((a_prev, b_next));
+                s.created.push((b_prev, a_next));
+            }
+            Move::OrOpt { route, from, to } => {
+                let r = snapshot.route(route);
+                assert!(from + 1 < r.len(), "or-opt pair out of range");
+                assert!(to <= r.len() - 2 && to != from, "invalid or-opt target");
+                let (p, q) = (r[from], r[from + 1]);
+                // Site `k` of the route with the pair removed.
+                let rest = |k: usize| if k < from { r[k] } else { at(r, k + 2) };
+                let (prev, next) = (before(r, from), at(r, from + 2));
+                let (x, y) = (if to == 0 { DEPOT } else { rest(to - 1) }, rest(to));
+                s.removed.push((prev, p));
+                s.removed.push((q, next));
+                s.removed.push((x, y));
+                s.created.push((prev, next));
+                s.created.push((x, p));
+                s.created.push((q, y));
+            }
+        }
+        s.cancel();
+        s
+    }
+
+    /// The arcs this move removes from the solution (tabu attributes),
+    /// through the [`Move::arc_delta`] oracle.
     pub fn arcs_removed(&self, snapshot: &EvaluatedSolution) -> Vec<Arc> {
         self.arc_delta(snapshot).0
     }
 
-    /// The arcs this move creates (checked against the tabu list).
+    /// The arcs this move creates, through the [`Move::arc_delta`] oracle.
     pub fn arcs_created(&self, snapshot: &EvaluatedSolution) -> Vec<Arc> {
         self.arc_delta(snapshot).1
     }
@@ -207,9 +323,11 @@ impl Move {
     /// `(removed, created)` arcs, computed by diffing the arc multisets of
     /// the touched routes before and after the patch.
     ///
-    /// Computing the delta by diffing (rather than per-operator case
-    /// analysis) keeps the attribute definition trivially consistent with
-    /// `expand`, at a cost proportional to the touched routes only.
+    /// This is the reference oracle for [`Move::splice_delta`] and
+    /// [`Move::splice_feasible`]: it derives the attributes from `expand`
+    /// by definition, at the cost of expanding the move and a quadratic
+    /// diff over the touched routes. The search itself uses the splice
+    /// form.
     pub fn arc_delta(&self, snapshot: &EvaluatedSolution) -> (Vec<Arc>, Vec<Arc>) {
         let patch = self.expand(snapshot);
         let mut before: Vec<Arc> = Vec::new();
@@ -226,6 +344,73 @@ impl Move {
         let created = multiset_minus(&after, &before);
         (removed, created)
     }
+}
+
+/// Up to four arcs held inline: one side of a move's splice.
+#[derive(Debug, Default)]
+struct SpliceArcs {
+    arcs: [Arc; 4],
+    len: usize,
+}
+
+impl SpliceArcs {
+    /// Adds `arc`, except the depot-to-depot pair an empty route yields,
+    /// which is no arc of any tour.
+    fn push(&mut self, arc: Arc) {
+        if arc != (DEPOT, DEPOT) {
+            self.arcs[self.len] = arc;
+            self.len += 1;
+        }
+    }
+
+    fn as_slice(&self) -> &[Arc] {
+        &self.arcs[..self.len]
+    }
+}
+
+/// The arcs a move breaks and forms: the splice arcs inline, and the
+/// segment a 2-opt reverses, whose arcs it removes and whose reversed arcs
+/// it creates.
+#[derive(Debug, Default)]
+struct Splice<'a> {
+    removed: SpliceArcs,
+    created: SpliceArcs,
+    reversed: &'a [SiteId],
+}
+
+impl Splice<'_> {
+    /// Multiset difference of the two splice lists: an arc both broken and
+    /// formed stays in the tour. (A reversed segment's arcs never cancel:
+    /// a route visits each customer once.)
+    fn cancel(&mut self) {
+        let mut k = 0;
+        while k < self.created.len {
+            let arc = self.created.arcs[k];
+            match self.removed.as_slice().iter().position(|&r| r == arc) {
+                Some(m) => {
+                    self.removed.len -= 1;
+                    self.removed.arcs[m] = self.removed.arcs[self.removed.len];
+                    self.created.len -= 1;
+                    self.created.arcs[k] = self.created.arcs[self.created.len];
+                }
+                None => k += 1,
+            }
+        }
+    }
+}
+
+/// The site before position `pos` of `route`: the depot at the start.
+fn before(route: &[SiteId], pos: usize) -> SiteId {
+    if pos == 0 {
+        DEPOT
+    } else {
+        route[pos - 1]
+    }
+}
+
+/// The site at position `pos` of `route`: the depot past the end.
+fn at(route: &[SiteId], pos: usize) -> SiteId {
+    route.get(pos).copied().unwrap_or(DEPOT)
 }
 
 /// Appends the depot-to-depot arc sequence of a route to `out`.

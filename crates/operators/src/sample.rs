@@ -8,7 +8,6 @@
 //! retry loop lives with the caller (the neighborhood builder in
 //! `tsmo-core`); this module implements the single attempt.
 
-use crate::feasibility::arc_feasible;
 use crate::moves::{Move, OperatorKind};
 use detrand::Rng;
 use vrptw::solution::{EvaluatedSolution, Preview, RoutePatch};
@@ -104,7 +103,8 @@ pub fn sample_move_tallied<R: Rng>(
 ///
 /// A `Some` result is structurally valid, non-identity, and (when
 /// `params.feasibility` is set) passes the local feasibility criterion:
-/// every newly created arc satisfies [`arc_feasible`] and no touched route
+/// every newly created arc satisfies [`arc_feasible`](crate::arc_feasible)
+/// ([`Move::splice_feasible`]) and no touched route
 /// exceeds the vehicle capacity.
 pub fn sample_of_kind<R: Rng>(
     rng: &mut R,
@@ -123,19 +123,17 @@ pub fn sample_of_kind<R: Rng>(
     finish(inst, snapshot, mv, params)
 }
 
-/// Expands and evaluates `mv`, applying the feasibility filter.
+/// Applies the feasibility filter to `mv`, then expands and evaluates it.
+/// The filter reads only the move's splice arcs, so a rejected draw
+/// expands nothing and allocates nothing.
 fn finish(
     inst: &Instance,
     snapshot: &EvaluatedSolution,
     mv: Move,
     params: SampleParams,
 ) -> Option<Candidate> {
-    if params.feasibility {
-        for (u, v) in mv.arcs_created(snapshot) {
-            if !arc_feasible(inst, u, v) {
-                return None;
-            }
-        }
+    if params.feasibility && !mv.splice_feasible(inst, snapshot) {
+        return None;
     }
     let patch = mv.expand(snapshot);
     let preview = snapshot.preview(inst, &patch);
