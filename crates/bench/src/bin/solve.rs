@@ -15,6 +15,8 @@
 //!
 //! With a FILE argument the instance is parsed from Solomon format;
 //! otherwise one is generated from `--class`/`--size`/`--seed`.
+//! The front is checked with [`tsmo_core::verify_front`] after it is
+//! printed; a failing front exits 1 with the reason on stderr.
 //!
 //! `--metrics-out` writes the run's metrics in Prometheus text exposition
 //! (and prints a human-readable summary on stderr); `--events-out` writes
@@ -48,11 +50,14 @@
 
 use moea::{Nsga2, Nsga2Config};
 use std::sync::Arc;
-use tsmo_core::{CancelToken, Clock, HybridTsmo, ParallelVariant, RunOptions, TsmoConfig};
+use tsmo_core::{
+    verify_front, CancelToken, Clock, FrontEntry, HybridTsmo, ParallelVariant, RunOptions,
+    TsmoConfig,
+};
 use tsmo_faults::{FaultConfig, FaultHook, FaultPlan};
 use tsmo_obs::{MemoryRecorder, Recorder};
 use vrptw::generator::{GeneratorConfig, InstanceClass};
-use vrptw::{solomon, Instance, Objectives, Solution};
+use vrptw::solomon;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -168,21 +173,27 @@ fn main() {
         cancel: cancel.clone(),
         clock: Clock::Wall,
     };
-    let front: Vec<(Solution, Objectives)> = match variant.as_str() {
-        "seq" => collect(ParallelVariant::Sequential.run_opts(&inst, &cfg, opts)),
-        "sync" => collect(ParallelVariant::Synchronous(procs).run_opts(&inst, &cfg, opts)),
-        "async" => collect(ParallelVariant::Asynchronous(procs).run_opts(&inst, &cfg, opts)),
-        "coll" => collect(ParallelVariant::Collaborative(searchers).run_opts(&inst, &cfg, opts)),
-        "hybrid" => collect(HybridTsmo::new(cfg, searchers, procs).run(&inst)),
-        "nsga2" => {
-            Nsga2::new(Nsga2Config {
-                max_evaluations: evals,
-                seed,
-                ..Default::default()
-            })
-            .run(&inst)
-            .front
+    let run = |v: ParallelVariant| v.run_opts(&inst, &cfg, opts).archive;
+    let front: Vec<FrontEntry> = match variant.as_str() {
+        "seq" => run(ParallelVariant::Sequential),
+        "sync" => run(ParallelVariant::Synchronous(procs)),
+        "async" => run(ParallelVariant::Asynchronous(procs)),
+        "coll" => run(ParallelVariant::Collaborative(searchers)),
+        "hybrid" => {
+            HybridTsmo::new(cfg.clone(), searchers, procs)
+                .run(&inst)
+                .archive
         }
+        "nsga2" => Nsga2::new(Nsga2Config {
+            max_evaluations: evals,
+            seed,
+            ..Default::default()
+        })
+        .run(&inst)
+        .front
+        .into_iter()
+        .map(|(s, o)| FrontEntry::new(s, o))
+        .collect(),
         other => panic!("unknown variant {other:?} (seq|sync|async|coll|hybrid|nsga2)"),
     };
 
@@ -224,9 +235,9 @@ fn main() {
     }
 
     println!("{:>12} {:>9} {:>11}", "distance", "vehicles", "tardiness");
-    let mut rows: Vec<&(Solution, Objectives)> = front.iter().collect();
-    rows.sort_by(|a, b| a.1.distance.partial_cmp(&b.1.distance).expect("not NaN"));
-    for (_, o) in &rows {
+    let mut rows: Vec<_> = front.iter().map(|e| e.objectives).collect();
+    rows.sort_by(|a, b| a.distance.partial_cmp(&b.distance).expect("not NaN"));
+    for o in &rows {
         println!(
             "{:>12.2} {:>9} {:>11.2}",
             o.distance, o.vehicles, o.tardiness
@@ -235,12 +246,13 @@ fn main() {
 
     if let Some(path) = get("--out") {
         let mut text = String::new();
-        for (i, (sol, o)) in front.iter().enumerate() {
+        for (i, e) in front.iter().enumerate() {
+            let o = e.objectives;
             text.push_str(&format!(
                 "# solution {i}: distance {:.2}, vehicles {}, tardiness {:.2}\n",
                 o.distance, o.vehicles, o.tardiness
             ));
-            for (ri, route) in sol.routes().iter().enumerate() {
+            for (ri, route) in e.solution.routes().iter().enumerate() {
                 let stops: Vec<String> = route.iter().map(|c| c.to_string()).collect();
                 text.push_str(&format!("route {ri}: 0 {} 0\n", stops.join(" ")));
             }
@@ -249,24 +261,8 @@ fn main() {
         std::fs::write(&path, text).expect("failed to write solutions");
         eprintln!("wrote {path}");
     }
-    let _ = check_front(&inst, &front);
-}
-
-fn collect(out: tsmo_core::TsmoOutcome) -> Vec<(Solution, Objectives)> {
-    out.archive
-        .into_iter()
-        .map(|e| (e.solution, e.objectives))
-        .collect()
-}
-
-fn check_front(inst: &Instance, front: &[(Solution, Objectives)]) -> usize {
-    let mut ok = 0;
-    for (sol, _) in front {
-        assert!(
-            sol.check(inst).is_empty(),
-            "solver produced an invalid solution"
-        );
-        ok += 1;
+    if let Err(e) = verify_front(&inst, &front) {
+        eprintln!("solve: front failed verification: {e}");
+        std::process::exit(1);
     }
-    ok
 }

@@ -175,15 +175,11 @@ fn measure(outcome: &TsmoOutcome) -> (f64, f64, f64) {
 }
 
 /// Runs the full lineup over the problem set. `progress` is invoked after
-/// every `(algorithm, problem, run)` cell for live feedback.
-pub fn run_table(opts: &TableOpts, progress: impl FnMut(&str, usize, usize)) -> Vec<AlgoResult> {
-    run_table_with(opts, tsmo_obs::noop(), progress)
-}
-
-/// [`run_table`] with a telemetry sink shared by every cell: counters
-/// (iterations, evaluations, restarts, tabu hits, exchanges) accumulate
-/// over the whole table, which is what the `tables` binary's
-/// `--metrics-out` flag exposes.
+/// every `(algorithm, problem, run)` cell for live feedback. `recorder` is
+/// a telemetry sink shared by every cell: counters (iterations,
+/// evaluations, restarts, tabu hits, exchanges) accumulate over the whole
+/// table, which is what the `tables` binary's `--metrics-out` flag
+/// exposes; pass [`tsmo_obs::noop`] for none.
 pub fn run_table_with(
     opts: &TableOpts,
     recorder: Arc<dyn tsmo_obs::Recorder>,
@@ -389,7 +385,7 @@ mod tests {
     fn run_table_produces_complete_results() {
         let opts = tiny_opts();
         let mut cells = 0;
-        let results = run_table(&opts, |_, _, _| cells += 1);
+        let results = run_table_with(&opts, tsmo_obs::noop(), |_, _, _| cells += 1);
         // 1 sequential + 3 parallel variants at 1 proc count = 4 algorithms.
         assert_eq!(results.len(), 4);
         assert_eq!(cells, 4 * 2);
@@ -401,7 +397,7 @@ mod tests {
 
     #[test]
     fn rendering_includes_all_columns() {
-        let results = run_table(&tiny_opts(), |_, _, _| {});
+        let results = run_table_with(&tiny_opts(), tsmo_obs::noop(), |_, _, _| {});
         let table = render_table("Test table", &results);
         assert!(table.contains("Sequential TSMO"));
         assert!(table.contains("TSMO coll. (2)"));
@@ -413,7 +409,7 @@ mod tests {
 
     #[test]
     fn coverage_pairs_are_percentages() {
-        let results = run_table(&tiny_opts(), |_, _, _| {});
+        let results = run_table_with(&tiny_opts(), tsmo_obs::noop(), |_, _, _| {});
         for i in 0..results.len() {
             let (f, b) = coverage_pair(&results, i);
             assert!((0.0..=100.0).contains(&f));

@@ -17,12 +17,13 @@
 //!     [--out trace.jsonl] [--connect-timeout-ms 2000]
 //! ```
 //!
-//! Exits non-zero when the merged front is empty or not mutually
-//! non-dominated, when `--require-exchanges` finds a node with a zero
-//! `tsmo_exchanges_received_total`, when a `--virtual-net` replay
-//! diverges from its recording, or when `trace-merge` finds the nodes
-//! disagreeing on the run's trace id — so CI can assert the distributed
-//! semantics by running this binary alone.
+//! Exits non-zero when the merged front is empty or fails
+//! `tsmo_core::verify_front` (an invalid entry, an objective that does
+//! not re-simulate, or a dominated entry), when `--require-exchanges`
+//! finds a node with a zero `tsmo_exchanges_received_total`, when a
+//! `--virtual-net` replay diverges from its recording, or when
+//! `trace-merge` finds the nodes disagreeing on the run's trace id — so CI
+//! can assert the distributed semantics by running this binary alone.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -31,10 +32,11 @@ use tsmo_cluster::mesh::{self, prometheus_counter};
 use tsmo_cluster::{
     front_fingerprint, replay_elastic, run_elastic, ElasticMeshConfig, MeshJob, NetRecord,
 };
-use tsmo_core::{FrontEntry, TsmoConfig};
+use tsmo_core::{verify_front, FrontEntry, TsmoConfig};
 use tsmo_faults::{FaultConfig, FaultHook, FaultPlan};
 use tsmo_obs::metrics::names;
 use tsmo_obs::{parse_events_jsonl, MemoryRecorder, Recorder, SearchEvent, TimedEvent};
+use vrptw::Instance;
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -338,27 +340,26 @@ fn trace_merge(args: &[String]) -> ExitCode {
     }
 }
 
-fn print_front(front: &[FrontEntry]) {
-    for entry in front {
-        let [d, v, t] = entry.objectives.to_vector();
-        println!("  distance={d:.2} vehicles={v} tardiness={t:.2}");
-    }
-}
-
-fn check_front(front: &[FrontEntry]) -> bool {
+/// Refuses an empty merged front or one that fails [`verify_front`];
+/// otherwise prints a summary line and every entry.
+fn report_front(inst: &Instance, front: &[FrontEntry]) -> bool {
     if front.is_empty() {
         eprintln!("clusterctl: merged front is empty");
         return false;
     }
-    let mutually = pareto::non_dominated_indices(front).len() == front.len();
+    if let Err(e) = verify_front(inst, front) {
+        eprintln!("clusterctl: merged front failed verification: {e}");
+        return false;
+    }
     println!(
-        "merged front: {} entries (mutually non-dominated: {mutually})",
+        "merged front: {} verified entries (mutually non-dominated: true)",
         front.len()
     );
-    if !mutually {
-        eprintln!("clusterctl: merged front contains dominated entries");
+    for entry in front {
+        let [d, v, t] = entry.objectives.to_vector();
+        println!("  distance={d:.2} vehicles={v} tardiness={t:.2}");
     }
-    mutually
+    true
 }
 
 fn main() -> ExitCode {
@@ -430,18 +431,18 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    let instance = match vrptw::solomon::parse(&instance_text) {
+        Ok(inst) => Arc::new(inst),
+        Err(e) => {
+            eprintln!("clusterctl: bad instance: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
 
     if let Some(nodes) = get("--virtual-net") {
         let Ok(nodes) = nodes.parse::<usize>() else {
             eprintln!("clusterctl: --virtual-net expects a node count");
             return ExitCode::FAILURE;
-        };
-        let instance = match vrptw::solomon::parse(&instance_text) {
-            Ok(inst) => Arc::new(inst),
-            Err(e) => {
-                eprintln!("clusterctl: bad instance: {e}");
-                return ExitCode::FAILURE;
-            }
         };
         let cfg = TsmoConfig {
             max_evaluations: evals,
@@ -526,10 +527,9 @@ fn main() -> ExitCode {
             eprintln!("clusterctl: --require-recovered but no node front came from a replica");
             return ExitCode::FAILURE;
         }
-        if !check_front(&recorded.front) {
+        if !report_front(&instance, &recorded.front) {
             return ExitCode::FAILURE;
         }
-        print_front(&recorded.front);
         return ExitCode::SUCCESS;
     }
 
@@ -591,10 +591,9 @@ fn main() -> ExitCode {
             ok = false;
         }
     }
-    if !check_front(&outcome.front) {
+    if !report_front(&instance, &outcome.front) {
         ok = false;
     }
-    print_front(&outcome.front);
     if has("--shutdown") {
         for node in &outcome.nodes {
             let _ = mesh::MeshClient::new(node.addr.clone(), timeout).shutdown();

@@ -54,9 +54,6 @@ pub struct TsmoConfig {
     /// Apply the local feasibility criterion when sampling moves
     /// (paper: on; the ablation harness switches it off).
     pub feasibility_criterion: bool,
-    /// Aspiration: admit tabu neighbors that would enter the archive
-    /// (extension, off by default — the paper has no aspiration rule).
-    pub aspiration: bool,
     /// How the next current solution is selected (see [`SelectionRule`]).
     pub selection: SelectionRule,
     /// Master seed; all randomness derives from it.
@@ -113,7 +110,6 @@ impl Default for TsmoConfig {
             exchange_interval: 1,
             chunks: 1,
             feasibility_criterion: true,
-            aspiration: false,
             selection: SelectionRule::RandomNonDominated,
             seed: 0,
             trace: false,
@@ -184,7 +180,6 @@ mod tests {
         assert_eq!(c.archive_capacity, 20);
         assert_eq!(c.stagnation_limit, 100);
         assert!(c.feasibility_criterion);
-        assert!(!c.aspiration);
     }
 
     #[test]

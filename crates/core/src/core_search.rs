@@ -24,7 +24,6 @@ struct OperatorOutcomes {
     accepted: [u64; OperatorKind::ALL.len()],
     improving: [u64; OperatorKind::ALL.len()],
     tabu_rejected: [u64; OperatorKind::ALL.len()],
-    aspiration: [u64; OperatorKind::ALL.len()],
 }
 
 /// What one selection step did, for the caller's bookkeeping.
@@ -72,8 +71,8 @@ pub struct SearchCore {
     /// Per-operator sampling tally handed in by the runner
     /// ([`note_tally`](Self::note_tally)); flushed to metrics at finish.
     tally: SampleTally,
-    /// Per-operator step outcomes (accepted / improving / tabu-rejected
-    /// / aspiration-fired); flushed to metrics at finish.
+    /// Per-operator step outcomes (accepted / improving / tabu-rejected);
+    /// flushed to metrics at finish.
     outcomes: OperatorOutcomes,
     /// Archive entries displaced by dominating insertions.
     archive_prunes: u64,
@@ -285,32 +284,20 @@ impl SearchCore {
             }
         }
 
-        // Selection: non-tabu neighbors (aspiration optionally rescues tabu
-        // neighbors that would enter the archive).
+        // Selection: non-tabu neighbors only (§III.B has no aspiration rule).
         let tabu_span = Span::enter(&self.recorder, "tabu", self.trace_id, span_parent);
         let mut admissible: Vec<usize> = Vec::with_capacity(pool.len());
         for (i, nb) in pool.iter().enumerate() {
-            let tabu = self.tabu.is_tabu(&nb.arcs_created);
-            let aspired = tabu
-                && self.cfg.aspiration
-                && self.archive.would_accept(&nb.objectives.to_vector());
-            if tabu {
+            if self.tabu.is_tabu(&nb.arcs_created) {
                 self.recorder.counter_add(names::TABU_HITS, 1);
-                if aspired {
-                    self.recorder.counter_add(names::ASPIRATIONS, 1);
-                    self.outcomes.aspiration[nb.operator.index()] += 1;
-                } else {
-                    self.outcomes.tabu_rejected[nb.operator.index()] += 1;
-                }
+                self.outcomes.tabu_rejected[nb.operator.index()] += 1;
                 if self.recorder.enabled() {
                     self.recorder.event(SearchEvent::TabuHit {
                         searcher: self.searcher_id,
                         iteration: iter as u64,
-                        aspired,
                     });
                 }
-            }
-            if !tabu || aspired {
+            } else {
                 admissible.push(i);
             }
         }
@@ -521,7 +508,6 @@ impl SearchCore {
                     names::OPERATOR_TABU_REJECTED,
                     self.outcomes.tabu_rejected[i],
                 ),
-                (names::OPERATOR_ASPIRATION, self.outcomes.aspiration[i]),
             ] {
                 self.recorder
                     .counter_add(&names::operator_counter(family, label), value);
@@ -743,7 +729,7 @@ mod tests {
             m.counter(names::ARCHIVE_INSERTS)
         );
         assert_eq!(
-            sum_over_ops(names::OPERATOR_TABU_REJECTED) + sum_over_ops(names::OPERATOR_ASPIRATION),
+            sum_over_ops(names::OPERATOR_TABU_REJECTED),
             m.counter(names::TABU_HITS)
         );
         assert!(m.gauge(names::ARCHIVE_HYPERVOLUME).unwrap_or(0.0) > 0.0);

@@ -85,7 +85,7 @@ pub use config::{SelectionRule, TsmoConfig};
 pub use core_search::SearchCore;
 pub use hybrid::HybridTsmo;
 pub use neighborhood::{generate_chunk, Chunk, Neighbor};
-pub use outcome::{FrontEntry, TsmoOutcome};
+pub use outcome::{verify_front, FrontEntry, TsmoOutcome};
 pub use scalarized::{weighted_front, WeightedOutcome, WeightedSumTs};
 pub use searcher::{searcher_cfg, CollabSearcher, SearcherResult};
 pub use sequential::SequentialTsmo;

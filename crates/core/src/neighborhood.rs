@@ -29,8 +29,7 @@ pub struct Neighbor {
     /// neighbor is selected).
     pub arcs_removed: Vec<Arc>,
     /// Operator family of the generating move (per-operator attribution
-    /// in the step loop: accepted / improving / tabu-rejected /
-    /// aspiration counters).
+    /// in the step loop: accepted / improving / tabu-rejected counters).
     pub operator: OperatorKind,
     /// Iteration whose current solution spawned this neighbor (Fig. 1's
     /// iteration tags; in the asynchronous variant a neighbor can be

@@ -1,7 +1,7 @@
 //! Run results: the archive front and run statistics.
 
 use crate::trace::Trace;
-use vrptw::{Objectives, Solution};
+use vrptw::{Instance, Objectives, Solution};
 
 /// One member of a Pareto front: solution plus cached objective vector.
 #[derive(Debug, Clone)]
@@ -29,6 +29,25 @@ impl pareto::Dominance for FrontEntry {
     fn objectives(&self) -> &[f64] {
         &self.vector
     }
+}
+
+/// Checks a front against `inst`: every entry is a valid solution whose
+/// reported objectives re-simulate ([`Solution::verify`]), and no entry
+/// dominates another. An empty front passes.
+pub fn verify_front(inst: &Instance, front: &[FrontEntry]) -> Result<(), String> {
+    for (i, e) in front.iter().enumerate() {
+        e.solution
+            .verify(inst, e.objectives.to_vector())
+            .map_err(|problem| format!("front entry {i}: {problem}"))?;
+    }
+    let dominated = front.len() - pareto::non_dominated_indices(front).len();
+    if dominated > 0 {
+        return Err(format!(
+            "{dominated} of {} front entries are dominated",
+            front.len()
+        ));
+    }
+    Ok(())
 }
 
 /// The result of one TSMO run.
@@ -155,6 +174,46 @@ mod tests {
         assert!(o.feasible_front().is_empty());
         assert_eq!(o.mean_distance(), None);
         assert_eq!(o.best_vehicles(), None);
+    }
+
+    #[test]
+    fn verify_front_accepts_real_fronts_and_rejects_bad_entries() {
+        use crate::{ParallelVariant, TsmoConfig};
+        use vrptw::generator::{GeneratorConfig, InstanceClass};
+
+        let inst = std::sync::Arc::new(GeneratorConfig::new(InstanceClass::R2, 25, 4).build());
+        let cfg = TsmoConfig {
+            max_evaluations: 3_000,
+            neighborhood_size: 50,
+            ..TsmoConfig::default()
+        };
+        let front = ParallelVariant::Sequential.run(&inst, &cfg).archive;
+        assert_eq!(verify_front(&inst, &front), Ok(()));
+
+        let mut tampered = front.clone();
+        tampered[0].objectives.distance -= 1.0;
+        let err = verify_front(&inst, &tampered).unwrap_err();
+        assert!(err.starts_with("front entry 0:"), "{err}");
+
+        // Moving the last customer of a time-feasible entry onto a route of
+        // its own adds a vehicle, never shortens the tour (Euclidean
+        // distances) and keeps every arrival on time: a dominated entry.
+        let base = front
+            .iter()
+            .find(|e| e.objectives.tardiness == 0.0)
+            .expect("a time-feasible entry");
+        let mut routes = base.solution.routes().to_vec();
+        let long = routes
+            .iter_mut()
+            .find(|r| r.len() > 1)
+            .expect("a long route");
+        let last = long.pop().expect("non-empty");
+        routes.push(vec![last]);
+        let split = Solution::from_routes(routes);
+        let objectives = split.evaluate(&inst);
+        let pair = [base.clone(), FrontEntry::new(split, objectives)];
+        let err = verify_front(&inst, &pair).unwrap_err();
+        assert_eq!(err, "1 of 2 front entries are dominated");
     }
 
     #[test]

@@ -98,7 +98,7 @@ crate::wire_enum! {
             iteration: u64,
             /// Neighbors offered to selection.
             pool: u32,
-            /// Neighbors that survived the tabu/aspiration filter.
+            /// Neighbors that survived the tabu filter.
             admissible: u32,
             /// Objective vector of the selected neighbor (`None` on restart
             /// steps with an empty admissible set).
@@ -132,14 +132,12 @@ crate::wire_enum! {
             /// Consecutive steps without an `M_archive` change.
             streak: u64,
         },
-        /// A neighbor was rejected (or rescued) by the tabu list.
+        /// A neighbor was rejected by the tabu list.
         TabuHit = "tabu_hit" {
             /// Emitting searcher.
             searcher: u32,
             /// Iteration of the check.
             iteration: u64,
-            /// Whether aspiration rescued the neighbor anyway.
-            aspired: bool,
         },
         /// A collaborative exchange on the communication lists.
         Exchange = "exchange" {

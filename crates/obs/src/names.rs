@@ -25,8 +25,6 @@ pub const RESTARTS_EMPTY_POOL: &str = "tsmo_restarts_total{reason=\"empty_pool\"
 pub const RESTARTS_STAGNATION: &str = "tsmo_restarts_total{reason=\"stagnation\"}";
 /// Neighbors rejected by the tabu list (counter).
 pub const TABU_HITS: &str = "tsmo_tabu_hits_total";
-/// Tabu neighbors rescued by aspiration (counter).
-pub const ASPIRATIONS: &str = "tsmo_aspirations_total";
 /// Accepted `M_archive` insertions (counter).
 pub const ARCHIVE_INSERTS: &str = "tsmo_archive_inserts_total";
 /// Accepted `M_nondom` insertions (counter).
@@ -146,12 +144,9 @@ pub const OPERATOR_ACCEPTED: &str = "tsmo_operator_accepted_total";
 /// Selected neighbors that entered `M_archive` — the paper's
 /// "improving solutions" (counter family; labeled by operator).
 pub const OPERATOR_IMPROVING: &str = "tsmo_operator_improving_total";
-/// Pool neighbors rejected by the tabu list without aspiration
-/// (counter family; labeled by operator).
+/// Pool neighbors rejected by the tabu list (counter family; labeled
+/// by operator).
 pub const OPERATOR_TABU_REJECTED: &str = "tsmo_operator_tabu_rejected_total";
-/// Tabu pool neighbors rescued by the aspiration criterion (counter
-/// family; labeled by operator).
-pub const OPERATOR_ASPIRATION: &str = "tsmo_operator_aspiration_total";
 
 /// Entries pruned out of `M_archive` by dominating insertions
 /// (counter).

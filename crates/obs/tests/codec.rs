@@ -71,9 +71,8 @@ fn samples() -> Vec<(SearchEvent, &'static str)> {
             SearchEvent::TabuHit {
                 searcher: 0,
                 iteration: 9,
-                aspired: true,
             },
-            r#"{"seq":6,"type":"tabu_hit","searcher":0,"iteration":9,"aspired":true}"#,
+            r#"{"seq":6,"type":"tabu_hit","searcher":0,"iteration":9}"#,
         ),
         (
             SearchEvent::Exchange {
@@ -311,7 +310,6 @@ fn stream_parse_reports_line_numbers() {
         event: SearchEvent::TabuHit {
             searcher: 0,
             iteration: 1,
-            aspired: false,
         },
     };
     let input = format!("{}\n\nnot json\n", good.to_json_line());
@@ -319,6 +317,24 @@ fn stream_parse_reports_line_numbers() {
     assert!(err.starts_with("line 3:"), "unexpected error: {err}");
     let ok = parse_events_jsonl(&format!("{}\n", good.to_json_line())).unwrap();
     assert_eq!(ok.len(), 1);
+}
+
+#[test]
+fn tabu_hit_lines_with_the_dropped_aspired_field_still_parse() {
+    // Streams written while `tabu_hit` still carried `aspired` load as the
+    // new event; the stale field is ignored.
+    let old = r#"{"seq":6,"type":"tabu_hit","searcher":0,"iteration":9,"aspired":false}"#;
+    let parsed = TimedEvent::parse_json_line(old).expect("old line parses");
+    assert_eq!(
+        parsed,
+        TimedEvent {
+            seq: 6,
+            event: SearchEvent::TabuHit {
+                searcher: 0,
+                iteration: 9,
+            },
+        }
+    );
 }
 
 #[test]

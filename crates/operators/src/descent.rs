@@ -11,7 +11,6 @@
 //!   searches against.
 
 use crate::moves::{Move, OperatorKind};
-use crate::sample::SampleParams;
 use vrptw::solution::EvaluatedSolution;
 use vrptw::{Instance, Objectives, Solution};
 
@@ -26,9 +25,6 @@ pub struct DescentConfig {
     /// Upper bound on improving moves applied (safety valve; descent on
     /// benchmark-sized instances converges far earlier).
     pub max_moves: usize,
-    /// Apply the sampling layer's local feasibility criterion to candidate
-    /// moves (cheap pre-filter; the scalarized evaluation decides anyway).
-    pub feasibility_filter: bool,
 }
 
 impl Default for DescentConfig {
@@ -36,7 +32,6 @@ impl Default for DescentConfig {
         Self {
             weights: [1.0, 100.0, 10.0],
             max_moves: 10_000,
-            feasibility_filter: false,
         }
     }
 }
@@ -62,16 +57,10 @@ fn scalar(weights: &[f64; 3], o: Objectives) -> f64 {
 pub fn descend(inst: &Instance, start: Solution, cfg: &DescentConfig) -> DescentOutcome {
     let mut current = EvaluatedSolution::new(start, inst);
     let mut moves_applied = 0;
-    let params = SampleParams {
-        feasibility: cfg.feasibility_filter,
-    };
     while moves_applied < cfg.max_moves {
         let base = scalar(&cfg.weights, current.objectives());
         let mut best: Option<(Move, f64)> = None;
         for mv in enumerate_moves(&current) {
-            if params.feasibility && !mv.splice_feasible(inst, &current) {
-                continue;
-            }
             let patch = mv.expand(&current);
             let preview = current.preview(inst, &patch);
             if preview.capacity_excess > 0.0 {

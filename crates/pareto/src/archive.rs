@@ -86,17 +86,6 @@ impl<T: Dominance> Archive<T> {
         !evicted_candidate
     }
 
-    /// Whether `objectives` is non-dominated w.r.t. the archive (it might
-    /// still lose the crowding comparison on a full archive).
-    pub fn would_accept(&self, objectives: &[f64]) -> bool {
-        !self.items.iter().any(|m| {
-            matches!(
-                compare(m.objectives(), objectives),
-                DomRelation::Dominates | DomRelation::Equal
-            )
-        })
-    }
-
     /// Inserts every item of `items` in order, returning how many were
     /// added. This is the merge half of archive serialization: a
     /// checkpointed front round-trips through `absorb` into an equivalent

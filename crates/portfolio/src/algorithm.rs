@@ -51,9 +51,10 @@ pub struct RaceParams {
     pub processors: usize,
     /// Population size for the generational MOEAs.
     pub population: usize,
-    /// Per-contender front capacity (stage-one archives).
-    pub archive_capacity: usize,
 }
+
+/// Per-contender front capacity (stage-one archives).
+const ARCHIVE_CAPACITY: usize = 30;
 
 impl Default for RaceParams {
     fn default() -> Self {
@@ -61,7 +62,6 @@ impl Default for RaceParams {
             neighborhood_size: 50,
             processors: 3,
             population: 24,
-            archive_capacity: 30,
         }
     }
 }
@@ -118,7 +118,7 @@ impl TsmoContender {
             variant,
             base,
             pool: Vec::new(),
-            archive: Archive::new(params.archive_capacity.max(1)),
+            archive: Archive::new(ARCHIVE_CAPACITY),
             items: Vec::new(),
         }
     }
@@ -198,7 +198,7 @@ impl MoeaContender {
             kind,
             params: params.clone(),
             pool: Vec::new(),
-            archive: Archive::new(params.archive_capacity.max(1)),
+            archive: Archive::new(ARCHIVE_CAPACITY),
             items: Vec::new(),
         }
     }
@@ -231,7 +231,7 @@ impl RacedAlgorithm for MoeaContender {
             MoeaKind::Spea2 => {
                 let out = moea::Spea2::new(moea::Spea2Config {
                     population: self.params.population,
-                    archive: self.params.archive_capacity.max(2),
+                    archive: ARCHIVE_CAPACITY,
                     max_evaluations: evaluations,
                     seed,
                     warm_start: self.pool.clone(),
@@ -242,7 +242,7 @@ impl RacedAlgorithm for MoeaContender {
             }
             MoeaKind::Paes => {
                 let out = moea::Paes::new(moea::PaesConfig {
-                    archive: self.params.archive_capacity.max(1),
+                    archive: ARCHIVE_CAPACITY,
                     max_evaluations: evaluations,
                     seed,
                     warm_start: self.pool.clone(),

@@ -41,9 +41,10 @@ pub struct PortfolioConfig {
     /// Retire a contender after this many consecutive rounds pinned at the
     /// budget floor (`0` disables retirement).
     pub retire_after: u32,
-    /// Capacity of the stage-two merged archive.
-    pub merge_capacity: usize,
 }
+
+/// Capacity of the stage-two merged archive.
+const MERGE_CAPACITY: usize = 60;
 
 impl Default for PortfolioConfig {
     fn default() -> Self {
@@ -55,7 +56,6 @@ impl Default for PortfolioConfig {
             eta: 0.1,
             softmax_beta: 4.0,
             retire_after: 2,
-            merge_capacity: 60,
         }
     }
 }
@@ -362,7 +362,7 @@ impl Portfolio {
         }
 
         // Stage two: the merged archive absorbs every stage-one front.
-        let mut merged = Archive::new(cfg.merge_capacity.max(1));
+        let mut merged = Archive::new(MERGE_CAPACITY);
         for lane in &lanes {
             merged.absorb(lane.algo.front().iter().cloned());
         }

@@ -44,7 +44,6 @@ fn greedy_cfg() -> PortfolioConfig {
         eta: 0.0,
         softmax_beta: 8.0,
         retire_after: 1,
-        ..PortfolioConfig::default()
     }
 }
 

@@ -32,27 +32,26 @@ pub struct DynamicConfig {
     /// Warm-start from the previous epoch's repaired front (`false` =
     /// cold construction every epoch, the control arm).
     pub warm: bool,
-    /// Elites carried between epochs (best by the adaptive-memory
-    /// scalarization after repair).
-    pub elites: usize,
-    /// Route-pool capacity of the adaptive memory.
-    pub pool_capacity: usize,
-    /// Recombined solutions sampled from the adaptive memory and added to
-    /// the warm-start pool on top of the repaired elites.
-    pub samples: usize,
 }
 
+/// Elites carried between epochs (best by the adaptive-memory
+/// scalarization after repair).
+const ELITES: usize = 8;
+/// Route-pool capacity of the adaptive memory.
+const POOL_CAPACITY: usize = 100;
+/// Recombined solutions sampled from the adaptive memory and added to the
+/// warm-start pool on top of the repaired elites.
+const SAMPLES: usize = 4;
+
 impl DynamicConfig {
-    /// A dynamic configuration with the defaults used by the server and
-    /// `dynbench`: 8 elites, 100 pooled routes, 4 sampled recombinations.
+    /// A warm-starting dynamic configuration. Each epoch after the first
+    /// starts from up to 8 repaired elites of the previous front plus up
+    /// to 4 solutions recombined from a 100-route adaptive memory.
     pub fn new(variant: ParallelVariant, cfg: TsmoConfig) -> Self {
         Self {
             variant,
             cfg,
             warm: true,
-            elites: 8,
-            pool_capacity: 100,
-            samples: 4,
         }
     }
 }
@@ -103,7 +102,7 @@ pub fn run_dynamic(
         let mut cfg = dc.cfg.clone();
         cfg.seed = epoch_seed(dc.cfg.seed, epoch);
         if dc.warm {
-            cfg.warm_start = warm_pool(&pool, inst, dc, cfg.seed);
+            cfg.warm_start = warm_pool(&pool, inst, cfg.seed);
         }
         let warm_seeds = cfg.warm_start.len();
         let inst_arc = Arc::new(inst.clone());
@@ -133,7 +132,7 @@ pub fn run_dynamic(
 /// Builds the warm-start pool for one epoch: repaired elites ranked by
 /// the adaptive-memory scalarization, plus recombined samples drawn from
 /// an [`AdaptiveMemory`] absorbing them.
-fn warm_pool(pool: &[Solution], inst: &Instance, dc: &DynamicConfig, seed: u64) -> Vec<Solution> {
+fn warm_pool(pool: &[Solution], inst: &Instance, seed: u64) -> Vec<Solution> {
     let mut repaired: Vec<(Solution, f64)> = pool
         .iter()
         .filter_map(|s| repair(s, inst))
@@ -143,15 +142,15 @@ fn warm_pool(pool: &[Solution], inst: &Instance, dc: &DynamicConfig, seed: u64) 
         })
         .collect();
     repaired.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("scalarizations are not NaN"));
-    repaired.truncate(dc.elites.max(1));
+    repaired.truncate(ELITES);
     let mut warm: Vec<Solution> = repaired.iter().map(|(s, _)| s.clone()).collect();
-    if !warm.is_empty() && dc.samples > 0 {
-        let mut memory = AdaptiveMemory::new(dc.pool_capacity.max(1));
+    if !warm.is_empty() {
+        let mut memory = AdaptiveMemory::new(POOL_CAPACITY);
         for (s, v) in &repaired {
             memory.absorb(s, *v);
         }
         let mut rng = Xoshiro256StarStar::seed_from_u64(seed ^ 0xADA7_5EED);
-        for _ in 0..dc.samples {
+        for _ in 0..SAMPLES {
             let s = memory.sample_solution(inst, &mut rng);
             // The sampler's last-resort insertion may overload a route;
             // warm starts must be capacity-feasible members of the space.

@@ -920,7 +920,6 @@ fn run_portfolio(
         eta: pp.eta,
         softmax_beta: pp.softmax_beta,
         retire_after: pp.retire_after,
-        ..tsmo_portfolio::PortfolioConfig::default()
     };
     let outcome =
         tsmo_portfolio::Portfolio::new(cfg).run(instance, contenders, recorder, cancel.clone());
