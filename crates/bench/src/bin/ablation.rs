@@ -29,8 +29,8 @@ use pareto::coverage;
 use runstats::Summary;
 use std::sync::Arc;
 use tsmo_core::{
-    weighted_front, AdaptiveMemoryTs, Clock, HybridTsmo, ParallelVariant, RunOptions,
-    SequentialTsmo, TsmoConfig,
+    weighted_front, AdaptiveMemoryTs, CancelToken, Clock, HybridTsmo, ParallelVariant, RunOptions,
+    TsmoConfig,
 };
 use tsmo_faults::{FaultConfig, FaultPlan};
 use tsmo_obs::{metrics::names, MemoryRecorder};
@@ -119,7 +119,8 @@ fn base_cfg(opts: &Opts) -> TsmoConfig {
 fn seq_best_distances(inst: &Arc<Instance>, cfg: &TsmoConfig, opts: &Opts) -> Vec<f64> {
     (0..opts.runs)
         .map(|r| {
-            let out = SequentialTsmo::new(cfg.clone().with_seed(opts.seed + r as u64)).run(inst);
+            let out =
+                ParallelVariant::Sequential.run(inst, &cfg.clone().with_seed(opts.seed + r as u64));
             out.best_distance().unwrap_or(f64::NAN)
         })
         .filter(|d| d.is_finite())
@@ -233,7 +234,8 @@ fn comm(opts: &Opts) {
     println!("Ablation: collaborative searcher count (per-searcher budgets)");
     let inst = instance(opts);
     let reference = {
-        let out = SequentialTsmo::new(base_cfg(opts).with_seed(opts.seed ^ 0xF00)).run(&inst);
+        let out =
+            ParallelVariant::Sequential.run(&inst, &base_cfg(opts).with_seed(opts.seed ^ 0xF00));
         out.feasible_vectors()
     };
     for searchers in [1usize, 2, 4, 8] {
@@ -331,7 +333,8 @@ fn weights(opts: &Opts) {
     // infeasible-but-interesting points still count).
     let mut ts_fronts = Vec::new();
     for r in 0..opts.runs {
-        let out = SequentialTsmo::new(base_cfg(opts).with_seed(opts.seed + r as u64)).run(&inst);
+        let out =
+            ParallelVariant::Sequential.run(&inst, &base_cfg(opts).with_seed(opts.seed + r as u64));
         ts_fronts.push(
             out.archive
                 .iter()
@@ -430,9 +433,9 @@ fn levels(opts: &Opts) {
         (
             "domain (adaptive)",
             Box::new(|seed: u64| {
-                let mut ts = AdaptiveMemoryTs::new(base_cfg(opts).with_seed(seed), p);
-                ts.task_evaluations = (opts.evals as usize / 10).max(200);
-                ts.run(&inst).expect("adaptive-memory worker pool failed")
+                AdaptiveMemoryTs::new(base_cfg(opts).with_seed(seed), p)
+                    .run(&inst)
+                    .expect("adaptive-memory worker pool failed")
             }),
         ),
         (
@@ -484,7 +487,8 @@ fn polish(opts: &Opts) {
     let mut after = Vec::new();
     let mut moves = Vec::new();
     for r in 0..opts.runs {
-        let out = SequentialTsmo::new(base_cfg(opts).with_seed(opts.seed + r as u64)).run(&inst);
+        let out =
+            ParallelVariant::Sequential.run(&inst, &base_cfg(opts).with_seed(opts.seed + r as u64));
         for entry in &out.archive {
             let b = entry.objectives;
             let polished = descend(&inst, entry.solution.clone(), &DescentConfig::default());
@@ -650,24 +654,27 @@ fn moea_cmp(opts: &Opts) {
         ("NSGA-II", Vec::new()),
         ("SPEA2", Vec::new()),
     ];
+    let never = CancelToken::never();
     for r in 0..opts.runs {
         let seed = opts.seed + r as u64;
-        let ts = SequentialTsmo::new(base_cfg(opts).with_seed(seed)).run(&inst);
-        fronts[0].1.push(ts.feasible_vectors());
-        let ea = Nsga2::new(Nsga2Config {
-            max_evaluations: opts.evals,
-            seed,
-            ..Nsga2Config::default()
-        })
-        .run(&inst);
-        fronts[1].1.push(ea.feasible_vectors());
-        let sp = Spea2::new(Spea2Config {
-            max_evaluations: opts.evals,
-            seed,
-            ..Spea2Config::default()
-        })
-        .run(&inst);
-        fronts[2].1.push(sp.feasible_vectors());
+        let outs = [
+            ParallelVariant::Sequential.run(&inst, &base_cfg(opts).with_seed(seed)),
+            Nsga2::new(Nsga2Config {
+                max_evaluations: opts.evals,
+                seed,
+                ..Nsga2Config::default()
+            })
+            .run(&inst, &never),
+            Spea2::new(Spea2Config {
+                max_evaluations: opts.evals,
+                seed,
+                ..Spea2Config::default()
+            })
+            .run(&inst, &never),
+        ];
+        for ((_, runs), out) in fronts.iter_mut().zip(outs) {
+            runs.push(out.feasible_vectors());
+        }
     }
     for i in 0..fronts.len() {
         for j in 0..fronts.len() {

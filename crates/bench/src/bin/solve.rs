@@ -184,16 +184,15 @@ fn main() {
                 .run(&inst)
                 .archive
         }
-        "nsga2" => Nsga2::new(Nsga2Config {
-            max_evaluations: evals,
-            seed,
-            ..Default::default()
-        })
-        .run(&inst)
-        .front
-        .into_iter()
-        .map(|(s, o)| FrontEntry::new(s, o))
-        .collect(),
+        "nsga2" => {
+            Nsga2::new(Nsga2Config {
+                max_evaluations: evals,
+                seed,
+                ..Default::default()
+            })
+            .run(&inst, &cancel)
+            .archive
+        }
         other => panic!("unknown variant {other:?} (seq|sync|async|coll|hybrid|nsga2)"),
     };
 

@@ -24,17 +24,14 @@
 //!   and dispatches (Badeau et al.'s master/worker organization).
 
 use crate::config::TsmoConfig;
-use crate::neighborhood::generate_chunk;
 use crate::outcome::{FrontEntry, TsmoOutcome};
-use crate::tabu::TabuList;
+use crate::scalarized::{scalar, tabu_search};
 use deme::{EvaluationBudget, MasterWorker, PoolError, RunClock};
 use detrand::{RandomSource, Rng, Xoshiro256StarStar};
 use pareto::Archive;
 use std::sync::Arc;
-use vrptw::solution::EvaluatedSolution;
 use vrptw::{evaluate_route, Instance, Objectives, SiteId, Solution};
 use vrptw_construct::randomized_i1;
-use vrptw_operators::SampleParams;
 
 /// The pool of solution parts (routes) with quality tags.
 #[derive(Debug, Clone)]
@@ -162,76 +159,40 @@ pub fn insert_cheapest(inst: &Instance, routes: &mut Vec<Vec<SiteId>>, customer:
     }
 }
 
+/// The weights of [`scalarize`] on `(distance, vehicles, tardiness)`.
+const WEIGHTS: [f64; 3] = [1.0, 100.0, 10.0];
+
+/// Route-pool capacity.
+const POOL_CAPACITY: usize = 200;
+
 /// Scalarization used for route quality tags and the inner tabu search
 /// (also the elite-ranking key of the dynamic warm-start pool).
 pub fn scalarize(o: Objectives) -> f64 {
-    o.distance + 100.0 * o.vehicles as f64 + 10.0 * o.tardiness
-}
-
-/// A short weighted-sum tabu-search improvement of `start`, spending up to
-/// `evals` evaluations from its own seed. This is the "tabu searchers that
-/// solve subproblems" role of Badeau et al.'s architecture.
-fn improve(
-    inst: &Instance,
-    start: Solution,
-    seed: u64,
-    evals: usize,
-    cfg: &TsmoConfig,
-) -> (Solution, Objectives) {
-    let params = SampleParams {
-        feasibility: cfg.feasibility_criterion,
-    };
-    let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-    let mut current = EvaluatedSolution::new(start, inst);
-    let mut best = current.solution().clone();
-    let mut best_obj = current.objectives();
-    let mut best_value = scalarize(best_obj);
-    let mut tabu = TabuList::new(cfg.tabu_tenure);
-    let mut spent = 0usize;
-    let nbhd = cfg.neighborhood_size.min(evals.max(1));
-    while spent < evals {
-        let count = nbhd.min(evals - spent);
-        let seed = rng.next_u64();
-        let pool = generate_chunk(inst, &current, seed, count, params, 0).neighbors;
-        spent += count;
-        let mut chosen: Option<usize> = None;
-        let mut chosen_value = f64::INFINITY;
-        for (i, nb) in pool.iter().enumerate() {
-            let value = scalarize(nb.objectives);
-            let admissible = !tabu.is_tabu(&nb.arcs_created) || value < best_value;
-            if admissible && value < chosen_value {
-                chosen = Some(i);
-                chosen_value = value;
-            }
-        }
-        if let Some(i) = chosen {
-            let nb = &pool[i];
-            tabu.push(nb.arcs_removed.clone());
-            current = EvaluatedSolution::new(nb.solution.clone(), inst);
-            if chosen_value < best_value {
-                best_value = chosen_value;
-                best = nb.solution.clone();
-                best_obj = nb.objectives;
-            }
-        }
-    }
-    (best, best_obj)
+    scalar(&WEIGHTS, o)
 }
 
 /// The adaptive-memory parallel tabu search.
 pub struct AdaptiveMemoryTs {
     cfg: TsmoConfig,
     processors: usize,
-    /// Route-pool capacity.
-    pub pool_capacity: usize,
-    /// Evaluations per improvement task.
-    pub task_evaluations: usize,
 }
 
+/// One improvement task: a short weighted-sum tabu search of `start`,
+/// spending up to `evals` evaluations from its own seed. This is the "tabu
+/// searchers that solve subproblems" role of Badeau et al.'s architecture.
 struct Task {
     start: Solution,
     seed: u64,
-    evals: usize,
+    evals: u64,
+}
+
+impl Task {
+    /// Runs the task under `cfg`, whose stagnation limit of `usize::MAX`
+    /// keeps the search from ever restarting.
+    fn run(self, inst: &Instance, cfg: &TsmoConfig) -> FrontEntry {
+        let rng = Xoshiro256StarStar::seed_from_u64(self.seed);
+        tabu_search(inst, cfg, &WEIGHTS, self.start, rng, self.evals).best
+    }
 }
 
 impl AdaptiveMemoryTs {
@@ -241,16 +202,12 @@ impl AdaptiveMemoryTs {
     /// Panics if `processors == 0`.
     pub fn new(cfg: TsmoConfig, processors: usize) -> Self {
         assert!(processors > 0, "need at least the master processor");
-        Self {
-            cfg,
-            processors,
-            pool_capacity: 200,
-            task_evaluations: 2_000,
-        }
+        Self { cfg, processors }
     }
 
     /// Runs to budget exhaustion; returns the Pareto archive of every
-    /// improved solution seen by the master.
+    /// improved solution seen by the master. Each improvement task spends
+    /// a tenth of the budget, at least 200 evaluations, and never restarts.
     ///
     /// # Errors
     /// Propagates the worker pool's failure — a panicked improvement task
@@ -261,10 +218,21 @@ impl AdaptiveMemoryTs {
         let clock = RunClock::start();
         let cfg = &self.cfg;
         let budget = EvaluationBudget::new(cfg.max_evaluations);
+        let task_evaluations = (cfg.max_evaluations / 10).max(200);
+        let task_cfg = TsmoConfig {
+            stagnation_limit: usize::MAX,
+            ..cfg.clone()
+        };
         let mut rng = Xoshiro256StarStar::seed_from_u64(cfg.seed ^ 0xADA7);
-        let mut memory = AdaptiveMemory::new(self.pool_capacity);
+        let mut memory = AdaptiveMemory::new(POOL_CAPACITY);
         let mut archive = Archive::new(cfg.archive_capacity);
         let mut iterations = 0usize;
+
+        let absorb =
+            |memory: &mut AdaptiveMemory, archive: &mut Archive<FrontEntry>, entry: FrontEntry| {
+                memory.absorb(&entry.solution, scalarize(entry.objectives));
+                archive.insert(entry);
+            };
 
         // Seed the memory with randomized I1 constructions (one evaluation
         // each, like every other variant's initialization).
@@ -275,41 +243,30 @@ impl AdaptiveMemoryTs {
             }
             let s = randomized_i1(inst, &mut rng);
             let o = s.evaluate(inst);
-            archive.insert(FrontEntry::new(s.clone(), o));
-            memory.absorb(&s, scalarize(o));
+            absorb(&mut memory, &mut archive, FrontEntry::new(s, o));
         }
 
-        let worker_cfg = cfg.clone();
         let pool = (self.processors > 1).then(|| {
             let inst = Arc::clone(inst);
-            MasterWorker::<Task, (Solution, Objectives)>::spawn(self.processors - 1, move |_, t| {
-                improve(&inst, t.start, t.seed, t.evals, &worker_cfg)
+            let task_cfg = task_cfg.clone();
+            MasterWorker::spawn(self.processors - 1, move |_, t: Task| {
+                t.run(&inst, &task_cfg)
             })
         });
-        let n_workers = pool.as_ref().map_or(0, |p| p.n_workers());
-        let mut outstanding = 0usize;
-
-        let absorb = |memory: &mut AdaptiveMemory,
-                      archive: &mut Archive<FrontEntry>,
-                      s: Solution,
-                      o: Objectives| {
-            archive.insert(FrontEntry::new(s.clone(), o));
-            memory.absorb(&s, scalarize(o));
-        };
+        // Workers with no task in flight: a reply frees the worker that
+        // sent it.
+        let mut idle: Vec<usize> = pool
+            .as_ref()
+            .map_or(Vec::new(), |p| (0..p.n_workers()).rev().collect());
+        let n_workers = idle.len();
 
         loop {
             // Collect finished improvements.
             if let Some(p) = &pool {
-                loop {
-                    match p.try_recv() {
-                        Ok(Some((_, (s, o)))) => {
-                            outstanding -= 1;
-                            iterations += 1;
-                            absorb(&mut memory, &mut archive, s, o);
-                        }
-                        Ok(None) => break,
-                        Err(e) => return Err(e),
-                    }
+                while let Some((w, entry)) = p.try_recv()? {
+                    idle.push(w);
+                    iterations += 1;
+                    absorb(&mut memory, &mut archive, entry);
                 }
             }
             if budget.exhausted() {
@@ -317,44 +274,46 @@ impl AdaptiveMemoryTs {
             }
             // Keep all workers fed.
             if let Some(p) = &pool {
-                while outstanding < n_workers {
-                    let granted = budget.try_consume(self.task_evaluations as u64) as usize;
+                while let Some(&w) = idle.last() {
+                    let granted = budget.try_consume(task_evaluations);
                     if granted == 0 {
                         break;
                     }
+                    idle.pop();
                     let start = memory.sample_solution(inst, &mut rng);
                     p.send(
-                        outstanding % n_workers,
+                        w,
                         Task {
                             start,
                             seed: rng.next_u64(),
                             evals: granted,
                         },
                     );
-                    outstanding += 1;
                 }
             }
             // The master improves one assembly itself.
-            let granted = budget.try_consume(self.task_evaluations as u64) as usize;
+            let granted = budget.try_consume(task_evaluations);
             if granted > 0 {
                 let start = memory.sample_solution(inst, &mut rng);
-                let (s, o) = improve(inst, start, rng.next_u64(), granted, cfg);
+                let task = Task {
+                    start,
+                    seed: rng.next_u64(),
+                    evals: granted,
+                };
                 iterations += 1;
-                absorb(&mut memory, &mut archive, s, o);
-            } else if outstanding == 0 {
+                absorb(&mut memory, &mut archive, task.run(inst, &task_cfg));
+            } else if idle.len() == n_workers {
                 break;
             }
         }
         // Drain stragglers so their work is not wasted.
-        if let Some(p) = &pool {
-            while outstanding > 0 {
-                let (_, (s, o)) = p.recv()?;
-                outstanding -= 1;
-                iterations += 1;
-                absorb(&mut memory, &mut archive, s, o);
-            }
-        }
         if let Some(p) = pool {
+            while idle.len() < n_workers {
+                let (w, entry) = p.recv()?;
+                idle.push(w);
+                iterations += 1;
+                absorb(&mut memory, &mut archive, entry);
+            }
             p.shutdown();
         }
         Ok(TsmoOutcome {
@@ -370,7 +329,7 @@ impl AdaptiveMemoryTs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pareto::non_dominated_indices;
+    use crate::outcome::verify_front;
     use vrptw::generator::{GeneratorConfig, InstanceClass};
 
     fn cfg(evals: u64) -> TsmoConfig {
@@ -416,26 +375,41 @@ mod tests {
     #[test]
     fn runs_to_budget_with_valid_archive() {
         let inst = Arc::new(GeneratorConfig::new(InstanceClass::R2, 40, 7).build());
-        let mut ts = AdaptiveMemoryTs::new(cfg(6_000), 3);
-        ts.task_evaluations = 500;
-        let out = ts.run(&inst).expect("worker pool");
+        let out = AdaptiveMemoryTs::new(cfg(6_000), 3)
+            .run(&inst)
+            .expect("worker pool");
         assert_eq!(out.evaluations, 6_000);
         assert!(out.iterations > 0);
         assert!(!out.archive.is_empty());
-        assert_eq!(non_dominated_indices(&out.archive).len(), out.archive.len());
-        for e in &out.archive {
-            assert!(e.solution.check(&inst).is_empty());
-        }
+        assert_eq!(verify_front(&inst, &out.archive), Ok(()));
     }
 
     #[test]
     fn single_processor_works() {
         let inst = Arc::new(GeneratorConfig::new(InstanceClass::C2, 25, 2).build());
-        let mut ts = AdaptiveMemoryTs::new(cfg(2_000), 1);
-        ts.task_evaluations = 400;
-        let out = ts.run(&inst).expect("worker pool");
+        let out = AdaptiveMemoryTs::new(cfg(2_000), 1)
+            .run(&inst)
+            .expect("worker pool");
         assert_eq!(out.evaluations, 2_000);
         assert!(!out.archive.is_empty());
+    }
+
+    /// One processor has no worker pool, so a seeded run is reproducible.
+    #[test]
+    fn single_processor_is_deterministic() {
+        let inst = Arc::new(GeneratorConfig::new(InstanceClass::R1, 30, 4).build());
+        let run = || {
+            let out = AdaptiveMemoryTs::new(cfg(3_000).with_seed(5), 1)
+                .run(&inst)
+                .expect("no worker pool");
+            let pairs: Vec<(Solution, Objectives)> = out
+                .archive
+                .into_iter()
+                .map(|e| (e.solution, e.objectives))
+                .collect();
+            (pairs, out.iterations)
+        };
+        assert_eq!(run(), run());
     }
 
     #[test]
@@ -444,9 +418,9 @@ mod tests {
         // Reference: quality of a single I1 construction.
         let mut rng = Xoshiro256StarStar::seed_from_u64(cfg(0).seed ^ 0xADA7);
         let seed_quality = scalarize(randomized_i1(&inst, &mut rng).evaluate(&inst));
-        let mut ts = AdaptiveMemoryTs::new(cfg(10_000), 3);
-        ts.task_evaluations = 1_000;
-        let out = ts.run(&inst).expect("worker pool");
+        let out = AdaptiveMemoryTs::new(cfg(10_000), 3)
+            .run(&inst)
+            .expect("worker pool");
         let best = out
             .archive
             .iter()

@@ -213,7 +213,7 @@ pub(crate) fn run_async(
 
 #[cfg(test)]
 mod tests {
-    use crate::{on_virtual_clock, ParallelVariant, SequentialTsmo, TsmoConfig};
+    use crate::{on_virtual_clock, ParallelVariant, TsmoConfig};
     use pareto::non_dominated_indices;
     use std::sync::Arc;
     use vrptw::generator::{GeneratorConfig, InstanceClass};
@@ -283,7 +283,7 @@ mod tests {
             neighborhood_size: 60,
             ..TsmoConfig::default()
         };
-        let seq = SequentialTsmo::new(c.clone().with_seed(3)).run(&inst);
+        let seq = ParallelVariant::Sequential.run(&inst, &c.clone().with_seed(3));
         let asy = ParallelVariant::Asynchronous(3).run(&inst, &c.with_seed(3));
         let (s, a) = (
             seq.best_distance().expect("seq feasible"),

@@ -50,13 +50,13 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use tsmo_core::{SequentialTsmo, TsmoConfig};
+//! use tsmo_core::{ParallelVariant, TsmoConfig};
 //! use vrptw::generator::{GeneratorConfig, InstanceClass};
 //!
 //! let inst = Arc::new(GeneratorConfig::new(InstanceClass::R2, 40, 7).build());
 //! let cfg = TsmoConfig { max_evaluations: 2_000, neighborhood_size: 50,
 //!                        ..TsmoConfig::default() };
-//! let outcome = SequentialTsmo::new(cfg).run(&inst);
+//! let outcome = ParallelVariant::Sequential.run(&inst, &cfg);
 //! assert_eq!(outcome.evaluations, 2_000);
 //! assert!(!outcome.archive.is_empty());
 //! ```
@@ -74,7 +74,6 @@ mod neighborhood;
 mod outcome;
 mod scalarized;
 mod searcher;
-mod sequential;
 mod sync;
 mod tabu;
 mod trace;
@@ -88,7 +87,6 @@ pub use neighborhood::{generate_chunk, Chunk, Neighbor};
 pub use outcome::{verify_front, FrontEntry, TsmoOutcome};
 pub use scalarized::{weighted_front, WeightedOutcome, WeightedSumTs};
 pub use searcher::{searcher_cfg, CollabSearcher, SearcherResult};
-pub use sequential::SequentialTsmo;
 pub use tabu::TabuList;
 pub use trace::{Trace, TracePoint};
 

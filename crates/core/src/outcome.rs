@@ -50,15 +50,19 @@ pub fn verify_front(inst: &Instance, front: &[FrontEntry]) -> Result<(), String>
     Ok(())
 }
 
-/// The result of one TSMO run.
+/// The result of one search run: every TSMO variant, the hybrid, adaptive
+/// memory and the MOEAs of the `moea` crate return it.
 #[derive(Debug, Clone)]
 pub struct TsmoOutcome {
-    /// Final contents of `M_archive` (mutually non-dominated).
+    /// The final front, mutually non-dominated: TSMO's `M_archive`, or
+    /// the front an MOEA ends with.
     pub archive: Vec<FrontEntry>,
     /// Evaluations actually consumed.
     pub evaluations: u64,
-    /// Master iterations performed (per searcher summed, for the
-    /// collaborative variant).
+    /// Iterations performed: TSMO master iterations (summed over the
+    /// searchers of the collaborative variant), adaptive-memory
+    /// improvement tasks, NSGA-II and SPEA2 generations, or PAES accepted
+    /// moves.
     pub iterations: usize,
     /// Wall-clock runtime in seconds.
     pub runtime_seconds: f64,

@@ -23,7 +23,7 @@ use detrand::{RandomSource, Rng, Xoshiro256StarStar};
 use pareto::ParetoFront;
 use std::sync::Arc;
 use vrptw::solution::EvaluatedSolution;
-use vrptw::{Instance, Objectives};
+use vrptw::{Instance, Objectives, Solution};
 use vrptw_construct::randomized_i1;
 use vrptw_operators::SampleParams;
 
@@ -46,7 +46,8 @@ pub struct WeightedOutcome {
     pub iterations: usize,
 }
 
-fn scalar(weights: &[f64; 3], o: Objectives) -> f64 {
+/// `w · (f1, f2, f3)`, summed left to right.
+pub(crate) fn scalar(weights: &[f64; 3], o: Objectives) -> f64 {
     let v = o.to_vector();
     weights[0] * v[0] + weights[1] * v[1] + weights[2] * v[2]
 }
@@ -69,70 +70,93 @@ impl WeightedSumTs {
         Self { cfg, weights }
     }
 
-    /// Runs to budget exhaustion, tracking the best scalarized solution.
+    /// Runs to budget exhaustion from a randomized I1 start, tracking the
+    /// best scalarized solution.
     pub fn run(&self, inst: &Arc<Instance>) -> WeightedOutcome {
-        let cfg = &self.cfg;
-        let budget = EvaluationBudget::new(cfg.max_evaluations);
-        let mut rng = Xoshiro256StarStar::seed_from_u64(cfg.seed);
-        let params = SampleParams {
-            feasibility: cfg.feasibility_criterion,
-        };
+        let mut rng = Xoshiro256StarStar::seed_from_u64(self.cfg.seed);
         let start = randomized_i1(inst, &mut rng);
-        let mut current = EvaluatedSolution::new(start, inst);
-        let mut tabu = TabuList::new(cfg.tabu_tenure);
-        let mut best = FrontEntry::new(current.solution().clone(), current.objectives());
-        let mut best_value = scalar(&self.weights, current.objectives());
-        let mut stagnation = 0usize;
-        let mut iterations = 0usize;
+        tabu_search(
+            inst,
+            &self.cfg,
+            &self.weights,
+            start,
+            rng,
+            self.cfg.max_evaluations,
+        )
+    }
+}
 
-        while !budget.exhausted() {
-            let granted = budget.try_consume(cfg.neighborhood_size as u64) as usize;
-            if granted == 0 {
-                break;
-            }
-            let seed = rng.next_u64();
-            let pool: Vec<Neighbor> =
-                generate_chunk(inst, &current, seed, granted, params, iterations).neighbors;
-            iterations += 1;
-            // Classic best-improvement selection with aspiration: the best
-            // non-tabu neighbor, or a tabu one that beats the incumbent.
-            let mut chosen: Option<&Neighbor> = None;
-            let mut chosen_value = f64::INFINITY;
-            for nb in &pool {
-                let value = scalar(&self.weights, nb.objectives);
-                let tabu_hit = tabu.is_tabu(&nb.arcs_created);
-                let admissible = !tabu_hit || value < best_value;
-                if admissible && value < chosen_value {
-                    chosen = Some(nb);
-                    chosen_value = value;
-                }
-            }
-            match chosen {
-                Some(nb) => {
-                    tabu.push(nb.arcs_removed.clone());
-                    current = EvaluatedSolution::new(nb.solution.clone(), inst);
-                    if chosen_value < best_value {
-                        best_value = chosen_value;
-                        best = FrontEntry::new(nb.solution.clone(), nb.objectives);
-                        stagnation = 0;
-                    } else {
-                        stagnation += 1;
-                    }
-                }
-                None => stagnation += 1,
-            }
-            if stagnation >= cfg.stagnation_limit {
-                // Restart from the incumbent.
-                current = EvaluatedSolution::new(best.solution.clone(), inst);
-                stagnation = 0;
+/// The weighted-sum tabu loop: from `start`, spends up to `budget`
+/// evaluations on neighborhoods of `cfg.neighborhood_size` drawn with
+/// `rng`, and restarts from the incumbent after `cfg.stagnation_limit`
+/// iterations without improvement. Adaptive memory's improvement tasks
+/// run it too.
+pub(crate) fn tabu_search(
+    inst: &Instance,
+    cfg: &TsmoConfig,
+    weights: &[f64; 3],
+    start: Solution,
+    mut rng: Xoshiro256StarStar,
+    budget: u64,
+) -> WeightedOutcome {
+    let budget = EvaluationBudget::new(budget);
+    let params = SampleParams {
+        feasibility: cfg.feasibility_criterion,
+    };
+    let mut current = EvaluatedSolution::new(start, inst);
+    let mut tabu = TabuList::new(cfg.tabu_tenure);
+    let mut best = FrontEntry::new(current.solution().clone(), current.objectives());
+    let mut best_value = scalar(weights, current.objectives());
+    let mut stagnation = 0usize;
+    let mut iterations = 0usize;
+
+    while !budget.exhausted() {
+        let granted = budget.try_consume(cfg.neighborhood_size as u64) as usize;
+        if granted == 0 {
+            break;
+        }
+        let seed = rng.next_u64();
+        let pool: Vec<Neighbor> =
+            generate_chunk(inst, &current, seed, granted, params, iterations).neighbors;
+        iterations += 1;
+        // Classic best-improvement selection with aspiration: the best
+        // non-tabu neighbor, or a tabu one that beats the incumbent.
+        let mut chosen: Option<&Neighbor> = None;
+        let mut chosen_value = f64::INFINITY;
+        for nb in &pool {
+            let value = scalar(weights, nb.objectives);
+            let tabu_hit = tabu.is_tabu(&nb.arcs_created);
+            let admissible = !tabu_hit || value < best_value;
+            if admissible && value < chosen_value {
+                chosen = Some(nb);
+                chosen_value = value;
             }
         }
-        WeightedOutcome {
-            best,
-            value: best_value,
-            evaluations: budget.consumed(),
-            iterations,
+        match chosen {
+            Some(nb) => {
+                tabu.push(nb.arcs_removed.clone());
+                current = EvaluatedSolution::new(nb.solution.clone(), inst);
+                if chosen_value < best_value {
+                    best_value = chosen_value;
+                    best = FrontEntry::new(nb.solution.clone(), nb.objectives);
+                    stagnation = 0;
+                } else {
+                    stagnation += 1;
+                }
+            }
+            None => stagnation += 1,
         }
+        if stagnation >= cfg.stagnation_limit {
+            // Restart from the incumbent.
+            current = EvaluatedSolution::new(best.solution.clone(), inst);
+            stagnation = 0;
+        }
+    }
+    WeightedOutcome {
+        best,
+        value: best_value,
+        evaluations: budget.consumed(),
+        iterations,
     }
 }
 

@@ -125,7 +125,7 @@ pub(crate) fn run_sync(
 
 #[cfg(test)]
 mod tests {
-    use crate::{on_virtual_clock, ParallelVariant, SequentialTsmo, TsmoConfig};
+    use crate::{on_virtual_clock, ParallelVariant, TsmoConfig};
     use std::sync::Arc;
     use vrptw::generator::{GeneratorConfig, InstanceClass};
 
@@ -151,7 +151,7 @@ mod tests {
         let inst = Arc::new(GeneratorConfig::new(InstanceClass::R2, 40, 6).build());
         for p in [2, 3, 4] {
             let seq_cfg = TsmoConfig { chunks: p, ..cfg() }.with_seed(77);
-            let seq = SequentialTsmo::new(seq_cfg).run(&inst);
+            let seq = ParallelVariant::Sequential.run(&inst, &seq_cfg);
             let par = ParallelVariant::Synchronous(p).run(&inst, &cfg().with_seed(77));
             assert_eq!(seq.iterations, par.iterations, "p = {p}");
             let sv = seq.feasible_vectors();
@@ -167,7 +167,7 @@ mod tests {
         for p in [2usize, 3] {
             let mut seq_cfg = cfg().with_seed(7);
             seq_cfg.chunks = p;
-            let seq = SequentialTsmo::new(seq_cfg).run(&inst);
+            let seq = ParallelVariant::Sequential.run(&inst, &seq_cfg);
             let sim = on_virtual_clock(ParallelVariant::Synchronous(p), &inst, &cfg().with_seed(7));
             assert_eq!(
                 norm(seq.feasible_vectors()),
@@ -205,7 +205,7 @@ mod tests {
     #[test]
     fn one_processor_degenerates_to_sequential() {
         let inst = Arc::new(GeneratorConfig::new(InstanceClass::C2, 30, 3).build());
-        let seq = SequentialTsmo::new(cfg().with_seed(5)).run(&inst);
+        let seq = ParallelVariant::Sequential.run(&inst, &cfg().with_seed(5));
         let par = ParallelVariant::Synchronous(1).run(&inst, &cfg().with_seed(5));
         assert_eq!(seq.feasible_vectors(), par.feasible_vectors());
     }
@@ -223,5 +223,98 @@ mod tests {
     fn zero_processors_rejected() {
         let inst = Arc::new(GeneratorConfig::new(InstanceClass::R1, 10, 2).build());
         ParallelVariant::Synchronous(0).run(&inst, &cfg());
+    }
+}
+
+/// The sequential algorithm: the synchronous loop with no workers.
+#[cfg(test)]
+mod sequential_tests {
+    use crate::{verify_front, ParallelVariant, TsmoConfig};
+    use std::sync::Arc;
+    use vrptw::generator::{GeneratorConfig, InstanceClass};
+
+    fn small_cfg() -> TsmoConfig {
+        TsmoConfig {
+            max_evaluations: 3_000,
+            neighborhood_size: 50,
+            ..TsmoConfig::default()
+        }
+    }
+
+    #[test]
+    fn consumes_exactly_the_budget() {
+        let inst = Arc::new(GeneratorConfig::new(InstanceClass::R2, 40, 1).build());
+        let out = ParallelVariant::Sequential.run(&inst, &small_cfg());
+        assert_eq!(out.evaluations, 3_000);
+        assert!(out.iterations >= 3_000 / 50);
+        assert!(out.runtime_seconds > 0.0);
+    }
+
+    #[test]
+    fn deterministic_for_equal_seeds() {
+        let inst = Arc::new(GeneratorConfig::new(InstanceClass::C1, 40, 2).build());
+        let a = ParallelVariant::Sequential.run(&inst, &small_cfg().with_seed(9));
+        let b = ParallelVariant::Sequential.run(&inst, &small_cfg().with_seed(9));
+        let mut va = a.feasible_vectors();
+        let mut vb = b.feasible_vectors();
+        let key = |v: &[f64; 3]| (v[0] * 1e6) as i64;
+        va.sort_by_key(key);
+        vb.sort_by_key(key);
+        assert_eq!(va, vb, "same seed must give the same front");
+        assert_eq!(a.iterations, b.iterations);
+    }
+
+    #[test]
+    fn different_seeds_explore_differently() {
+        let inst = Arc::new(GeneratorConfig::new(InstanceClass::C1, 40, 2).build());
+        let a = ParallelVariant::Sequential.run(&inst, &small_cfg().with_seed(1));
+        let b = ParallelVariant::Sequential.run(&inst, &small_cfg().with_seed(2));
+        assert_ne!(a.feasible_vectors(), b.feasible_vectors());
+    }
+
+    #[test]
+    fn archive_is_non_dominated_and_valid() {
+        let inst = Arc::new(GeneratorConfig::new(InstanceClass::RC2, 40, 5).build());
+        let out = ParallelVariant::Sequential.run(&inst, &small_cfg());
+        assert_eq!(verify_front(&inst, &out.archive), Ok(()));
+    }
+
+    #[test]
+    fn improves_over_the_construction_heuristic() {
+        let inst = Arc::new(GeneratorConfig::new(InstanceClass::R2, 60, 4).build());
+        let cfg = TsmoConfig {
+            max_evaluations: 8_000,
+            neighborhood_size: 80,
+            ..TsmoConfig::default()
+        };
+        let out = ParallelVariant::Sequential.run(&inst, &cfg);
+        // I1 with default parameters as the reference.
+        let start =
+            vrptw_construct::i1(&inst, &vrptw_construct::I1Config::default()).evaluate(&inst);
+        let best = out.best_distance().expect("feasible solutions exist on R2");
+        assert!(
+            best < start.distance,
+            "search best {best} should beat I1 start {}",
+            start.distance
+        );
+    }
+
+    #[test]
+    fn chunked_generation_changes_stream_but_stays_deterministic() {
+        let inst = Arc::new(GeneratorConfig::new(InstanceClass::C2, 30, 8).build());
+        let cfg1 = TsmoConfig {
+            chunks: 1,
+            ..small_cfg()
+        };
+        let cfg3 = TsmoConfig {
+            chunks: 3,
+            ..small_cfg()
+        };
+        let a = ParallelVariant::Sequential.run(&inst, &cfg3);
+        let b = ParallelVariant::Sequential.run(&inst, &cfg3);
+        assert_eq!(a.feasible_vectors(), b.feasible_vectors());
+        let c = ParallelVariant::Sequential.run(&inst, &cfg1);
+        // chunks=1 and chunks=3 are different (but individually valid) runs.
+        let _ = c;
     }
 }

@@ -2,7 +2,7 @@
 //! restarts, and tracing semantics across variants.
 
 use std::sync::Arc;
-use tsmo_core::{Clock, ParallelVariant, RunOptions, SequentialTsmo, TsmoConfig, TsmoOutcome};
+use tsmo_core::{Clock, ParallelVariant, RunOptions, TsmoConfig, TsmoOutcome};
 use vrptw::generator::{GeneratorConfig, InstanceClass};
 use vrptw::Instance;
 
@@ -35,16 +35,20 @@ fn prefer_dominating_selection_intensifies() {
     use tsmo_core::SelectionRule;
     let inst = inst(InstanceClass::R2, 50, 14);
     let evals = 6_000;
-    let random = SequentialTsmo::new(TsmoConfig {
-        selection: SelectionRule::RandomNonDominated,
-        ..cfg(evals).with_seed(2)
-    })
-    .run(&inst);
-    let greedy = SequentialTsmo::new(TsmoConfig {
-        selection: SelectionRule::PreferDominating,
-        ..cfg(evals).with_seed(2)
-    })
-    .run(&inst);
+    let random = ParallelVariant::Sequential.run(
+        &inst,
+        &TsmoConfig {
+            selection: SelectionRule::RandomNonDominated,
+            ..cfg(evals).with_seed(2)
+        },
+    );
+    let greedy = ParallelVariant::Sequential.run(
+        &inst,
+        &TsmoConfig {
+            selection: SelectionRule::PreferDominating,
+            ..cfg(evals).with_seed(2)
+        },
+    );
     let (r, g) = (
         random.best_distance().expect("feasible"),
         greedy.best_distance().expect("feasible"),
@@ -61,11 +65,13 @@ fn prefer_dominating_selection_intensifies() {
 #[test]
 fn zero_tenure_still_searches() {
     let inst = inst(InstanceClass::R2, 30, 6);
-    let out = SequentialTsmo::new(TsmoConfig {
-        tabu_tenure: 0,
-        ..cfg(2_000)
-    })
-    .run(&inst);
+    let out = ParallelVariant::Sequential.run(
+        &inst,
+        &TsmoConfig {
+            tabu_tenure: 0,
+            ..cfg(2_000)
+        },
+    );
     assert_eq!(out.evaluations, 2_000);
     assert!(!out.archive.is_empty());
 }
@@ -75,12 +81,14 @@ fn huge_tenure_forces_frequent_restarts_but_completes() {
     let inst = inst(InstanceClass::R2, 30, 6);
     // With an enormous tenure almost everything becomes tabu quickly; the
     // restart path must keep the search alive.
-    let out = SequentialTsmo::new(TsmoConfig {
-        tabu_tenure: 10_000,
-        stagnation_limit: 5,
-        ..cfg(2_000)
-    })
-    .run(&inst);
+    let out = ParallelVariant::Sequential.run(
+        &inst,
+        &TsmoConfig {
+            tabu_tenure: 10_000,
+            stagnation_limit: 5,
+            ..cfg(2_000)
+        },
+    );
     assert_eq!(out.evaluations, 2_000);
     assert!(!out.archive.is_empty());
 }
@@ -88,11 +96,13 @@ fn huge_tenure_forces_frequent_restarts_but_completes() {
 #[test]
 fn sequential_trace_has_zero_staleness_and_full_coverage() {
     let inst = inst(InstanceClass::C2, 30, 7);
-    let out = SequentialTsmo::new(TsmoConfig {
-        trace: true,
-        ..cfg(1_200)
-    })
-    .run(&inst);
+    let out = ParallelVariant::Sequential.run(
+        &inst,
+        &TsmoConfig {
+            trace: true,
+            ..cfg(1_200)
+        },
+    );
     let trace = out.trace.expect("tracing on");
     assert_eq!(
         trace.max_staleness(),
@@ -175,12 +185,14 @@ fn virtual_speedup_is_monotone_in_processors_for_sync() {
 fn budgets_below_one_neighborhood_still_terminate() {
     let inst = inst(InstanceClass::C1, 25, 11);
     for evals in [1u64, 7, 59] {
-        let out = SequentialTsmo::new(TsmoConfig {
-            max_evaluations: evals,
-            neighborhood_size: 60,
-            ..TsmoConfig::default()
-        })
-        .run(&inst);
+        let out = ParallelVariant::Sequential.run(
+            &inst,
+            &TsmoConfig {
+                max_evaluations: evals,
+                neighborhood_size: 60,
+                ..TsmoConfig::default()
+            },
+        );
         assert_eq!(out.evaluations, evals);
         assert!(
             !out.archive.is_empty(),

@@ -3,7 +3,7 @@
 //! for a fixed seed.
 
 use std::sync::Arc;
-use tsmo_core::{Clock, ParallelVariant, RunOptions, SequentialTsmo, TsmoConfig, TsmoOutcome};
+use tsmo_core::{Clock, ParallelVariant, RunOptions, TsmoConfig, TsmoOutcome};
 use tsmo_obs::metrics::names;
 use tsmo_obs::{parse_events_jsonl, MemoryRecorder, Recorder, SearchEvent};
 use vrptw::generator::{GeneratorConfig, InstanceClass};
@@ -50,10 +50,13 @@ fn fronts(out: &TsmoOutcome) -> Vec<[f64; 3]> {
 #[test]
 fn noop_and_recording_runs_are_identical_sequential() {
     let inst = inst();
-    let plain = SequentialTsmo::new(cfg()).run(&inst);
+    let plain = ParallelVariant::Sequential.run(&inst, &cfg());
     let recorder = MemoryRecorder::shared();
-    let recorded =
-        SequentialTsmo::new(cfg()).run_with(&inst, Arc::clone(&recorder) as Arc<dyn Recorder>);
+    let recorded = ParallelVariant::Sequential.run_with(
+        &inst,
+        &cfg(),
+        Arc::clone(&recorder) as Arc<dyn Recorder>,
+    );
     assert_eq!(plain.evaluations, recorded.evaluations);
     assert_eq!(plain.iterations, recorded.iterations);
     assert_eq!(fronts(&plain), fronts(&recorded));
@@ -181,7 +184,7 @@ fn span_and_timeline_streams_are_byte_identical_across_runs() {
 fn default_stream_has_no_span_events_but_the_profile_still_folds() {
     let inst = inst();
     let recorder = MemoryRecorder::shared();
-    SequentialTsmo::new(cfg()).run_with(&inst, Arc::clone(&recorder) as Arc<dyn Recorder>);
+    ParallelVariant::Sequential.run_with(&inst, &cfg(), Arc::clone(&recorder) as Arc<dyn Recorder>);
     assert!(
         !recorder.events().iter().any(|e| matches!(
             e.event,

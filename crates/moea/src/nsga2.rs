@@ -6,7 +6,7 @@ use deme::{EvaluationBudget, RunClock};
 use detrand::{Rng, Xoshiro256StarStar};
 use pareto::{crowding_distances, Dominance};
 use std::sync::Arc;
-use tsmo_core::CancelToken;
+use tsmo_core::{CancelToken, FrontEntry, TsmoOutcome};
 use vrptw::{Instance, Objectives, Solution};
 use vrptw_construct::randomized_i1;
 
@@ -59,39 +59,6 @@ impl Dominance for Individual {
     }
 }
 
-/// Result of an NSGA-II run.
-#[derive(Debug, Clone)]
-pub struct Nsga2Outcome {
-    /// The final population's first front.
-    pub front: Vec<(Solution, Objectives)>,
-    /// Evaluations consumed.
-    pub evaluations: u64,
-    /// Generations completed.
-    pub generations: usize,
-    /// Wall-clock seconds.
-    pub runtime_seconds: f64,
-}
-
-impl Nsga2Outcome {
-    /// Front members without time-window violations, as objective vectors.
-    pub fn feasible_vectors(&self) -> Vec<[f64; 3]> {
-        self.front
-            .iter()
-            .filter(|(_, o)| o.is_time_feasible(1e-6))
-            .map(|(_, o)| o.to_vector())
-            .collect()
-    }
-
-    /// Best feasible total distance.
-    pub fn best_distance(&self) -> Option<f64> {
-        self.front
-            .iter()
-            .filter(|(_, o)| o.is_time_feasible(1e-6))
-            .map(|(_, o)| o.distance)
-            .min_by(|a, b| a.partial_cmp(b).expect("not NaN"))
-    }
-}
-
 /// The NSGA-II runner.
 pub struct Nsga2 {
     cfg: Nsga2Config,
@@ -110,18 +77,15 @@ impl Nsga2 {
         Self { cfg }
     }
 
-    /// Runs to budget exhaustion.
-    pub fn run(&self, inst: &Arc<Instance>) -> Nsga2Outcome {
-        self.run_with_cancel(inst, CancelToken::never())
-    }
-
-    /// Runs until the budget is exhausted or the token stops the run.
+    /// Runs until the budget is exhausted or the token stops the run;
+    /// `iterations` counts generations, and `archive` is the final
+    /// population's first front.
     ///
     /// The token is checked at the top of each generation, before any
     /// randomness is drawn, so a truncated run's population trajectory is
     /// a byte-identical prefix of the unstopped run's — the same contract
     /// the TSMO variants honor (`tsmo_core::CancelToken`).
-    pub fn run_with_cancel(&self, inst: &Arc<Instance>, cancel: CancelToken) -> Nsga2Outcome {
+    pub fn run(&self, inst: &Arc<Instance>, cancel: &CancelToken) -> TsmoOutcome {
         let clock = RunClock::start();
         let cfg = &self.cfg;
         let budget = EvaluationBudget::new(cfg.max_evaluations);
@@ -177,19 +141,20 @@ impl Nsga2 {
         }
 
         let fronts = fast_non_dominated_sort(&pop);
-        let front = fronts
+        let archive = fronts
             .first()
             .map(|f| {
                 f.iter()
-                    .map(|&i| (pop[i].solution.clone(), pop[i].objectives))
+                    .map(|&i| FrontEntry::new(pop[i].solution.clone(), pop[i].objectives))
                     .collect()
             })
             .unwrap_or_default();
-        Nsga2Outcome {
-            front,
+        TsmoOutcome {
+            archive,
             evaluations: budget.consumed(),
-            generations,
+            iterations: generations,
             runtime_seconds: clock.seconds(),
+            trace: None,
         }
     }
 }
@@ -256,30 +221,29 @@ mod tests {
     #[test]
     fn runs_to_budget_and_returns_front() {
         let inst = Arc::new(GeneratorConfig::new(InstanceClass::R2, 30, 3).build());
-        let out = Nsga2::new(small()).run(&inst);
+        let out = Nsga2::new(small()).run(&inst, &CancelToken::never());
         assert_eq!(out.evaluations, 1_000);
-        assert!(out.generations > 0);
-        assert!(!out.front.is_empty());
-        for (sol, _) in &out.front {
-            assert!(sol.check(&inst).is_empty());
+        assert!(out.iterations > 0);
+        assert!(!out.archive.is_empty());
+        for e in &out.archive {
+            assert!(e.solution.check(&inst).is_empty());
         }
     }
 
     #[test]
-    fn front_is_mutually_non_dominated() {
+    fn front_passes_verification() {
         let inst = Arc::new(GeneratorConfig::new(InstanceClass::C2, 30, 6).build());
-        let out = Nsga2::new(small()).run(&inst);
-        let vecs: Vec<[f64; 3]> = out.front.iter().map(|(_, o)| o.to_vector()).collect();
-        assert_eq!(pareto::non_dominated_indices(&vecs).len(), vecs.len());
+        let out = Nsga2::new(small()).run(&inst, &CancelToken::never());
+        assert_eq!(tsmo_core::verify_front(&inst, &out.archive), Ok(()));
     }
 
     #[test]
     fn deterministic_for_same_seed() {
         let inst = Arc::new(GeneratorConfig::new(InstanceClass::R1, 25, 9).build());
-        let a = Nsga2::new(Nsga2Config { seed: 7, ..small() }).run(&inst);
-        let b = Nsga2::new(Nsga2Config { seed: 7, ..small() }).run(&inst);
+        let a = Nsga2::new(Nsga2Config { seed: 7, ..small() }).run(&inst, &CancelToken::never());
+        let b = Nsga2::new(Nsga2Config { seed: 7, ..small() }).run(&inst, &CancelToken::never());
         assert_eq!(a.feasible_vectors(), b.feasible_vectors());
-        assert_eq!(a.generations, b.generations);
+        assert_eq!(a.iterations, b.iterations);
     }
 
     #[test]
@@ -290,13 +254,13 @@ mod tests {
             max_evaluations: 24, // initialization only
             ..Default::default()
         })
-        .run(&inst);
+        .run(&inst, &CancelToken::never());
         let long = Nsga2::new(Nsga2Config {
             population: 24,
             max_evaluations: 3_000,
             ..Default::default()
         })
-        .run(&inst);
+        .run(&inst, &CancelToken::never());
         let (q, l) = (
             quick.best_distance().expect("feasible"),
             long.best_distance().expect("feasible"),

@@ -14,7 +14,7 @@ use deme::{EvaluationBudget, RunClock};
 use detrand::Xoshiro256StarStar;
 use pareto::{compare, DomRelation};
 use std::sync::Arc;
-use tsmo_core::CancelToken;
+use tsmo_core::{CancelToken, FrontEntry, TsmoOutcome};
 use vrptw::{Instance, Objectives, Solution};
 use vrptw_construct::randomized_i1;
 
@@ -145,30 +145,6 @@ impl GridArchive {
     }
 }
 
-/// Result of a PAES run.
-#[derive(Debug, Clone)]
-pub struct PaesOutcome {
-    /// Final archive (mutually non-dominated).
-    pub front: Vec<(Solution, Objectives)>,
-    /// Evaluations consumed.
-    pub evaluations: u64,
-    /// Accepted moves (trajectory length).
-    pub accepted: usize,
-    /// Wall-clock seconds.
-    pub runtime_seconds: f64,
-}
-
-impl PaesOutcome {
-    /// Front members without time-window violations, as objective vectors.
-    pub fn feasible_vectors(&self) -> Vec<[f64; 3]> {
-        self.front
-            .iter()
-            .filter(|(_, o)| o.is_time_feasible(1e-6))
-            .map(|(_, o)| o.to_vector())
-            .collect()
-    }
-}
-
 /// The (1+1)-PAES runner.
 pub struct Paes {
     cfg: PaesConfig,
@@ -184,18 +160,15 @@ impl Paes {
         Self { cfg }
     }
 
-    /// Runs to budget exhaustion.
-    pub fn run(&self, inst: &Arc<Instance>) -> PaesOutcome {
-        self.run_with_cancel(inst, CancelToken::never())
-    }
-
-    /// Runs until the budget is exhausted or the token stops the run.
+    /// Runs until the budget is exhausted or the token stops the run;
+    /// `iterations` counts accepted moves (the trajectory length), and
+    /// `archive` is the final grid archive.
     ///
     /// The token is checked at the top of each (1+1) step, before the
     /// mutation randomness is drawn, so a truncated trajectory is a
     /// byte-identical prefix of the unstopped one (the
     /// `tsmo_core::CancelToken` contract).
-    pub fn run_with_cancel(&self, inst: &Arc<Instance>, cancel: CancelToken) -> PaesOutcome {
+    pub fn run(&self, inst: &Arc<Instance>, cancel: &CancelToken) -> TsmoOutcome {
         let clock = RunClock::start();
         let cfg = &self.cfg;
         let budget = EvaluationBudget::new(cfg.max_evaluations);
@@ -251,15 +224,16 @@ impl Paes {
             }
         }
 
-        PaesOutcome {
-            front: archive
+        TsmoOutcome {
+            archive: archive
                 .members
                 .into_iter()
-                .map(|m| (m.solution, m.objectives))
+                .map(|m| FrontEntry::new(m.solution, m.objectives))
                 .collect(),
             evaluations: budget.consumed(),
-            accepted,
+            iterations: accepted,
             runtime_seconds: clock.seconds(),
+            trace: None,
         }
     }
 }
@@ -280,31 +254,30 @@ mod tests {
     #[test]
     fn runs_to_budget_with_valid_front() {
         let inst = Arc::new(GeneratorConfig::new(InstanceClass::R2, 30, 3).build());
-        let out = Paes::new(small()).run(&inst);
+        let out = Paes::new(small()).run(&inst, &CancelToken::never());
         assert_eq!(out.evaluations, 2_000);
-        assert!(!out.front.is_empty());
-        assert!(out.front.len() <= 10);
-        for (sol, _) in &out.front {
-            assert!(sol.check(&inst).is_empty());
+        assert!(!out.archive.is_empty());
+        assert!(out.archive.len() <= 10);
+        for e in &out.archive {
+            assert!(e.solution.check(&inst).is_empty());
         }
-        assert!(out.accepted > 0, "a (1+1)-ES that never moves is broken");
+        assert!(out.iterations > 0, "a (1+1)-ES that never moves is broken");
     }
 
     #[test]
-    fn front_is_mutually_non_dominated() {
+    fn front_passes_verification() {
         let inst = Arc::new(GeneratorConfig::new(InstanceClass::C2, 30, 6).build());
-        let out = Paes::new(small()).run(&inst);
-        let vecs: Vec<[f64; 3]> = out.front.iter().map(|(_, o)| o.to_vector()).collect();
-        assert_eq!(pareto::non_dominated_indices(&vecs).len(), vecs.len());
+        let out = Paes::new(small()).run(&inst, &CancelToken::never());
+        assert_eq!(tsmo_core::verify_front(&inst, &out.archive), Ok(()));
     }
 
     #[test]
     fn deterministic_for_same_seed() {
         let inst = Arc::new(GeneratorConfig::new(InstanceClass::R1, 25, 9).build());
-        let a = Paes::new(PaesConfig { seed: 7, ..small() }).run(&inst);
-        let b = Paes::new(PaesConfig { seed: 7, ..small() }).run(&inst);
+        let a = Paes::new(PaesConfig { seed: 7, ..small() }).run(&inst, &CancelToken::never());
+        let b = Paes::new(PaesConfig { seed: 7, ..small() }).run(&inst, &CancelToken::never());
         assert_eq!(a.feasible_vectors(), b.feasible_vectors());
-        assert_eq!(a.accepted, b.accepted);
+        assert_eq!(a.iterations, b.iterations);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use deme::{EvaluationBudget, RunClock};
 use detrand::{Rng, Xoshiro256StarStar};
 use pareto::dominates;
 use std::sync::Arc;
-use tsmo_core::CancelToken;
+use tsmo_core::{CancelToken, FrontEntry, TsmoOutcome};
 use vrptw::{Instance, Objectives, Solution};
 use vrptw_construct::randomized_i1;
 
@@ -58,30 +58,6 @@ struct Individual {
     vector: [f64; 3],
 }
 
-/// Result of a SPEA2 run.
-#[derive(Debug, Clone)]
-pub struct Spea2Outcome {
-    /// Non-dominated members of the final archive.
-    pub front: Vec<(Solution, Objectives)>,
-    /// Evaluations consumed.
-    pub evaluations: u64,
-    /// Generations completed.
-    pub generations: usize,
-    /// Wall-clock seconds.
-    pub runtime_seconds: f64,
-}
-
-impl Spea2Outcome {
-    /// Front members without time-window violations, as objective vectors.
-    pub fn feasible_vectors(&self) -> Vec<[f64; 3]> {
-        self.front
-            .iter()
-            .filter(|(_, o)| o.is_time_feasible(1e-6))
-            .map(|(_, o)| o.to_vector())
-            .collect()
-    }
-}
-
 /// The SPEA2 runner.
 pub struct Spea2 {
     cfg: Spea2Config,
@@ -100,18 +76,15 @@ impl Spea2 {
         Self { cfg }
     }
 
-    /// Runs to budget exhaustion.
-    pub fn run(&self, inst: &Arc<Instance>) -> Spea2Outcome {
-        self.run_with_cancel(inst, CancelToken::never())
-    }
-
-    /// Runs until the budget is exhausted or the token stops the run.
+    /// Runs until the budget is exhausted or the token stops the run;
+    /// `iterations` counts generations, and `archive` holds the final
+    /// archive's non-dominated members.
     ///
     /// The token is checked once per generation — after environmental
     /// selection, before any mating randomness is drawn — so a truncated
     /// run returns the same archive the unstopped run held at that
     /// generation (the `tsmo_core::CancelToken` prefix contract).
-    pub fn run_with_cancel(&self, inst: &Arc<Instance>, cancel: CancelToken) -> Spea2Outcome {
+    pub fn run(&self, inst: &Arc<Instance>, cancel: &CancelToken) -> TsmoOutcome {
         let clock = RunClock::start();
         let cfg = &self.cfg;
         let budget = EvaluationBudget::new(cfg.max_evaluations);
@@ -180,13 +153,14 @@ impl Spea2 {
         let front = archive
             .iter()
             .filter(|i| !archive.iter().any(|j| dominates(&j.vector, &i.vector)))
-            .map(|i| (i.solution.clone(), i.objectives))
+            .map(|i| FrontEntry::new(i.solution.clone(), i.objectives))
             .collect();
-        Spea2Outcome {
-            front,
+        TsmoOutcome {
+            archive: front,
             evaluations: budget.consumed(),
-            generations,
+            iterations: generations,
             runtime_seconds: clock.seconds(),
+            trace: None,
         }
     }
 }
@@ -314,28 +288,27 @@ mod tests {
     #[test]
     fn runs_to_budget_and_returns_valid_front() {
         let inst = Arc::new(GeneratorConfig::new(InstanceClass::R2, 30, 3).build());
-        let out = Spea2::new(small()).run(&inst);
+        let out = Spea2::new(small()).run(&inst, &CancelToken::never());
         assert_eq!(out.evaluations, 1_000);
-        assert!(out.generations > 0);
-        assert!(!out.front.is_empty());
-        for (sol, _) in &out.front {
-            assert!(sol.check(&inst).is_empty());
+        assert!(out.iterations > 0);
+        assert!(!out.archive.is_empty());
+        for e in &out.archive {
+            assert!(e.solution.check(&inst).is_empty());
         }
     }
 
     #[test]
-    fn front_is_mutually_non_dominated() {
+    fn front_passes_verification() {
         let inst = Arc::new(GeneratorConfig::new(InstanceClass::C2, 30, 6).build());
-        let out = Spea2::new(small()).run(&inst);
-        let vecs: Vec<[f64; 3]> = out.front.iter().map(|(_, o)| o.to_vector()).collect();
-        assert_eq!(pareto::non_dominated_indices(&vecs).len(), vecs.len());
+        let out = Spea2::new(small()).run(&inst, &CancelToken::never());
+        assert_eq!(tsmo_core::verify_front(&inst, &out.archive), Ok(()));
     }
 
     #[test]
     fn deterministic_for_same_seed() {
         let inst = Arc::new(GeneratorConfig::new(InstanceClass::R1, 25, 9).build());
-        let a = Spea2::new(Spea2Config { seed: 7, ..small() }).run(&inst);
-        let b = Spea2::new(Spea2Config { seed: 7, ..small() }).run(&inst);
+        let a = Spea2::new(Spea2Config { seed: 7, ..small() }).run(&inst, &CancelToken::never());
+        let b = Spea2::new(Spea2Config { seed: 7, ..small() }).run(&inst, &CancelToken::never());
         assert_eq!(a.feasible_vectors(), b.feasible_vectors());
     }
 

@@ -7,12 +7,20 @@
 
 use moea::{Nsga2, Nsga2Config, Paes, PaesConfig, Spea2, Spea2Config};
 use std::sync::Arc;
-use tsmo_core::{CancelToken, StopCause};
+use tsmo_core::{verify_front, CancelToken, StopCause, TsmoOutcome};
 use vrptw::generator::{GeneratorConfig, InstanceClass};
-use vrptw::Instance;
+use vrptw::{Instance, Objectives, Solution};
 
 fn inst() -> Arc<Instance> {
     Arc::new(GeneratorConfig::new(InstanceClass::R1, 30, 7).build())
+}
+
+/// A front as `(solution, objectives)` pairs, in order.
+fn pairs(out: &TsmoOutcome) -> Vec<(Solution, Objectives)> {
+    out.archive
+        .iter()
+        .map(|e| (e.solution.clone(), e.objectives))
+        .collect()
 }
 
 fn nsga2_cfg(max_evaluations: u64) -> Nsga2Config {
@@ -48,21 +56,21 @@ fn every_algorithm_honors_the_iteration_limit() {
     let budget = 1_000_000;
 
     let token = CancelToken::with_iteration_limit(3);
-    let n = Nsga2::new(nsga2_cfg(budget)).run_with_cancel(&inst, token.clone());
+    let n = Nsga2::new(nsga2_cfg(budget)).run(&inst, &token);
     assert_eq!(token.cause(), Some(StopCause::IterationLimit), "nsga2");
-    assert_eq!(n.generations, 3);
+    assert_eq!(n.iterations, 3);
     assert!(n.evaluations < budget);
 
     let token = CancelToken::with_iteration_limit(3);
-    let s = Spea2::new(spea2_cfg(budget)).run_with_cancel(&inst, token.clone());
+    let s = Spea2::new(spea2_cfg(budget)).run(&inst, &token);
     assert_eq!(token.cause(), Some(StopCause::IterationLimit), "spea2");
     assert!(s.evaluations < budget);
 
     let token = CancelToken::with_iteration_limit(50);
-    let p = Paes::new(paes_cfg(budget)).run_with_cancel(&inst, token.clone());
+    let p = Paes::new(paes_cfg(budget)).run(&inst, &token);
     assert_eq!(token.cause(), Some(StopCause::IterationLimit), "paes");
     assert!(p.evaluations < budget);
-    assert!(!p.front.is_empty());
+    assert!(!p.archive.is_empty());
 }
 
 /// The prefix property: the front a limited run returns depends only on
@@ -74,26 +82,26 @@ fn truncated_front_is_independent_of_the_remaining_budget() {
     let inst = inst();
 
     let token = CancelToken::with_iteration_limit(4);
-    let small = Nsga2::new(nsga2_cfg(4_000)).run_with_cancel(&inst, token);
+    let small = Nsga2::new(nsga2_cfg(4_000)).run(&inst, &token);
     let token = CancelToken::with_iteration_limit(4);
-    let big = Nsga2::new(nsga2_cfg(100_000)).run_with_cancel(&inst, token);
+    let big = Nsga2::new(nsga2_cfg(100_000)).run(&inst, &token);
     assert_eq!(small.evaluations, big.evaluations, "nsga2 budgets");
-    assert_eq!(small.front, big.front, "nsga2 fronts");
+    assert_eq!(pairs(&small), pairs(&big), "nsga2 fronts");
 
     let token = CancelToken::with_iteration_limit(4);
-    let small = Spea2::new(spea2_cfg(4_000)).run_with_cancel(&inst, token);
+    let small = Spea2::new(spea2_cfg(4_000)).run(&inst, &token);
     let token = CancelToken::with_iteration_limit(4);
-    let big = Spea2::new(spea2_cfg(100_000)).run_with_cancel(&inst, token);
+    let big = Spea2::new(spea2_cfg(100_000)).run(&inst, &token);
     assert_eq!(small.evaluations, big.evaluations, "spea2 budgets");
-    assert_eq!(small.front, big.front, "spea2 fronts");
+    assert_eq!(pairs(&small), pairs(&big), "spea2 fronts");
 
     let token = CancelToken::with_iteration_limit(120);
-    let small = Paes::new(paes_cfg(4_000)).run_with_cancel(&inst, token);
+    let small = Paes::new(paes_cfg(4_000)).run(&inst, &token);
     let token = CancelToken::with_iteration_limit(120);
-    let big = Paes::new(paes_cfg(100_000)).run_with_cancel(&inst, token);
+    let big = Paes::new(paes_cfg(100_000)).run(&inst, &token);
     assert_eq!(small.evaluations, big.evaluations, "paes budgets");
-    assert_eq!(small.front, big.front, "paes fronts");
-    assert_eq!(small.accepted, big.accepted, "paes trajectories");
+    assert_eq!(pairs(&small), pairs(&big), "paes fronts");
+    assert_eq!(small.iterations, big.iterations, "paes trajectories");
 }
 
 /// A truncated run returns only valid solutions (the front is usable as a
@@ -102,11 +110,9 @@ fn truncated_front_is_independent_of_the_remaining_budget() {
 fn truncated_fronts_are_valid() {
     let inst = inst();
     let token = CancelToken::with_iteration_limit(2);
-    let out = Nsga2::new(nsga2_cfg(1_000_000)).run_with_cancel(&inst, token);
-    assert!(!out.front.is_empty());
-    for (sol, _) in &out.front {
-        assert!(sol.check(&inst).is_empty(), "invalid solution in front");
-    }
+    let out = Nsga2::new(nsga2_cfg(1_000_000)).run(&inst, &token);
+    assert!(!out.archive.is_empty());
+    assert_eq!(verify_front(&inst, &out.archive), Ok(()));
 }
 
 /// Explicit cancellation from another thread (the service's Cancel
@@ -123,7 +129,7 @@ fn explicit_cancel_stops_a_running_algorithm() {
             token.cancel();
         })
     };
-    let out = Nsga2::new(nsga2_cfg(1_000_000_000)).run_with_cancel(&inst, token.clone());
+    let out = Nsga2::new(nsga2_cfg(1_000_000_000)).run(&inst, &token);
     canceller.join().expect("canceller thread");
     assert_eq!(token.cause(), Some(StopCause::Cancelled));
     assert!(out.evaluations < 1_000_000_000);
@@ -135,17 +141,21 @@ fn explicit_cancel_stops_a_running_algorithm() {
 #[test]
 fn warm_start_is_deterministic_and_spends_equal_budget() {
     let inst = inst();
-    let first = Nsga2::new(nsga2_cfg(800)).run(&inst);
-    let pool: Vec<_> = first.front.iter().map(|(s, _)| s.clone()).collect();
+    let first = Nsga2::new(nsga2_cfg(800)).run(&inst, &CancelToken::never());
+    let pool: Vec<_> = first.archive.iter().map(|e| e.solution.clone()).collect();
     assert!(!pool.is_empty());
 
     let warm_cfg = Nsga2Config {
         warm_start: pool.clone(),
         ..nsga2_cfg(800)
     };
-    let a = Nsga2::new(warm_cfg.clone()).run(&inst);
-    let b = Nsga2::new(warm_cfg).run(&inst);
-    assert_eq!(a.front, b.front, "warm-started runs must be reproducible");
+    let a = Nsga2::new(warm_cfg.clone()).run(&inst, &CancelToken::never());
+    let b = Nsga2::new(warm_cfg).run(&inst, &CancelToken::never());
+    assert_eq!(
+        pairs(&a),
+        pairs(&b),
+        "warm-started runs must be reproducible"
+    );
     assert_eq!(
         a.evaluations, first.evaluations,
         "equal budget warm vs cold"
@@ -155,16 +165,16 @@ fn warm_start_is_deterministic_and_spends_equal_budget() {
         warm_start: pool.clone(),
         ..spea2_cfg(800)
     };
-    let a = Spea2::new(warm.clone()).run(&inst);
-    let b = Spea2::new(warm).run(&inst);
-    assert_eq!(a.front, b.front);
+    let a = Spea2::new(warm.clone()).run(&inst, &CancelToken::never());
+    let b = Spea2::new(warm).run(&inst, &CancelToken::never());
+    assert_eq!(pairs(&a), pairs(&b));
 
     let warm = PaesConfig {
         warm_start: pool,
         ..paes_cfg(800)
     };
-    let a = Paes::new(warm.clone()).run(&inst);
-    let b = Paes::new(warm).run(&inst);
-    assert_eq!(a.front, b.front);
+    let a = Paes::new(warm.clone()).run(&inst, &CancelToken::never());
+    let b = Paes::new(warm).run(&inst, &CancelToken::never());
+    assert_eq!(pairs(&a), pairs(&b));
     assert_eq!(a.evaluations, b.evaluations);
 }

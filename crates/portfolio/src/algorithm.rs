@@ -11,7 +11,7 @@
 
 use pareto::Archive;
 use std::sync::Arc;
-use tsmo_core::{CancelToken, FrontEntry, ParallelVariant, RunOptions, TsmoConfig};
+use tsmo_core::{CancelToken, FrontEntry, ParallelVariant, RunOptions, TsmoConfig, TsmoOutcome};
 use vrptw::{Instance, Solution};
 
 /// An algorithm the portfolio can race: seeded slice runs, cooperative
@@ -96,14 +96,38 @@ pub fn contender(name: &str, params: &RaceParams) -> Option<Box<dyn RacedAlgorit
     }
 }
 
+/// What a contender carries from slice to slice: the solutions that seed
+/// the next slice, and the bounded front accumulated over all slices.
+struct SliceState {
+    pool: Vec<Solution>,
+    archive: Archive<FrontEntry>,
+    items: Vec<FrontEntry>,
+}
+
+impl SliceState {
+    fn new() -> Self {
+        Self {
+            pool: Vec::new(),
+            archive: Archive::new(ARCHIVE_CAPACITY),
+            items: Vec::new(),
+        }
+    }
+
+    /// Folds one slice's outcome in; returns the evaluations it spent.
+    fn absorb(&mut self, out: TsmoOutcome) -> u64 {
+        self.pool = out.archive.iter().map(|e| e.solution.clone()).collect();
+        self.archive.absorb(out.archive);
+        self.items = self.archive.items().to_vec();
+        out.evaluations
+    }
+}
+
 /// A TSMO variant raced through [`ParallelVariant::run_opts`].
 pub struct TsmoContender {
     name: String,
     variant: ParallelVariant,
     base: TsmoConfig,
-    pool: Vec<Solution>,
-    archive: Archive<FrontEntry>,
-    items: Vec<FrontEntry>,
+    state: SliceState,
 }
 
 impl TsmoContender {
@@ -117,9 +141,7 @@ impl TsmoContender {
             name: name.to_string(),
             variant,
             base,
-            pool: Vec::new(),
-            archive: Archive::new(ARCHIVE_CAPACITY),
-            items: Vec::new(),
+            state: SliceState::new(),
         }
     }
 }
@@ -146,20 +168,16 @@ impl RacedAlgorithm for TsmoContender {
             _ => evaluations,
         };
         cfg.seed = seed;
-        cfg.warm_start = self.pool.clone();
+        cfg.warm_start = self.state.pool.clone();
         let opts = RunOptions {
             cancel: cancel.clone(),
             ..RunOptions::default()
         };
-        let out = self.variant.run_opts(inst, &cfg, opts);
-        self.pool = out.archive.iter().map(|e| e.solution.clone()).collect();
-        self.archive.absorb(out.archive);
-        self.items = self.archive.items().to_vec();
-        out.evaluations
+        self.state.absorb(self.variant.run_opts(inst, &cfg, opts))
     }
 
     fn front(&self) -> &[FrontEntry] {
-        &self.items
+        &self.state.items
     }
 }
 
@@ -170,15 +188,13 @@ enum MoeaKind {
     Paes,
 }
 
-/// An MOEA raced through its `run_with_cancel` entry point, resuming via
-/// `warm_start` population seeding.
+/// An MOEA raced through its cancellable `run`, resuming via `warm_start`
+/// population seeding.
 pub struct MoeaContender {
     name: String,
     kind: MoeaKind,
     params: RaceParams,
-    pool: Vec<Solution>,
-    archive: Archive<FrontEntry>,
-    items: Vec<FrontEntry>,
+    state: SliceState,
 }
 
 impl MoeaContender {
@@ -197,9 +213,7 @@ impl MoeaContender {
             name: name.to_string(),
             kind,
             params: params.clone(),
-            pool: Vec::new(),
-            archive: Archive::new(ARCHIVE_CAPACITY),
-            items: Vec::new(),
+            state: SliceState::new(),
         }
     }
 }
@@ -216,51 +230,39 @@ impl RacedAlgorithm for MoeaContender {
         seed: u64,
         cancel: &CancelToken,
     ) -> u64 {
-        let (front, spent) = match self.kind {
-            MoeaKind::Nsga2 => {
-                let out = moea::Nsga2::new(moea::Nsga2Config {
-                    population: self.params.population,
-                    max_evaluations: evaluations,
-                    seed,
-                    warm_start: self.pool.clone(),
-                    ..Default::default()
-                })
-                .run_with_cancel(inst, cancel.clone());
-                (out.front, out.evaluations)
-            }
-            MoeaKind::Spea2 => {
-                let out = moea::Spea2::new(moea::Spea2Config {
-                    population: self.params.population,
-                    archive: ARCHIVE_CAPACITY,
-                    max_evaluations: evaluations,
-                    seed,
-                    warm_start: self.pool.clone(),
-                    ..Default::default()
-                })
-                .run_with_cancel(inst, cancel.clone());
-                (out.front, out.evaluations)
-            }
-            MoeaKind::Paes => {
-                let out = moea::Paes::new(moea::PaesConfig {
-                    archive: ARCHIVE_CAPACITY,
-                    max_evaluations: evaluations,
-                    seed,
-                    warm_start: self.pool.clone(),
-                    ..Default::default()
-                })
-                .run_with_cancel(inst, cancel.clone());
-                (out.front, out.evaluations)
-            }
+        let warm_start = self.state.pool.clone();
+        let out = match self.kind {
+            MoeaKind::Nsga2 => moea::Nsga2::new(moea::Nsga2Config {
+                population: self.params.population,
+                max_evaluations: evaluations,
+                seed,
+                warm_start,
+                ..Default::default()
+            })
+            .run(inst, cancel),
+            MoeaKind::Spea2 => moea::Spea2::new(moea::Spea2Config {
+                population: self.params.population,
+                archive: ARCHIVE_CAPACITY,
+                max_evaluations: evaluations,
+                seed,
+                warm_start,
+                ..Default::default()
+            })
+            .run(inst, cancel),
+            MoeaKind::Paes => moea::Paes::new(moea::PaesConfig {
+                archive: ARCHIVE_CAPACITY,
+                max_evaluations: evaluations,
+                seed,
+                warm_start,
+                ..Default::default()
+            })
+            .run(inst, cancel),
         };
-        self.pool = front.iter().map(|(s, _)| s.clone()).collect();
-        self.archive
-            .absorb(front.into_iter().map(|(s, o)| FrontEntry::new(s, o)));
-        self.items = self.archive.items().to_vec();
-        spent
+        self.state.absorb(out)
     }
 
     fn front(&self) -> &[FrontEntry] {
-        &self.items
+        &self.state.items
     }
 }
 

@@ -28,7 +28,7 @@ fn main() {
         inst.n_customers()
     );
 
-    let seq = SequentialTsmo::new(cfg.clone()).run(&inst);
+    let seq = ParallelVariant::Sequential.run(&inst, &cfg);
     println!(
         "sequential: {:>6.2}s, front of {} ({} feasible)",
         seq.runtime_seconds,

@@ -27,7 +27,7 @@ fn main() {
         seed: 1,
         ..TsmoConfig::default()
     };
-    let outcome = SequentialTsmo::new(cfg).run(&inst);
+    let outcome = ParallelVariant::Sequential.run(&inst, &cfg);
 
     println!(
         "\n{} evaluations in {:.2}s ({} iterations)",

@@ -14,7 +14,7 @@
 //! * [`tsmo_faults`] — deterministic fault injection for the parallel runtime
 //! * [`tsmo_serve`] — solver service: daemon, wire protocol, job queue, client
 //! * [`tsmo_cluster`] — distributed multi-process collaborative multisearch over TCP
-//! * [`moea`] — NSGA-II baseline for the paper's future-work comparison
+//! * [`moea`] — NSGA-II, SPEA2 and PAES baselines for the paper's future-work comparison
 //! * [`runstats`] — statistics for the experiment harness
 //! * [`detrand`] — deterministic random number generation
 
@@ -40,7 +40,7 @@ pub mod prelude {
     pub use tsmo_cluster::{run_mesh, MeshClient, MeshJob, NodeConfig, Noded};
     pub use tsmo_core::{
         AdaptiveMemoryTs, CancelToken, Clock, HybridTsmo, ParallelVariant, RunOptions,
-        SelectionRule, SequentialTsmo, StopCause, TsmoConfig, TsmoOutcome, WeightedSumTs,
+        SelectionRule, StopCause, TsmoConfig, TsmoOutcome, WeightedSumTs,
     };
     pub use tsmo_faults::{FaultConfig, FaultHook, FaultPlan};
     pub use tsmo_obs::{MemoryRecorder, Recorder, SearchEvent};

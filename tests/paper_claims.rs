@@ -24,7 +24,7 @@ fn sync_equals_sequential_across_classes_and_proc_counts() {
         for p in [2usize, 5] {
             let mut seq_cfg = cfg(1_800).with_seed(seed);
             seq_cfg.chunks = p;
-            let seq = SequentialTsmo::new(seq_cfg).run(&inst);
+            let seq = ParallelVariant::Sequential.run(&inst, &seq_cfg);
             let sync = ParallelVariant::Synchronous(p).run(&inst, &cfg(1_800).with_seed(seed));
             let norm = |mut v: Vec<[f64; 3]>| {
                 v.sort_by(|a, b| a.partial_cmp(b).expect("not NaN"));
@@ -93,7 +93,7 @@ fn merging_routes_never_lengthens_in_euclidean_space() {
 #[test]
 fn search_recovers_time_feasibility_on_relaxed_instances() {
     let inst = Arc::new(GeneratorConfig::new(InstanceClass::C2, 40, 23).build());
-    let out = SequentialTsmo::new(cfg(6_000).with_seed(2)).run(&inst);
+    let out = ParallelVariant::Sequential.run(&inst, &cfg(6_000).with_seed(2));
     assert!(
         !out.feasible_front().is_empty(),
         "large-window instances must yield feasible archive members"
