@@ -14,10 +14,10 @@ use vrptw::{evaluate_route, Instance};
 use vrptw_construct::{i1, nearest_neighbor, savings, I1Config};
 use vrptw_operators::{sample_move, SampleParams};
 
-fn setup(size: usize) -> (Arc<Instance>, EvaluatedSolution) {
+fn setup(size: usize) -> (Arc<Instance>, Arc<EvaluatedSolution>) {
     let inst = Arc::new(GeneratorConfig::new(InstanceClass::R1, size, 1).build());
     let sol = i1(&inst, &I1Config::default());
-    let ev = EvaluatedSolution::new(sol, &inst);
+    let ev = Arc::new(EvaluatedSolution::new(sol, &inst));
     (inst, ev)
 }
 

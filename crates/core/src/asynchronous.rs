@@ -7,7 +7,8 @@
 //! individual from the N that has been collected so far" (Algorithm 2).
 //! Results that arrive after the master moved on are *folded into the next
 //! iteration's pool* — the search "can select solutions that were neighbors
-//! of a previous solution", which is why [`Neighbor`] is self-contained.
+//! of a previous solution", which is why a [`LazyNeighbor`] keeps a handle to
+//! its snapshot.
 //!
 //! The decision function's four conditions:
 //! * `c1` — some worker is idle (has delivered and waits for work);
@@ -28,7 +29,7 @@ use crate::cancel::CancelToken;
 use crate::config::TsmoConfig;
 use crate::core_search::{SearchCore, StepReport};
 use crate::exec::{Executor, Wait};
-use crate::neighborhood::{generate_chunk, Chunk, Neighbor};
+use crate::neighborhood::{generate_chunk, Chunk, LazyNeighbor, StepNeighbor};
 use crate::outcome::TsmoOutcome;
 use deme::EvaluationBudget;
 use detrand::Xoshiro256StarStar;
@@ -81,13 +82,13 @@ pub(crate) fn run_async(
     let chunk = (cfg.neighborhood_size / processors).max(1);
     let max_wait = cfg.async_max_wait_ms as f64 / 1_000.0;
     let mut core = SearchCore::with_recorder(Arc::clone(inst), cfg, rng, Arc::clone(recorder), id);
-    let mut pool: Vec<Neighbor> = Vec::new();
+    let mut pool: Vec<LazyNeighbor> = Vec::new();
     let mut tally = SampleTally::default();
 
     // Folds collected worker results into the pool; `iter` is the master's
     // iteration at collection time (for events).
     let fold = |arrived: Vec<(usize, Chunk)>,
-                pool: &mut Vec<Neighbor>,
+                pool: &mut Vec<LazyNeighbor>,
                 tally: &mut SampleTally,
                 iter: usize| {
         for (w, chunk) in arrived {
@@ -134,7 +135,7 @@ pub(crate) fn run_async(
                     });
                 }
                 let seed = core.next_seed();
-                exec.dispatch(w, core.current(), seed, granted, iter);
+                exec.dispatch(w, core.snapshot(), seed, granted, iter);
             }
         }
         // The master computes its own part. The "evaluate" span also
@@ -148,7 +149,7 @@ pub(crate) fn run_async(
             let own = exec.on_master(granted, || {
                 generate_chunk(
                     inst,
-                    core.current(),
+                    core.snapshot(),
                     seed,
                     granted,
                     core.sample_params(),
@@ -171,7 +172,7 @@ pub(crate) fn run_async(
             let c1 = !exec.idle_workers().is_empty();
             let c2 = pool
                 .iter()
-                .any(|nb| pareto::dominates(&nb.objectives.to_vector(), &current));
+                .any(|nb| pareto::dominates(&nb.objectives().to_vector(), &current));
             let c3 = exec.now() - wait_start >= max_wait;
             let c4 = budget.exhausted();
             // With no worker at all there is nothing to wait for.

@@ -2,7 +2,7 @@
 //! selection, and restart logic (lines 8–17 of Algorithm 1).
 
 use crate::config::TsmoConfig;
-use crate::neighborhood::Neighbor;
+use crate::neighborhood::StepNeighbor;
 use crate::outcome::FrontEntry;
 use crate::tabu::TabuList;
 use crate::trace::{Trace, TracePoint};
@@ -52,7 +52,7 @@ pub struct SearchCore {
     tabu: TabuList,
     nondom: Archive<FrontEntry>,
     archive: Archive<FrontEntry>,
-    current: EvaluatedSolution,
+    current: Arc<EvaluatedSolution>,
     iteration: usize,
     stagnation: usize,
     trace: Option<Trace>,
@@ -124,7 +124,7 @@ impl SearchCore {
                 );
                 pick
             };
-            EvaluatedSolution::new(start, &inst)
+            Arc::new(EvaluatedSolution::new(start, &inst))
         };
         let mut archive = Archive::new(cfg.archive_capacity);
         let mut nondom = Archive::new(cfg.nondom_capacity);
@@ -196,6 +196,12 @@ impl SearchCore {
         &self.current
     }
 
+    /// A shared handle to [`current`](Self::current), which the neighbors
+    /// generated from it keep until they are judged.
+    pub fn snapshot(&self) -> &Arc<EvaluatedSolution> {
+        &self.current
+    }
+
     /// Completed iterations.
     pub fn iteration(&self) -> usize {
         self.iteration
@@ -245,8 +251,10 @@ impl SearchCore {
     }
 
     /// Runs selection and memory update on the evaluated neighbors (lines
-    /// 8–17 of Algorithm 1).
-    pub fn step(&mut self, pool: Vec<Neighbor>) -> StepReport {
+    /// 8–17 of Algorithm 1). Neighbors are judged by their objectives and
+    /// arcs; a neighbor's solution is built only when `M_nondom` or
+    /// `M_archive` admits it or the selection picks it.
+    pub fn step<N: StepNeighbor>(&mut self, pool: Vec<N>) -> StepReport {
         // The trace records this step under the iteration number the
         // neighbors were generated for (`iteration()` at generation time),
         // so freshly generated neighbors have staleness 0 and the
@@ -263,7 +271,7 @@ impl SearchCore {
         let mut stale = 0u64;
         let mut max_staleness = 0usize;
         for nb in &pool {
-            let age = iter.saturating_sub(nb.created_iteration);
+            let age = iter.saturating_sub(nb.created_iteration());
             if age > 0 {
                 stale += 1;
                 max_staleness = max_staleness.max(age);
@@ -288,9 +296,9 @@ impl SearchCore {
         let tabu_span = Span::enter(&self.recorder, "tabu", self.trace_id, span_parent);
         let mut admissible: Vec<usize> = Vec::with_capacity(pool.len());
         for (i, nb) in pool.iter().enumerate() {
-            if self.tabu.is_tabu(&nb.arcs_created) {
+            if self.tabu.is_tabu(nb.arcs_created()) {
                 self.recorder.counter_add(names::TABU_HITS, 1);
-                self.outcomes.tabu_rejected[nb.operator.index()] += 1;
+                self.outcomes.tabu_rejected[nb.operator().index()] += 1;
                 if self.recorder.enabled() {
                     self.recorder.event(SearchEvent::TabuHit {
                         searcher: self.searcher_id,
@@ -305,7 +313,7 @@ impl SearchCore {
         let select_span = Span::enter(&self.recorder, "select", self.trace_id, span_parent);
         let vectors: Vec<[f64; 3]> = admissible
             .iter()
-            .map(|&i| pool[i].objectives.to_vector())
+            .map(|&i| pool[i].objectives().to_vector())
             .collect();
         let chosen_idx = if vectors.is_empty() {
             None
@@ -334,9 +342,9 @@ impl SearchCore {
         if let Some(t) = self.trace.as_mut() {
             for (i, nb) in pool.iter().enumerate() {
                 t.record(TracePoint {
-                    iter_created: nb.created_iteration,
+                    iter_created: nb.created_iteration(),
                     iter_considered: iter,
-                    objectives: nb.objectives,
+                    objectives: nb.objectives(),
                     chosen: Some(i) == chosen_idx,
                 });
             }
@@ -348,18 +356,19 @@ impl SearchCore {
                 iteration: iter as u64,
                 pool: pool.len() as u32,
                 admissible: admissible.len() as u32,
-                chosen: chosen_idx.map(|i| pool[i].objectives.to_vector()),
+                chosen: chosen_idx.map(|i| pool[i].objectives().to_vector()),
             });
         }
 
         // Memory update: every neighbor is offered to M_nondom ("additional
-        // non-dominated solutions that were found in the neighborhood N").
+        // non-dominated solutions that were found in the neighborhood N"),
+        // and only the ones it admits are built.
         let archive_span = Span::enter(&self.recorder, "archive", self.trace_id, span_parent);
         for nb in &pool {
-            if self
-                .nondom
-                .insert(FrontEntry::new(nb.solution.clone(), nb.objectives))
-            {
+            let objectives = nb.objectives();
+            if self.nondom.insert_with(&objectives.to_vector(), || {
+                FrontEntry::new(nb.solution(), objectives)
+            }) {
                 self.recorder.counter_add(names::NONDOM_INSERTS, 1);
             }
         }
@@ -372,27 +381,35 @@ impl SearchCore {
         match chosen_idx {
             Some(i) => {
                 let nb = &pool[i];
-                self.tabu.push(nb.arcs_removed.clone());
-                self.current = EvaluatedSolution::new(nb.solution.clone(), &self.inst);
-                report.selected = Some(nb.objectives);
-                self.outcomes.accepted[nb.operator.index()] += 1;
-                let entry = FrontEntry::new(nb.solution.clone(), nb.objectives);
+                let objectives = nb.objectives();
+                let op = nb.operator().index();
+                self.tabu.push(nb.arcs_removed().to_vec());
+                // Built once: the archive entry (if admitted) copies it,
+                // then it becomes the new current.
+                let solution = nb.solution();
+                report.selected = Some(objectives);
+                self.outcomes.accepted[op] += 1;
                 let size_before = self.archive.len();
-                if self.archive.insert(entry.clone()) {
+                let admitted = self.archive.insert_with(&objectives.to_vector(), || {
+                    FrontEntry::new(solution.clone(), objectives)
+                });
+                self.current = Arc::new(EvaluatedSolution::new(solution, &self.inst));
+                if admitted {
                     // An accepted insert that shrank (or held) the archive
                     // displaced dominated entries.
                     self.archive_prunes += (size_before + 1 - self.archive.len()) as u64;
-                    self.outcomes.improving[nb.operator.index()] += 1;
+                    self.outcomes.improving[op] += 1;
                     self.recorder.counter_add(names::ARCHIVE_INSERTS, 1);
                     if self.recorder.enabled() {
                         self.recorder.event(SearchEvent::ArchiveInsert {
                             searcher: self.searcher_id,
                             iteration: iter as u64,
-                            objectives: nb.objectives.to_vector(),
+                            objectives: objectives.to_vector(),
                         });
                     }
                     self.stagnation = 0;
-                    report.improved_archive = Some(entry);
+                    report.improved_archive =
+                        Some(FrontEntry::new(self.current.solution().clone(), objectives));
                 } else {
                     self.stagnation += 1;
                     self.stagnation_streak_max = self.stagnation_streak_max.max(self.stagnation);
@@ -486,7 +503,7 @@ impl SearchCore {
         } else {
             &self.archive.items()[k - n_nondom]
         };
-        self.current = EvaluatedSolution::new(entry.solution.clone(), &self.inst);
+        self.current = Arc::new(EvaluatedSolution::new(entry.solution.clone(), &self.inst));
     }
 
     /// Finalizes the search, handing the archive and trace to the caller.
@@ -544,7 +561,7 @@ fn projected_hypervolume(items: &[FrontEntry], reference: [f64; 2]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::neighborhood::generate_chunk;
+    use crate::neighborhood::{generate_chunk, LazyNeighbor};
     use vrptw::generator::{GeneratorConfig, InstanceClass};
 
     fn core(seed: u64) -> SearchCore {
@@ -562,11 +579,11 @@ mod tests {
         )
     }
 
-    fn one_pool(c: &mut SearchCore) -> Vec<Neighbor> {
+    fn one_pool(c: &mut SearchCore) -> Vec<LazyNeighbor> {
         let seed = c.next_seed();
         generate_chunk(
             c.instance().clone().as_ref(),
-            c.current(),
+            c.snapshot(),
             seed,
             30,
             c.sample_params(),
@@ -597,7 +614,7 @@ mod tests {
     fn empty_pool_restarts_from_memory() {
         let mut c = core(2);
         let before = c.current().solution().clone();
-        let report = c.step(Vec::new());
+        let report = c.step(Vec::<LazyNeighbor>::new());
         assert!(report.restarted);
         assert!(report.selected.is_none());
         // Restart re-materializes a memorized solution (may equal the
@@ -697,7 +714,7 @@ mod tests {
             let seed = c.next_seed();
             let chunk = generate_chunk(
                 c.instance().clone().as_ref(),
-                c.current(),
+                c.snapshot(),
                 seed,
                 30,
                 c.sample_params(),

@@ -62,7 +62,7 @@ pub(crate) trait Executor {
     fn dispatch(
         &mut self,
         w: usize,
-        snapshot: &EvaluatedSolution,
+        snapshot: &Arc<EvaluatedSolution>,
         seed: u64,
         count: usize,
         iteration: usize,
@@ -78,10 +78,11 @@ pub(crate) trait Executor {
     fn finish(self, iteration: u64) -> f64;
 }
 
-/// One unit of neighborhood work for a worker thread.
+/// One unit of neighborhood work for a worker thread. The snapshot is
+/// shared with the master and with the neighbors generated from it.
 #[derive(Clone)]
 struct Task {
-    snapshot: EvaluatedSolution,
+    snapshot: Arc<EvaluatedSolution>,
     seed: u64,
     count: usize,
     iteration: usize,
@@ -169,7 +170,7 @@ impl Executor for Threads {
     fn dispatch(
         &mut self,
         w: usize,
-        snapshot: &EvaluatedSolution,
+        snapshot: &Arc<EvaluatedSolution>,
         seed: u64,
         count: usize,
         iteration: usize,
@@ -178,7 +179,7 @@ impl Executor for Threads {
         sup.send(
             w,
             Task {
-                snapshot: snapshot.clone(),
+                snapshot: Arc::clone(snapshot),
                 seed,
                 count,
                 iteration,
@@ -416,7 +417,7 @@ impl Executor for Virtual {
     fn dispatch(
         &mut self,
         w: usize,
-        snapshot: &EvaluatedSolution,
+        snapshot: &Arc<EvaluatedSolution>,
         seed: u64,
         count: usize,
         iteration: usize,
@@ -475,6 +476,7 @@ impl Executor for Virtual {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::neighborhood::StepNeighbor;
     use tsmo_faults::NoFaults;
     use tsmo_obs::MemoryRecorder;
     use vrptw::generator::{GeneratorConfig, InstanceClass};
@@ -531,7 +533,11 @@ mod tests {
 
     /// Dispatches one chunk at a time, alternating over the two workers
     /// while both are live, and waits for each with `Wait::All`.
-    fn drive(mut exec: impl Executor, snapshot: &EvaluatedSolution, rec: &MemoryRecorder) -> Trace {
+    fn drive(
+        mut exec: impl Executor,
+        snapshot: &Arc<EvaluatedSolution>,
+        rec: &MemoryRecorder,
+    ) -> Trace {
         let mut delivered = Vec::new();
         for step in 0..8 {
             let Some(&w) = exec
@@ -550,7 +556,7 @@ mod tests {
                         let objectives = chunk
                             .neighbors
                             .iter()
-                            .map(|nb| nb.objectives.to_vector())
+                            .map(|nb| nb.objectives().to_vector())
                             .collect();
                         (w, objectives)
                     })
@@ -570,7 +576,10 @@ mod tests {
     #[test]
     fn both_clocks_take_the_same_recovery_decisions() {
         let inst = Arc::new(GeneratorConfig::new(InstanceClass::R1, 25, 4).build());
-        let snapshot = EvaluatedSolution::new(i1(&inst, &I1Config::default()), &inst);
+        let snapshot = Arc::new(EvaluatedSolution::new(
+            i1(&inst, &I1Config::default()),
+            &inst,
+        ));
         let cfg = TsmoConfig::default();
         let params = SampleParams {
             feasibility: cfg.feasibility_criterion,
@@ -605,7 +614,10 @@ mod tests {
     #[test]
     fn virtual_busy_time_is_counted_work() {
         let inst = Arc::new(GeneratorConfig::new(InstanceClass::R1, 25, 4).build());
-        let snapshot = EvaluatedSolution::new(i1(&inst, &I1Config::default()), &inst);
+        let snapshot = Arc::new(EvaluatedSolution::new(
+            i1(&inst, &I1Config::default()),
+            &inst,
+        ));
         let cfg = TsmoConfig::default();
         let rec = MemoryRecorder::shared();
         let recorder: Arc<dyn Recorder> = rec.clone();

@@ -83,7 +83,7 @@ pub use cancel::{CancelToken, StopCause};
 pub use config::{SelectionRule, TsmoConfig};
 pub use core_search::SearchCore;
 pub use hybrid::HybridTsmo;
-pub use neighborhood::{generate_chunk, Chunk, Neighbor};
+pub use neighborhood::{generate_chunk, Chunk, LazyNeighbor, Neighbor, StepNeighbor};
 pub use outcome::{verify_front, FrontEntry, TsmoOutcome};
 pub use scalarized::{weighted_front, WeightedOutcome, WeightedSumTs};
 pub use searcher::{searcher_cfg, CollabSearcher, SearcherResult};

@@ -23,6 +23,17 @@ impl FrontEntry {
             vector: objectives.to_vector(),
         }
     }
+
+    /// Evaluates `solution` on `inst` and wraps it with the result.
+    pub fn evaluated(solution: Solution, inst: &Instance) -> Self {
+        let objectives = solution.evaluate(inst);
+        Self::new(solution, objectives)
+    }
+
+    /// The objectives as the minimization vector `[f1, f2, f3]`.
+    pub fn vector(&self) -> &[f64; 3] {
+        &self.vector
+    }
 }
 
 impl pareto::Dominance for FrontEntry {

@@ -15,7 +15,7 @@
 //! paragraph above describes.
 
 use crate::config::TsmoConfig;
-use crate::neighborhood::{generate_chunk, Neighbor};
+use crate::neighborhood::{generate_chunk, LazyNeighbor, StepNeighbor};
 use crate::outcome::FrontEntry;
 use crate::tabu::TabuList;
 use deme::EvaluationBudget;
@@ -103,7 +103,7 @@ pub(crate) fn tabu_search(
     let params = SampleParams {
         feasibility: cfg.feasibility_criterion,
     };
-    let mut current = EvaluatedSolution::new(start, inst);
+    let mut current = Arc::new(EvaluatedSolution::new(start, inst));
     let mut tabu = TabuList::new(cfg.tabu_tenure);
     let mut best = FrontEntry::new(current.solution().clone(), current.objectives());
     let mut best_value = scalar(weights, current.objectives());
@@ -116,16 +116,15 @@ pub(crate) fn tabu_search(
             break;
         }
         let seed = rng.next_u64();
-        let pool: Vec<Neighbor> =
-            generate_chunk(inst, &current, seed, granted, params, iterations).neighbors;
+        let pool = generate_chunk(inst, &current, seed, granted, params, iterations).neighbors;
         iterations += 1;
         // Classic best-improvement selection with aspiration: the best
         // non-tabu neighbor, or a tabu one that beats the incumbent.
-        let mut chosen: Option<&Neighbor> = None;
+        let mut chosen: Option<&LazyNeighbor> = None;
         let mut chosen_value = f64::INFINITY;
         for nb in &pool {
-            let value = scalar(weights, nb.objectives);
-            let tabu_hit = tabu.is_tabu(&nb.arcs_created);
+            let value = scalar(weights, nb.objectives());
+            let tabu_hit = tabu.is_tabu(nb.arcs_created());
             let admissible = !tabu_hit || value < best_value;
             if admissible && value < chosen_value {
                 chosen = Some(nb);
@@ -134,21 +133,22 @@ pub(crate) fn tabu_search(
         }
         match chosen {
             Some(nb) => {
-                tabu.push(nb.arcs_removed.clone());
-                current = EvaluatedSolution::new(nb.solution.clone(), inst);
+                tabu.push(nb.arcs_removed().to_vec());
+                let solution = nb.solution();
                 if chosen_value < best_value {
                     best_value = chosen_value;
-                    best = FrontEntry::new(nb.solution.clone(), nb.objectives);
+                    best = FrontEntry::new(solution.clone(), nb.objectives());
                     stagnation = 0;
                 } else {
                     stagnation += 1;
                 }
+                current = Arc::new(EvaluatedSolution::new(solution, inst));
             }
             None => stagnation += 1,
         }
         if stagnation >= cfg.stagnation_limit {
             // Restart from the incumbent.
-            current = EvaluatedSolution::new(best.solution.clone(), inst);
+            current = Arc::new(EvaluatedSolution::new(best.solution.clone(), inst));
             stagnation = 0;
         }
     }

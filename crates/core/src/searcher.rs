@@ -313,7 +313,7 @@ impl CollabSearcher {
         let eval_span = Span::enter(&self.recorder, "evaluate", trace_id, span_parent);
         let chunk = generate_chunk(
             &self.inst,
-            self.core.current(),
+            self.core.snapshot(),
             seed,
             granted,
             self.core.sample_params(),

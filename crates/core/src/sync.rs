@@ -68,7 +68,7 @@ pub(crate) fn run_sync(
                         count: granted[w + 1] as u32,
                     });
                 }
-                exec.dispatch(w, core.current(), seeds[w + 1], granted[w + 1], iteration);
+                exec.dispatch(w, core.snapshot(), seeds[w + 1], granted[w + 1], iteration);
             }
         }
         // The master computes its chunks meanwhile. The "evaluate" span
@@ -80,7 +80,7 @@ pub(crate) fn run_sync(
             chunks[i] = Some(exec.on_master(granted[i], || {
                 generate_chunk(
                     inst,
-                    core.current(),
+                    core.snapshot(),
                     seeds[i],
                     granted[i],
                     core.sample_params(),

@@ -4,10 +4,10 @@ use crate::sorting::{crowded_compare, fast_non_dominated_sort, rank_and_crowd};
 use crate::variation::{best_cost_route_crossover, mutate};
 use deme::{EvaluationBudget, RunClock};
 use detrand::{Rng, Xoshiro256StarStar};
-use pareto::{crowding_distances, Dominance};
+use pareto::crowding_distances;
 use std::sync::Arc;
 use tsmo_core::{CancelToken, FrontEntry, TsmoOutcome};
-use vrptw::{Instance, Objectives, Solution};
+use vrptw::{Instance, Solution};
 use vrptw_construct::randomized_i1;
 
 /// NSGA-II parameters.
@@ -45,20 +45,6 @@ impl Default for Nsga2Config {
     }
 }
 
-/// One population member.
-#[derive(Debug, Clone)]
-struct Individual {
-    solution: Solution,
-    objectives: Objectives,
-    vector: [f64; 3],
-}
-
-impl Dominance for Individual {
-    fn objectives(&self) -> &[f64] {
-        &self.vector
-    }
-}
-
 /// The NSGA-II runner.
 pub struct Nsga2 {
     cfg: Nsga2Config,
@@ -91,25 +77,16 @@ impl Nsga2 {
         let budget = EvaluationBudget::new(cfg.max_evaluations);
         let mut rng = Xoshiro256StarStar::seed_from_u64(cfg.seed);
 
-        let evaluate = |sol: Solution, inst: &Instance| -> Individual {
-            let objectives = sol.evaluate(inst);
-            Individual {
-                solution: sol,
-                objectives,
-                vector: objectives.to_vector(),
-            }
-        };
-
         // Initial population: warm-start seeds first, randomized I1
         // constructions for the remaining slots.
         let init = budget.try_consume(cfg.population as u64) as usize;
-        let mut pop: Vec<Individual> = (0..init.max(2))
+        let mut pop: Vec<FrontEntry> = (0..init.max(2))
             .map(|i| {
                 let sol = match cfg.warm_start.get(i) {
                     Some(s) => s.clone(),
                     None => randomized_i1(inst, &mut rng),
                 };
-                evaluate(sol, inst)
+                FrontEntry::evaluated(sol, inst)
             })
             .collect();
 
@@ -132,7 +109,7 @@ impl Nsga2 {
                 if rng.bernoulli(cfg.mutation_rate) {
                     child = mutate(inst, &child, &mut rng);
                 }
-                offspring.push(evaluate(child, inst));
+                offspring.push(FrontEntry::evaluated(child, inst));
             }
             // Environmental selection over parents + offspring.
             pop.extend(offspring);
@@ -143,11 +120,7 @@ impl Nsga2 {
         let fronts = fast_non_dominated_sort(&pop);
         let archive = fronts
             .first()
-            .map(|f| {
-                f.iter()
-                    .map(|&i| FrontEntry::new(pop[i].solution.clone(), pop[i].objectives))
-                    .collect()
-            })
+            .map(|f| f.iter().map(|&i| pop[i].clone()).collect())
             .unwrap_or_default();
         TsmoOutcome {
             archive,
@@ -160,7 +133,7 @@ impl Nsga2 {
 }
 
 /// Binary tournament by the crowded-comparison operator.
-fn tournament<R: Rng>(pop: &[Individual], rank: &[usize], crowd: &[f64], rng: &mut R) -> usize {
+fn tournament<R: Rng>(pop: &[FrontEntry], rank: &[usize], crowd: &[f64], rng: &mut R) -> usize {
     let a = rng.index(pop.len());
     let b = rng.index(pop.len());
     match crowded_compare(rank[a], crowd[a], rank[b], crowd[b]) {
@@ -171,14 +144,14 @@ fn tournament<R: Rng>(pop: &[Individual], rank: &[usize], crowd: &[f64], rng: &m
 
 /// Keeps the best `target` individuals: whole fronts while they fit, the
 /// last front truncated by crowding distance.
-fn environmental_selection(pop: Vec<Individual>, target: usize) -> Vec<Individual> {
+fn environmental_selection(pop: Vec<FrontEntry>, target: usize) -> Vec<FrontEntry> {
     let fronts = fast_non_dominated_sort(&pop);
     let mut keep: Vec<usize> = Vec::with_capacity(target);
     for front in fronts {
         if keep.len() + front.len() <= target {
             keep.extend(front);
         } else {
-            let members: Vec<&Individual> = front.iter().map(|&i| &pop[i]).collect();
+            let members: Vec<&FrontEntry> = front.iter().map(|&i| &pop[i]).collect();
             let dist = crowding_distances(&members);
             let mut order: Vec<usize> = (0..front.len()).collect();
             order.sort_by(|&x, &y| {
@@ -272,16 +245,8 @@ mod tests {
     fn environmental_selection_respects_target_and_elitism() {
         let inst = Arc::new(GeneratorConfig::new(InstanceClass::R2, 20, 1).build());
         let mut rng = Xoshiro256StarStar::seed_from_u64(2);
-        let pop: Vec<Individual> = (0..30)
-            .map(|_| {
-                let s = randomized_i1(&inst, &mut rng);
-                let o = s.evaluate(&inst);
-                Individual {
-                    solution: s,
-                    vector: o.to_vector(),
-                    objectives: o,
-                }
-            })
+        let pop: Vec<FrontEntry> = (0..30)
+            .map(|_| FrontEntry::evaluated(randomized_i1(&inst, &mut rng), &inst))
             .collect();
         let best_distance = pop
             .iter()

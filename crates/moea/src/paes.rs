@@ -15,7 +15,7 @@ use detrand::Xoshiro256StarStar;
 use pareto::{compare, DomRelation};
 use std::sync::Arc;
 use tsmo_core::{CancelToken, FrontEntry, TsmoOutcome};
-use vrptw::{Instance, Objectives, Solution};
+use vrptw::{Instance, Solution};
 use vrptw_construct::randomized_i1;
 
 /// PAES parameters.
@@ -48,14 +48,6 @@ impl Default for PaesConfig {
     }
 }
 
-/// An archive member.
-#[derive(Debug, Clone)]
-struct Member {
-    solution: Solution,
-    objectives: Objectives,
-    vector: [f64; 3],
-}
-
 /// The adaptive hypergrid archive of PAES.
 ///
 /// Objective space is bracketed by the archive's current bounding box and
@@ -64,7 +56,7 @@ struct Member {
 /// and the acceptance rule (prefer solutions in less crowded cells).
 #[derive(Debug)]
 struct GridArchive {
-    members: Vec<Member>,
+    members: Vec<FrontEntry>,
     capacity: usize,
     depth: u32,
 }
@@ -85,8 +77,8 @@ impl GridArchive {
         let mut hi = [f64::NEG_INFINITY; 3];
         for m in &self.members {
             for d in 0..3 {
-                lo[d] = lo[d].min(m.vector[d]);
-                hi[d] = hi[d].max(m.vector[d]);
+                lo[d] = lo[d].min(m.vector()[d]);
+                hi[d] = hi[d].max(m.vector()[d]);
             }
         }
         let mut cell = [0u32; 3];
@@ -103,17 +95,17 @@ impl GridArchive {
         let cell = self.region(v);
         self.members
             .iter()
-            .filter(|m| self.region(&m.vector) == cell)
+            .filter(|m| self.region(m.vector()) == cell)
             .count()
     }
 
     /// Tries to insert a non-dominated candidate; evicts a member of the
     /// most crowded cell when full. Returns whether the candidate stayed.
-    fn insert(&mut self, member: Member) -> bool {
+    fn insert(&mut self, member: FrontEntry) -> bool {
         // Dominance maintenance.
         let mut i = 0;
         while i < self.members.len() {
-            match compare(&self.members[i].vector, &member.vector) {
+            match compare(self.members[i].vector(), member.vector()) {
                 DomRelation::Dominates | DomRelation::Equal => return false,
                 DomRelation::DominatedBy => {
                     self.members.swap_remove(i);
@@ -128,7 +120,7 @@ impl GridArchive {
             let crowds: Vec<usize> = self
                 .members
                 .iter()
-                .map(|m| self.crowding(&m.vector))
+                .map(|m| self.crowding(m.vector()))
                 .collect();
             let max_crowd = *crowds.iter().max().expect("non-empty");
             let victim = self
@@ -174,20 +166,11 @@ impl Paes {
         let budget = EvaluationBudget::new(cfg.max_evaluations);
         let mut rng = Xoshiro256StarStar::seed_from_u64(cfg.seed);
 
-        let evaluate = |sol: Solution, inst: &Instance| -> Member {
-            let objectives = sol.evaluate(inst);
-            Member {
-                solution: sol,
-                objectives,
-                vector: objectives.to_vector(),
-            }
-        };
-
         budget.try_consume(1);
         let mut current = if let Some(first) = cfg.warm_start.first() {
-            evaluate(first.clone(), inst)
+            FrontEntry::evaluated(first.clone(), inst)
         } else {
-            evaluate(randomized_i1(inst, &mut rng), inst)
+            FrontEntry::evaluated(randomized_i1(inst, &mut rng), inst)
         };
         let mut archive = GridArchive::new(cfg.archive, cfg.depth);
         archive.insert(current.clone());
@@ -195,15 +178,15 @@ impl Paes {
             if budget.try_consume(1) == 0 {
                 break;
             }
-            archive.insert(evaluate(seed.clone(), inst));
+            archive.insert(FrontEntry::evaluated(seed.clone(), inst));
         }
         let mut accepted = 0;
 
         let mut steps = 0usize;
         while !cancel.should_stop(steps) && budget.try_consume(1) == 1 {
             steps += 1;
-            let candidate = evaluate(mutate(inst, &current.solution, &mut rng), inst);
-            match compare(&current.vector, &candidate.vector) {
+            let candidate = FrontEntry::evaluated(mutate(inst, &current.solution, &mut rng), inst);
+            match compare(current.vector(), candidate.vector()) {
                 DomRelation::Dominates | DomRelation::Equal => continue, // reject
                 DomRelation::DominatedBy => {
                     archive.insert(candidate.clone());
@@ -215,7 +198,8 @@ impl Paes {
                     // lands in a less crowded region than the current.
                     let went_in = archive.insert(candidate.clone());
                     if went_in
-                        && archive.crowding(&candidate.vector) <= archive.crowding(&current.vector)
+                        && archive.crowding(candidate.vector())
+                            <= archive.crowding(current.vector())
                     {
                         current = candidate;
                         accepted += 1;
@@ -225,11 +209,7 @@ impl Paes {
         }
 
         TsmoOutcome {
-            archive: archive
-                .members
-                .into_iter()
-                .map(|m| FrontEntry::new(m.solution, m.objectives))
-                .collect(),
+            archive: archive.members,
             evaluations: budget.consumed(),
             iterations: accepted,
             runtime_seconds: clock.seconds(),
@@ -242,6 +222,7 @@ impl Paes {
 mod tests {
     use super::*;
     use vrptw::generator::{GeneratorConfig, InstanceClass};
+    use vrptw::Objectives;
 
     fn small() -> PaesConfig {
         PaesConfig {
@@ -282,14 +263,15 @@ mod tests {
 
     #[test]
     fn grid_archive_dominance_maintenance() {
-        let mk = |v: [f64; 3]| Member {
-            solution: Solution::from_routes(vec![vec![1]]),
-            objectives: Objectives {
-                distance: v[0],
-                vehicles: v[1] as usize,
-                tardiness: v[2],
-            },
-            vector: v,
+        let mk = |v: [f64; 3]| {
+            FrontEntry::new(
+                Solution::from_routes(vec![vec![1]]),
+                Objectives {
+                    distance: v[0],
+                    vehicles: v[1] as usize,
+                    tardiness: v[2],
+                },
+            )
         };
         let mut g = GridArchive::new(5, 3);
         assert!(g.insert(mk([5.0, 5.0, 5.0])));
@@ -301,14 +283,15 @@ mod tests {
 
     #[test]
     fn grid_archive_respects_capacity_via_crowding() {
-        let mk = |x: f64| Member {
-            solution: Solution::from_routes(vec![vec![1]]),
-            objectives: Objectives {
-                distance: x,
-                vehicles: 1,
-                tardiness: 100.0 - x,
-            },
-            vector: [x, 1.0, 100.0 - x],
+        let mk = |x: f64| {
+            FrontEntry::new(
+                Solution::from_routes(vec![vec![1]]),
+                Objectives {
+                    distance: x,
+                    vehicles: 1,
+                    tardiness: 100.0 - x,
+                },
+            )
         };
         let mut g = GridArchive::new(4, 2);
         for x in [0.0, 10.0, 11.0, 12.0, 90.0, 100.0] {
@@ -319,22 +302,23 @@ mod tests {
         // the most crowded *cell*; the low-end cluster {0,10,11,12} shares
         // one cell and must lose members, while the sparse high end
         // {90, 100} survives untouched.
-        assert!(g.members.iter().any(|m| m.vector[0] == 90.0));
-        assert!(g.members.iter().any(|m| m.vector[0] == 100.0));
-        let low_cluster = g.members.iter().filter(|m| m.vector[0] <= 12.0).count();
+        assert!(g.members.iter().any(|m| m.vector()[0] == 90.0));
+        assert!(g.members.iter().any(|m| m.vector()[0] == 100.0));
+        let low_cluster = g.members.iter().filter(|m| m.vector()[0] <= 12.0).count();
         assert_eq!(low_cluster, 2, "two evictions must hit the crowded cell");
     }
 
     #[test]
     fn region_is_stable_for_identical_vectors() {
-        let mk = |x: f64| Member {
-            solution: Solution::from_routes(vec![vec![1]]),
-            objectives: Objectives {
-                distance: x,
-                vehicles: 1,
-                tardiness: 0.0,
-            },
-            vector: [x, 1.0, 0.0],
+        let mk = |x: f64| {
+            FrontEntry::new(
+                Solution::from_routes(vec![vec![1]]),
+                Objectives {
+                    distance: x,
+                    vehicles: 1,
+                    tardiness: 0.0,
+                },
+            )
         };
         let mut g = GridArchive::new(8, 3);
         g.insert(mk(0.0));

@@ -14,7 +14,7 @@ use detrand::{Rng, Xoshiro256StarStar};
 use pareto::dominates;
 use std::sync::Arc;
 use tsmo_core::{CancelToken, FrontEntry, TsmoOutcome};
-use vrptw::{Instance, Objectives, Solution};
+use vrptw::{Instance, Solution};
 use vrptw_construct::randomized_i1;
 
 /// SPEA2 parameters.
@@ -51,13 +51,6 @@ impl Default for Spea2Config {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Individual {
-    solution: Solution,
-    objectives: Objectives,
-    vector: [f64; 3],
-}
-
 /// The SPEA2 runner.
 pub struct Spea2 {
     cfg: Spea2Config,
@@ -89,26 +82,18 @@ impl Spea2 {
         let cfg = &self.cfg;
         let budget = EvaluationBudget::new(cfg.max_evaluations);
         let mut rng = Xoshiro256StarStar::seed_from_u64(cfg.seed);
-        let evaluate = |sol: Solution, inst: &Instance| -> Individual {
-            let objectives = sol.evaluate(inst);
-            Individual {
-                solution: sol,
-                objectives,
-                vector: objectives.to_vector(),
-            }
-        };
 
         let init = budget.try_consume(cfg.population as u64) as usize;
-        let mut population: Vec<Individual> = (0..init.max(2))
+        let mut population: Vec<FrontEntry> = (0..init.max(2))
             .map(|i| {
                 let sol = match cfg.warm_start.get(i) {
                     Some(s) => s.clone(),
                     None => randomized_i1(inst, &mut rng),
                 };
-                evaluate(sol, inst)
+                FrontEntry::evaluated(sol, inst)
             })
             .collect();
-        let mut archive: Vec<Individual> = Vec::new();
+        let mut archive: Vec<FrontEntry> = Vec::new();
         let mut generations = 0;
 
         loop {
@@ -143,7 +128,7 @@ impl Spea2 {
                 if rng.bernoulli(cfg.mutation_rate) {
                     child = mutate(inst, &child, &mut rng);
                 }
-                offspring.push(evaluate(child, inst));
+                offspring.push(FrontEntry::evaluated(child, inst));
             }
             population = offspring;
             generations += 1;
@@ -152,8 +137,8 @@ impl Spea2 {
         // Final front: non-dominated archive members.
         let front = archive
             .iter()
-            .filter(|i| !archive.iter().any(|j| dominates(&j.vector, &i.vector)))
-            .map(|i| FrontEntry::new(i.solution.clone(), i.objectives))
+            .filter(|i| !archive.iter().any(|j| dominates(j.vector(), i.vector())))
+            .cloned()
             .collect();
         TsmoOutcome {
             archive: front,
@@ -166,13 +151,13 @@ impl Spea2 {
 }
 
 /// SPEA2 fitness `F = R + D` for every member of `items`.
-fn spea2_fitness(items: &[Individual]) -> Vec<f64> {
+fn spea2_fitness(items: &[FrontEntry]) -> Vec<f64> {
     let n = items.len();
     // Strength: how many others each individual dominates.
     let mut strength = vec![0usize; n];
     for i in 0..n {
         for j in 0..n {
-            if i != j && dominates(&items[i].vector, &items[j].vector) {
+            if i != j && dominates(items[i].vector(), items[j].vector()) {
                 strength[i] += 1;
             }
         }
@@ -181,7 +166,7 @@ fn spea2_fitness(items: &[Individual]) -> Vec<f64> {
     let mut raw = vec![0.0f64; n];
     for i in 0..n {
         for j in 0..n {
-            if i != j && dominates(&items[j].vector, &items[i].vector) {
+            if i != j && dominates(items[j].vector(), items[i].vector()) {
                 raw[i] += strength[j] as f64;
             }
         }
@@ -192,7 +177,7 @@ fn spea2_fitness(items: &[Individual]) -> Vec<f64> {
     for i in 0..n {
         let mut dists: Vec<f64> = (0..n)
             .filter(|&j| j != i)
-            .map(|j| euclid(&items[i].vector, &items[j].vector))
+            .map(|j| euclid(items[i].vector(), items[j].vector()))
             .collect();
         dists.sort_by(|a, b| a.partial_cmp(b).expect("distances are not NaN"));
         let sigma_k = dists
@@ -216,10 +201,10 @@ fn euclid(a: &[f64; 3], b: &[f64; 3]) -> f64 {
 /// of the most crowded point when too many, or filling with the
 /// best-fitness dominated members when too few.
 fn environmental_selection(
-    union: Vec<Individual>,
+    union: Vec<FrontEntry>,
     fitness: &[f64],
     target: usize,
-) -> Vec<Individual> {
+) -> Vec<FrontEntry> {
     let mut selected: Vec<usize> = (0..union.len()).filter(|&i| fitness[i] < 1.0).collect();
     if selected.len() < target {
         // Fill with the best of the rest.
@@ -238,7 +223,7 @@ fn environmental_selection(
                 let mut best = f64::INFINITY;
                 for &j in &selected {
                     if i != j {
-                        best = best.min(euclid(&union[i].vector, &union[j].vector));
+                        best = best.min(euclid(union[i].vector(), union[j].vector()));
                     }
                 }
                 if best < worst_d {
@@ -261,7 +246,7 @@ fn environmental_selection(
 }
 
 /// Binary tournament by SPEA2 fitness (lower is better).
-fn tournament<R: Rng>(pool: &[Individual], fitness: &[f64], rng: &mut R) -> usize {
+fn tournament<R: Rng>(pool: &[FrontEntry], fitness: &[f64], rng: &mut R) -> usize {
     let a = rng.index(pool.len());
     let b = rng.index(pool.len());
     if fitness[b] < fitness[a] {
@@ -275,6 +260,7 @@ fn tournament<R: Rng>(pool: &[Individual], fitness: &[f64], rng: &mut R) -> usiz
 mod tests {
     use super::*;
     use vrptw::generator::{GeneratorConfig, InstanceClass};
+    use vrptw::Objectives;
 
     fn small() -> Spea2Config {
         Spea2Config {
@@ -314,14 +300,15 @@ mod tests {
 
     #[test]
     fn fitness_of_non_dominated_is_below_one() {
-        let mk = |v: [f64; 3]| Individual {
-            solution: Solution::from_routes(vec![vec![1]]),
-            objectives: Objectives {
-                distance: v[0],
-                vehicles: v[1] as usize,
-                tardiness: v[2],
-            },
-            vector: v,
+        let mk = |v: [f64; 3]| {
+            FrontEntry::new(
+                Solution::from_routes(vec![vec![1]]),
+                Objectives {
+                    distance: v[0],
+                    vehicles: v[1] as usize,
+                    tardiness: v[2],
+                },
+            )
         };
         let items = vec![
             mk([1.0, 1.0, 0.0]), // non-dominated
@@ -336,17 +323,18 @@ mod tests {
 
     #[test]
     fn truncation_respects_target_size() {
-        let mk = |x: f64, y: f64| Individual {
-            solution: Solution::from_routes(vec![vec![1]]),
-            objectives: Objectives {
-                distance: x,
-                vehicles: 1,
-                tardiness: y,
-            },
-            vector: [x, 1.0, y],
+        let mk = |x: f64, y: f64| {
+            FrontEntry::new(
+                Solution::from_routes(vec![vec![1]]),
+                Objectives {
+                    distance: x,
+                    vehicles: 1,
+                    tardiness: y,
+                },
+            )
         };
         // Seven mutually non-dominated points on a line.
-        let union: Vec<Individual> = (0..7).map(|i| mk(i as f64, 6.0 - i as f64)).collect();
+        let union: Vec<FrontEntry> = (0..7).map(|i| mk(i as f64, 6.0 - i as f64)).collect();
         let fitness = spea2_fitness(&union);
         let kept = environmental_selection(union, &fitness, 4);
         assert_eq!(kept.len(), 4);

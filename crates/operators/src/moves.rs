@@ -138,7 +138,9 @@ impl Move {
                 assert_ne!(fr, tr, "relocate requires distinct routes");
                 let mut from_route = snapshot.route(fr).to_vec();
                 let customer = from_route.remove(fp);
-                let mut to_route = snapshot.route(tr).to_vec();
+                // Sized for the insert, so it never reallocates.
+                let mut to_route = Vec::with_capacity(snapshot.route(tr).len() + 1);
+                to_route.extend_from_slice(snapshot.route(tr));
                 to_route.insert(tp, customer);
                 RoutePatch {
                     replace: vec![(fr, from_route), (tr, to_route)],
@@ -170,9 +172,11 @@ impl Move {
                 assert_ne!(a, b, "2-opt* requires distinct routes");
                 let ra = snapshot.route(a);
                 let rb = snapshot.route(b);
-                let mut new_a = ra[..cut_a].to_vec();
+                let mut new_a = Vec::with_capacity(cut_a + rb.len() - cut_b);
+                new_a.extend_from_slice(&ra[..cut_a]);
                 new_a.extend_from_slice(&rb[cut_b..]);
-                let mut new_b = rb[..cut_b].to_vec();
+                let mut new_b = Vec::with_capacity(cut_b + ra.len() - cut_a);
+                new_b.extend_from_slice(&rb[..cut_b]);
                 new_b.extend_from_slice(&ra[cut_a..]);
                 RoutePatch {
                     replace: vec![(a, new_a), (b, new_b)],

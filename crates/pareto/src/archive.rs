@@ -59,9 +59,34 @@ impl<T: Dominance> Archive<T> {
     /// solution" in the collaborative variant (§III.E) and what drives the
     /// no-improvement restart counter.
     pub fn insert(&mut self, item: T) -> bool {
+        self.survives_dominance(item.objectives()) && self.place(item)
+    }
+
+    /// [`insert`](Self::insert) for a candidate known by its objective
+    /// vector, built only if it survives the dominance pass: `build` runs
+    /// at most once, and the archive ends exactly as `insert(build())`
+    /// would leave it. A search that offers many neighbors and admits few
+    /// materializes only the admitted ones.
+    pub fn insert_with(&mut self, objectives: &[f64], build: impl FnOnce() -> T) -> bool {
+        if !self.survives_dominance(objectives) {
+            return false;
+        }
+        let item = build();
+        debug_assert_eq!(
+            item.objectives(),
+            objectives,
+            "built item's objectives differ"
+        );
+        self.place(item)
+    }
+
+    /// The dominance pass of an insert: drops the members `objectives`
+    /// dominates and returns whether it survives (no member dominates or
+    /// equals it).
+    fn survives_dominance(&mut self, objectives: &[f64]) -> bool {
         let mut i = 0;
         while i < self.items.len() {
-            match compare(self.items[i].objectives(), item.objectives()) {
+            match compare(self.items[i].objectives(), objectives) {
                 DomRelation::Dominates | DomRelation::Equal => return false,
                 DomRelation::DominatedBy => {
                     self.items.swap_remove(i);
@@ -69,11 +94,16 @@ impl<T: Dominance> Archive<T> {
                 DomRelation::Incomparable => i += 1,
             }
         }
+        true
+    }
+
+    /// Adds a candidate that survived the dominance pass; when full, the
+    /// crowding comparison over members + candidate evicts one of them.
+    fn place(&mut self, item: T) -> bool {
         if self.items.len() < self.capacity {
             self.items.push(item);
             return true;
         }
-        // Full: crowding comparison over members + candidate.
         self.items.push(item);
         let dist = crowding_distances(&self.items);
         let (worst, _) = dist

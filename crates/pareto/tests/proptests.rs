@@ -77,6 +77,35 @@ proptest! {
         }
     }
 
+    /// `insert_with` is `insert` with the candidate built late: over a 3-D
+    /// stream on a coarse grid (duplicates and dominance both occur) at
+    /// capacities small enough that crowding truncation fires, it returns
+    /// what `insert` returns, leaves the same members in the same order,
+    /// and builds exactly the candidates no member dominates or equals.
+    #[test]
+    fn insert_with_matches_insert(
+        grid in prop::collection::vec(prop::collection::vec(0u32..12, 3), 1..80),
+        cap in 2usize..7,
+    ) {
+        let mut eager: Archive<Vec<f64>> = Archive::new(cap);
+        let mut lazy: Archive<Vec<f64>> = Archive::new(cap);
+        for g in grid {
+            let p: Vec<f64> = g.iter().map(|&x| f64::from(x)).collect();
+            let survives = lazy
+                .items()
+                .iter()
+                .all(|m| !matches!(compare(m, &p), DomRelation::Dominates | DomRelation::Equal));
+            let mut builds = 0;
+            let added = lazy.insert_with(&p, || {
+                builds += 1;
+                p.clone()
+            });
+            prop_assert_eq!(added, eager.insert(p.clone()));
+            prop_assert_eq!(builds, usize::from(survives));
+            prop_assert_eq!(lazy.items(), eager.items());
+        }
+    }
+
     /// Insertion order cannot change which points a front considers
     /// non-dominated (set equality of surviving objective vectors).
     #[test]
